@@ -5,17 +5,17 @@ plus a reproducibility manifest, ``verify`` certifies a saved state against a
 saved game, and ``maxent`` runs the Bell-basis entangled-equilibrium demo.
 Exit codes: 0 on success (and verdict true for ``verify``), 1 for domain
 errors or a false verdict, 2 for I/O problems.  All outputs are deterministic
-functions of the flags and seeds.  ``QG_THREADS`` caps batch parallelism.
+functions of the flags and seeds.  ``run --runs N`` plays its N seeded games
+as one lockstep batch in a single thread; each run's files are byte-identical
+to a ``--runs 1`` call with that run's seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .serialize import (
     write_json,
     write_trajectory_csv,
 )
-from .tensor import partial_trace
+from .tensor import check_density, partial_trace
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -119,76 +119,78 @@ def _run_setup(game, args):
     return playable, gap_mode, bound_scale, schedule, horizon
 
 
-def _make_learners(learner_arg: str | None, playable: QuantumGame, schedule: Schedule):
+def _make_learners(learner_arg: str | None, playable: QuantumGame, schedule: Schedule, batch: int):
     names = learner_arg.split(",") if learner_arg else ["mmwu"] * playable.n_players
     if len(names) != playable.n_players:
         raise ValueError(f"need {playable.n_players} learner kinds, got {len(names)}")
     learners = []
     for i, name in enumerate(names):
         if name == "mmwu":
-            learners.append(MMWU(playable.dims[i], schedule))
+            learners.append(MMWU(playable.dims[i], schedule, batch=batch))
         elif name == "ftrl":
             if schedule.kind != "fixed":
                 raise ValueError("ftrl supports only fixed stepsizes")
-            learners.append(FrobeniusFTRL(playable.dims[i], schedule.eta))
+            learners.append(FrobeniusFTRL(playable.dims[i], schedule.eta, batch=batch))
         else:
             raise ValueError(f"unknown learner kind {name!r}")
     return names, learners
 
 
-def _run_once(args, outdir: Path, seed: int) -> None:
+def _load_or_generate(args, outdir: Path, seed: int):
+    """(game file path, game) for one run: --game as given, or a fresh seeded game saved in outdir."""
     outdir.mkdir(parents=True, exist_ok=True)
     if args.game is not None:
         game_path = Path(args.game)
         _, game = load_game(game_path)
-    else:
-        if args.kind is None:
-            raise ValueError("either --game or an inline --kind spec is required")
-        game = _generate(args.kind, _parse_dims(args.dims), seed, args.graph, args.pairwise_zero_sum)
-        game_path = outdir / "game.json"
-        save_game(game_path, game, seed=seed)
-
-    playable, gap_mode, bound_scale, schedule, horizon = _run_setup(game, args)
-    names, learners = _make_learners(args.learners, playable, schedule)
-    stride = args.stride if args.stride is not None else max(1, horizon // 1000)
-    traj = run_game(playable, learners, horizon, stride=stride, gap_mode=gap_mode, bound_scale=bound_scale)
-    write_trajectory_csv(outdir / "trajectory.csv", traj)
-    schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
-    manifest = manifest_obj(
-        game_hash=sha256_file(game_path),
-        seeds={"game": seed, "run": seed},
-        learner_kinds=names,
-        schedule=schedule_obj,
-        T=horizon,
-        stride=stride,
-        gap_mode=gap_mode,
-        bound_scale=bound_scale,
-        tool_version=__version__,
-    )
-    write_json(outdir / "manifest.json", manifest)
+        return game_path, game
+    if args.kind is None:
+        raise ValueError("either --game or an inline --kind spec is required")
+    game = _generate(args.kind, _parse_dims(args.dims), seed, args.graph, args.pairwise_zero_sum)
+    game_path = outdir / "game.json"
+    save_game(game_path, game, seed=seed)
+    return game_path, game
 
 
 def cmd_run(args) -> int:
-    outdir = Path(args.out)
-    if args.runs == 1:
-        _run_once(args, outdir, args.seed)
-        return 0
-    if args.game is not None:
+    if args.runs < 1:
+        raise ValueError("--runs must be >= 1")
+    if args.runs > 1 and args.game is not None:
         raise ValueError("--runs > 1 requires an inline game spec so each run draws a fresh seed")
-    workers = int(os.environ.get("QG_THREADS", os.cpu_count() or 1))
-    run_ids = list(range(args.runs))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [
-            pool.submit(_run_once, args, outdir / f"run_{rid:03d}", args.seed + rid) for rid in run_ids
-        ]
-        for fut in futures:
-            fut.result()
+    out = Path(args.out)
+    outdirs = [out] if args.runs == 1 else [out / f"run_{rid:03d}" for rid in range(args.runs)]
+    seeds = [args.seed + rid for rid in range(args.runs)]
+    loaded = [_load_or_generate(args, outdir, seed) for outdir, seed in zip(outdirs, seeds)]
+    # every run shares the flags and the register layout, so one setup holds for all
+    setups = [_run_setup(game, args) for _, game in loaded]
+    _, gap_mode, bound_scale, schedule, horizon = setups[0]
+    playables = [setup[0] for setup in setups]
+    names, learners = _make_learners(args.learners, playables[0], schedule, batch=args.runs)
+    stride = args.stride if args.stride is not None else max(1, horizon // 1000)
+    trajs = run_game(playables, learners, horizon, stride=stride, gap_mode=gap_mode, bound_scale=bound_scale)
+    schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
+    for outdir, seed, (game_path, _), traj in zip(outdirs, seeds, loaded, trajs):
+        write_trajectory_csv(outdir / "trajectory.csv", traj)
+        manifest = manifest_obj(
+            game_hash=sha256_file(game_path),
+            seeds={"game": seed, "run": seed},
+            learner_kinds=names,
+            schedule=schedule_obj,
+            T=horizon,
+            stride=stride,
+            gap_mode=gap_mode,
+            bound_scale=bound_scale,
+            tool_version=__version__,
+        )
+        write_json(outdir / "manifest.json", manifest)
     return 0
 
 
 def cmd_verify(args) -> int:
     _, game = load_game(args.game)
-    _, rho = load_state(args.state)
+    dims, rho = load_state(args.state)
+    if dims != game.dims:
+        raise ValueError(f"state dims {list(dims)} do not match game dims {list(game.dims)}")
+    check_density(rho)
     playable = polymatrix_to_qg(game) if isinstance(game, PolymatrixGame) else game
     if args.kind == "qcce":
         rep = is_qcce(playable, rho, tol=args.tol)

@@ -55,6 +55,8 @@ class QuantumGame:
             if not is_hermitian(r):
                 raise ValueError("utility tensors must be Hermitian")
             tensors.append(_freeze(herm(r)))
+        if len(tensors) != len(dims):
+            raise ValueError(f"{len(tensors)} utility tensors for {len(dims)} players")
         if self.zero_sum and maxabs(sum(tensors)) > ZERO_SUM_TOL:
             raise ValueError("zero_sum flag set but tensors do not cancel")
         object.__setattr__(self, "dims", dims)

@@ -8,12 +8,16 @@ before any learner advances, matching full-information simultaneous play.
 
 Feedback is the exact gain matrix of each player (full-information online
 linear optimization), never a sampled payoff.
+
+MMWU and FTRL learners built with ``batch=B`` hold B independent states in a
+(B, d, d) stack, and :func:`run_game` plays B games of one shape in lockstep
+with them; a single game is its batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, isfinite, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -21,15 +25,16 @@ import numpy as np
 from .equilibria import exploitability
 from .games import QuantumGame, front_tensor, utility
 from .tensor import (
+    DEFAULT_HERM_TOL,
     bloch_coords,
     check_density,
-    exp_density,
+    dagger,
+    exp_density_stack,
     herm,
-    is_hermitian,
     kron,
     lambda_max,
     maxabs,
-    project_to_density,
+    project_to_density_stack,
 )
 
 DEVIATION_DETECT_TOL = 1e-9
@@ -52,8 +57,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "doubling"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "fixed" and self.eta <= 0:
-            raise ValueError("stepsize must be positive")
+        if self.kind == "fixed":
+            _check_stepsize(self.eta)
         if self.base_epoch < 1:
             raise ValueError("base epoch length must be >= 1")
 
@@ -98,13 +103,28 @@ def doubling_schedule(base_epoch: int = 8) -> Schedule:
     return Schedule("doubling", base_epoch=base_epoch)
 
 
-def _check_gain(gain: np.ndarray, dim: int) -> np.ndarray:
+def _check_stepsize(eta: float) -> None:
+    if not (isfinite(eta) and eta > 0):
+        raise ValueError(f"stepsize must be positive and finite, got {eta}")
+
+
+def _state_shape(dim: int, batch: int | None) -> tuple[int, ...]:
+    """(d, d) for a single learner, (B, d, d) for a batch of B independent ones."""
+    if batch is None:
+        return (dim, dim)
+    if batch < 1:
+        raise ValueError("batch size must be >= 1")
+    return (int(batch), dim, dim)
+
+
+def _check_gain(gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The boundary check of ``observe``: state-shaped and Hermitian, returned symmetrized."""
     gain = np.asarray(gain, dtype=complex)
-    if gain.shape != (dim, dim):
-        raise ValueError(f"gain shape {gain.shape} does not match learner dim {dim}")
-    if not is_hermitian(gain):
+    if gain.shape != shape:
+        raise ValueError(f"gain shape {gain.shape} does not match learner state {shape}")
+    if maxabs(gain - dagger(gain)) > DEFAULT_HERM_TOL:
         raise ValueError("gain matrix must be Hermitian")
-    return gain
+    return herm(gain)
 
 
 class MMWU:
@@ -113,15 +133,17 @@ class MMWU:
     The exponent is shift-stabilized (top eigenvalue subtracted before
     exponentiating), so cumulative gains growing linearly in t never
     overflow.  Before any feedback the play is the maximally mixed state,
-    and adding c*I to every gain leaves the iterates unchanged.
+    and adding c*I to every gain leaves the iterates unchanged.  With
+    ``batch=B`` the learner runs B independent copies on one schedule, and
+    ``strategy`` and ``observe`` take (B, d, d) stacks.
     """
 
     kind = "mmwu"
 
-    def __init__(self, dim: int, schedule: Schedule):
+    def __init__(self, dim: int, schedule: Schedule, batch: int | None = None):
         self.dim = int(dim)
         self.schedule = schedule
-        self._sum = np.zeros((dim, dim), dtype=complex)
+        self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
         self._epoch = 0
         self._in_epoch = 0
         self._cached = None
@@ -135,19 +157,22 @@ class MMWU:
     @property
     def strategy(self) -> np.ndarray:
         if self._cached is None:
-            self._cached = exp_density(self._eta * self._sum)
+            self._cached = exp_density_stack(self._eta * self._sum)
         return self._cached
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
-        gain = _check_gain(gain, self.dim)
-        self._sum = herm(self._sum + gain)
+        self._update(_check_gain(gain, self._sum.shape))
+
+    def _update(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+        """``observe`` minus the boundary check: gain is exactly Hermitian and state-shaped."""
+        self._sum = self._sum + gain
         self._in_epoch += 1
         # eager epoch rollover: the first play of the next epoch is the fresh
         # maximally mixed state, so every epoch is a clean fixed-eta run
         if self.schedule.kind == "doubling" and self._in_epoch >= self.schedule.epoch_length(self._epoch):
             self._epoch += 1
             self._in_epoch = 0
-            self._sum = np.zeros((self.dim, self.dim), dtype=complex)
+            self._sum = np.zeros_like(self._sum)
         self._cached = None
 
     def average_regret_bound(self, t: int) -> float:
@@ -159,27 +184,29 @@ class FrobeniusFTRL:
 
     Plays the Euclidean projection of ``eta * sum of gains`` onto the density
     set; the projection of the zero matrix is the maximally mixed state.
+    ``batch`` stacks independent copies as in :class:`MMWU`.
     """
 
     kind = "ftrl_frobenius"
 
-    def __init__(self, dim: int, eta: float):
-        if eta <= 0:
-            raise ValueError("stepsize must be positive")
+    def __init__(self, dim: int, eta: float, batch: int | None = None):
+        _check_stepsize(eta)
         self.dim = int(dim)
         self.eta = float(eta)
-        self._sum = np.zeros((dim, dim), dtype=complex)
+        self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
         self._cached = None
 
     @property
     def strategy(self) -> np.ndarray:
         if self._cached is None:
-            self._cached = project_to_density(self.eta * self._sum)
+            self._cached = project_to_density_stack(self.eta * self._sum)
         return self._cached
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
-        gain = _check_gain(gain, self.dim)
-        self._sum = herm(self._sum + gain)
+        self._update(_check_gain(gain, self._sum.shape))
+
+    def _update(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+        self._sum = self._sum + gain
         self._cached = None
 
     def average_regret_bound(self, t: int) -> float:
@@ -202,6 +229,8 @@ class Constant:
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
         pass
+
+    _update = observe
 
     def average_regret_bound(self, t: int) -> float:
         return float("nan")
@@ -267,8 +296,11 @@ class ScriptedNoRegret:
         return self.profiles[self._current_component()][self.player]
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+        self._update(_check_gain(gain, (self.dim, self.dim)), opponents)
+
+    def _update(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
         if self._fallback is not None:
-            self._fallback.observe(gain)
+            self._fallback._update(gain)
             return
         j = self._current_component()
         deviated = False
@@ -279,7 +311,7 @@ class ScriptedNoRegret:
         self._t += 1
         if deviated:
             self._fallback = MMWU(self.dim, doubling_schedule(self.fallback_base_epoch))
-            self._fallback.observe(gain)
+            self._fallback._update(gain)
 
     def average_regret_bound(self, t: int) -> float:
         return float("nan")
@@ -390,13 +422,13 @@ def regret_report(traj: Trajectory, schedule: Schedule) -> RegretReport:
 
 
 def run_game(
-    g: QuantumGame,
+    g: QuantumGame | Sequence[QuantumGame],
     learners: Sequence,
     T: int,
     stride: int | None = None,
     gap_mode: str = "qcce",
     bound_scale: float = 1.0,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Run T synchronous rounds of self-play and record checkpoints.
 
     Each round every learner's gain matrix is computed from the current
@@ -406,13 +438,27 @@ def run_game(
     "qne" evaluates them at the product of averaged marginals.  Checkpoints
     fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
     final round.  The run is deterministic given the game and learners.
+
+    ``g`` may also be a sequence of B games with one register layout.  They
+    are played in lockstep, every array of the round loop carrying a leading
+    batch axis, by learners built with ``batch=B`` (``learners[i]`` plays
+    register i of every game), and the result is one trajectory per game.
+    Each is bit-identical to a batch holding that game alone.  A single game
+    is the batch B = 1, played by learners with or without ``batch=1``.
     """
-    k = g.n_players
+    single = isinstance(g, QuantumGame)
+    games = [g] if single else list(g)
+    if not games:
+        raise ValueError("a batch needs at least one game")
+    dims = games[0].dims
+    if any(game.dims != dims for game in games):
+        raise ValueError("games in a batch must share register dims")
+    B, k = len(games), len(dims)
     if len(learners) != k:
         raise ValueError("one learner per player required")
     for i, ln in enumerate(learners):
-        if ln.dim != g.dims[i]:
-            raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {g.dims[i]}")
+        if ln.dim != dims[i]:
+            raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {dims[i]}")
     if T < 1:
         raise ValueError("horizon must be >= 1")
     if gap_mode not in ("qcce", "qne"):
@@ -422,74 +468,104 @@ def run_game(
     if stride < 1:
         raise ValueError("checkpoint stride must be >= 1")
 
-    n = g.joint_dim
-    d_rest = [n // d for d in g.dims]
-    fronts = [
-        np.ascontiguousarray(front_tensor(g, i).reshape(g.dims[i], d_rest[i], g.dims[i], d_rest[i]))
-        for i in range(k)
+    # a learner's own batch shape: () for a single learner, (B,) for a batch
+    leads = [np.shape(ln.strategy)[:-2] for ln in learners]
+    for i, lead in enumerate(leads):
+        if lead != (B,) and not (lead == () and B == 1):
+            raise ValueError(f"learner {i} plays a batch of shape {lead}, expected ({B},)")
+
+    n = prod(dims)
+    d_rest = [n // d for d in dims]
+    # gain_i = M_i @ vec(opponents_i): the front tensor as a (d_i^2, r_i^2) matrix per game
+    gain_ops = [
+        np.stack([front_tensor(game, i) for game in games])
+        .reshape(B, d, r, d, r)
+        .transpose(0, 1, 3, 4, 2)
+        .reshape(B, d * d, r * r)
+        for i, (d, r) in enumerate(zip(dims, d_rest))
     ]
 
-    joint_sum = np.zeros((n, n), dtype=complex)
-    marginal_sums = [np.zeros((d, d), dtype=complex) for d in g.dims]
-    cum_gain = [np.zeros((d, d), dtype=complex) for d in g.dims]
-    realized = np.zeros(k)
+    joint_sum = np.zeros((B, n, n), dtype=complex)
+    marginal_sums = [np.zeros((B, d, d), dtype=complex) for d in dims]
+    cum_gain = [np.zeros((B, d, d), dtype=complex) for d in dims]
+    realized = np.zeros((B, k))
 
     check_ts, utils_rows, regret_rows, gap_rows, bound_rows = [], [], [], [], []
     joint_eig_rows, avg_eig_rows = [], []
-    qubit_players = [i for i, d in enumerate(g.dims) if d == 2]
+    qubit_players = [i for i, d in enumerate(dims) if d == 2]
     bloch_rows = {i: [] for i in qubit_players}
 
-    strategies = [ln.strategy for ln in learners]
+    def play() -> list[np.ndarray]:
+        return [np.reshape(ln.strategy, (B, d, d)) for ln, d in zip(learners, dims)]
+
+    strategies = play()
     for t in range(1, T + 1):
         joint = kron(*strategies)
-        opponents = [kron(*(strategies[j] for j in range(k) if j != i)) for i in range(k)]
-        gains = [herm(np.einsum("arbs,sr->ab", fronts[i], opponents[i])) for i in range(k)]
+        opponents = [kron(*strategies[:i], *strategies[i + 1:]) for i in range(k)]
+        gains = [
+            herm((gain_ops[i] @ opponents[i].reshape(B, -1, 1)).reshape(B, d, d)) for i, d in enumerate(dims)
+        ]
 
         joint_sum += joint
         for i in range(k):
             marginal_sums[i] += strategies[i]
             cum_gain[i] += gains[i]
-            realized[i] += float(np.vdot(strategies[i], gains[i]).real)
+            realized[:, i] += (strategies[i].reshape(B, 1, -1).conj() @ gains[i].reshape(B, -1, 1)).real[:, 0, 0]
 
         if t % stride == 0 or t == T:
             check_ts.append(t)
-            utils_rows.append([utility(g, joint, i) for i in range(k)])
-            regret_rows.append([(lambda_max(cum_gain[i]) - realized[i]) / t for i in range(k)])
             rho_bar = herm(joint_sum / t)
             if gap_mode == "qcce":
                 gap_state = rho_bar
             else:
-                gap_state = kron(*(herm(marginal_sums[i] / t) for i in range(k)))
-            gap_rows.append([exploitability(g, i, gap_state) for i in range(k)])
+                gap_state = kron(*(herm(m / t) for m in marginal_sums))
+            utils_rows.append([[utility(game, joint[b], i) for i in range(k)] for b, game in enumerate(games)])
+            regret_rows.append(
+                [[(lambda_max(cum_gain[i][b]) - realized[b, i]) / t for i in range(k)] for b in range(B)]
+            )
+            gap_rows.append(
+                [[exploitability(game, i, gap_state[b]) for i in range(k)] for b, game in enumerate(games)]
+            )
             per_learner = [ln.average_regret_bound(t) for ln in learners]
             finite = [b for b in per_learner if not np.isnan(b)]
             bound_rows.append(bound_scale * max(finite) if finite else float("nan"))
-            joint_eig_rows.append(np.sort(np.linalg.eigvalsh(joint))[::-1])
-            avg_eig_rows.append(np.sort(np.linalg.eigvalsh(rho_bar))[::-1])
+            joint_eig_rows.append(np.flip(np.sort(np.linalg.eigvalsh(joint), axis=-1), axis=-1))
+            avg_eig_rows.append(np.flip(np.sort(np.linalg.eigvalsh(rho_bar), axis=-1), axis=-1))
             for i in qubit_players:
-                bloch_rows[i].append(bloch_coords(strategies[i]))
+                bloch_rows[i].append([bloch_coords(s) for s in strategies[i]])
 
-        for i in range(k):
-            learners[i].observe(gains[i], opponents[i])
+        for i, ln in enumerate(learners):
+            ln._update(
+                gains[i].reshape(leads[i] + gains[i].shape[1:]),
+                opponents[i].reshape(leads[i] + opponents[i].shape[1:]),
+            )
         if t < T:
-            strategies = [ln.strategy for ln in learners]
+            strategies = play()
 
-    return Trajectory(
-        dims=g.dims,
-        T=T,
-        gap_mode=gap_mode,
-        bound_scale=bound_scale,
-        checkpoints=np.asarray(check_ts, dtype=int),
-        utils=np.asarray(utils_rows),
-        avg_regret=np.asarray(regret_rows),
-        gaps=np.asarray(gap_rows),
-        bound=np.asarray(bound_rows),
-        joint_eigs=np.asarray(joint_eig_rows),
-        avg_joint_eigs=np.asarray(avg_eig_rows),
-        bloch={i: np.asarray(rows) for i, rows in bloch_rows.items()},
-        joint_sum=joint_sum,
-        marginal_sums=marginal_sums,
-        cum_gain=cum_gain,
-        realized=realized,
-        final_strategies=list(strategies),
-    )
+    # per-checkpoint rows are (C, B, ...); game b reads slice [:, b]
+    utils, avg_regret, gaps = np.asarray(utils_rows), np.asarray(regret_rows), np.asarray(gap_rows)
+    joint_eigs, avg_joint_eigs = np.asarray(joint_eig_rows), np.asarray(avg_eig_rows)
+    bloch = {i: np.asarray(rows) for i, rows in bloch_rows.items()}
+    trajs = [
+        Trajectory(
+            dims=dims,
+            T=T,
+            gap_mode=gap_mode,
+            bound_scale=bound_scale,
+            checkpoints=np.asarray(check_ts, dtype=int),
+            utils=utils[:, b],
+            avg_regret=avg_regret[:, b],
+            gaps=gaps[:, b],
+            bound=np.asarray(bound_rows),
+            joint_eigs=joint_eigs[:, b],
+            avg_joint_eigs=avg_joint_eigs[:, b],
+            bloch={i: rows[:, b] for i, rows in bloch.items()},
+            joint_sum=joint_sum[b],
+            marginal_sums=[m[b] for m in marginal_sums],
+            cum_gain=[c[b] for c in cum_gain],
+            realized=realized[b],
+            final_strategies=[s[b] for s in strategies],
+        )
+        for b in range(B)
+    ]
+    return trajs[0] if single else trajs

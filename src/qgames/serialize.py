@@ -84,9 +84,17 @@ def game_to_obj(game: QuantumGame | PolymatrixGame, seed: int | None = None) -> 
     return obj
 
 
+def _read_dims(obj: Any) -> tuple[int, ...]:
+    """The "dims" of a game or state object, which must be a non-empty list of positive integers."""
+    dims = obj.get("dims") if isinstance(obj, dict) else None
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
+        raise ValueError(f"dims must be a non-empty list of positive integers, got {dims!r}")
+    return tuple(dims)
+
+
 def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
+    dims = _read_dims(obj)
     kind = obj["kind"]
-    dims = tuple(int(d) for d in obj["dims"])
     if kind == "polymatrix":
         edges = {}
         for e in obj["edges"]:
@@ -110,7 +118,8 @@ def save_game(path, game, seed: int | None = None) -> None:
 
 def load_game(path) -> tuple[str, QuantumGame | PolymatrixGame]:
     obj = read_json(path)
-    return obj["kind"], obj_to_game(obj)
+    game = obj_to_game(obj)
+    return obj["kind"], game
 
 
 # -- states ---------------------------------------------------------------
@@ -123,7 +132,7 @@ def save_state(path, rho: np.ndarray, dims) -> None:
 
 def load_state(path) -> tuple[tuple[int, ...], np.ndarray]:
     obj = read_json(path)
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = _read_dims(obj)
     n = 1
     for d in dims:
         n *= d

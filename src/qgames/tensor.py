@@ -16,7 +16,6 @@ Conventions shared by every module in this package:
 
 from __future__ import annotations
 
-from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
 
@@ -36,11 +35,12 @@ def maxabs(m: np.ndarray) -> float:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., d, d) stack."""
+    return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Symmetrize to the nearest Hermitian matrix, (m + m^dag) / 2."""
+    """Symmetrize to the nearest Hermitian matrix, (m + m^dag) / 2, matrix by matrix on stacks."""
     m = np.asarray(m, dtype=complex)
     return (m + dagger(m)) / 2.0
 
@@ -51,10 +51,20 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> bool:
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Tensor product of one or more matrices, leftmost factor most significant."""
+    """Tensor product of one or more matrices, leftmost factor most significant.
+
+    Acts matrix by matrix on (..., d, d) stacks with one leading shape; every
+    entry is the single product ``np.kron`` computes, so the bits match it.
+    """
     if not mats:
         raise ValueError("kron needs at least one matrix")
-    return reduce(np.kron, (np.asarray(m, dtype=complex) for m in mats))
+    out = np.asarray(mats[0], dtype=complex)
+    for m in mats[1:]:
+        m = np.asarray(m, dtype=complex)
+        blocks = out[..., :, None, :, None] * m[..., None, :, None, :]
+        p, r, q, s = blocks.shape[-4:]
+        out = blocks.reshape(blocks.shape[:-4] + (p * r, q * s))
+    return out
 
 
 def _check_layout(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -131,6 +141,13 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], factor: int) -> np.nda
     return np.ascontiguousarray(t.transpose(axes).reshape(n, n))
 
 
+def _checked_herm(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return herm(h)
+
+
 def herm_eig(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
 
@@ -139,10 +156,7 @@ def herm_eig(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, 
     making its first component of magnitude > 1e-12 real and positive.
     Satisfies ``h = vecs @ diag(vals) @ vecs^dag`` to 1e-9.
     """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(herm(h))
+    vals, vecs = np.linalg.eigh(_checked_herm(h, tol))
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -186,10 +200,26 @@ def exp_density(h: np.ndarray) -> np.ndarray:
     Implemented as ``exp(h - lambda_max(h) I)`` renormalized, which keeps all
     intermediate entries in [0, 1] no matter how large ``||h||`` grows.
     """
-    vals, vecs = herm_eig(h)
-    w = np.exp(vals - vals[0])
-    w /= w.sum()
-    return herm((vecs * w) @ dagger(vecs))
+    return exp_density_stack(_checked_herm(h))
+
+
+def exp_density_stack(h: np.ndarray) -> np.ndarray:
+    """:func:`exp_density` of every matrix in a (..., d, d) stack, unvalidated.
+
+    ``h`` must be exactly Hermitian (for example the output of :func:`herm`).
+    A plain ``eigh`` suffices: the map is a spectral function, so it does not
+    depend on the eigenvector gauge that :func:`herm_eig` fixes.  Each matrix
+    of a stack gives the same bits as a call on that matrix alone.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    w = np.exp(vals - vals[..., -1:])
+    w /= w.sum(axis=-1, keepdims=True)
+    return _reassemble(vecs, w)
+
+
+def _reassemble(vecs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """vecs @ diag(w) @ vecs^dag over a stack, symmetrized."""
+    return herm((vecs * w[..., None, :]) @ dagger(vecs))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -206,13 +236,14 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def simplex_projection(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+    """Euclidean projection of a real vector onto the probability simplex, row by row on stacks."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = np.flatnonzero(u - (css - 1.0) / j > 0)[-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1)
+    j = np.arange(1, v.shape[-1] + 1)
+    positive = u - (css - 1.0) / j > 0
+    rho = v.shape[-1] - 1 - np.argmax(np.flip(positive, axis=-1), axis=-1)[..., None]  # last positive index
+    theta = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
@@ -222,9 +253,17 @@ def project_to_density(h: np.ndarray) -> np.ndarray:
     Diagonalize, project the eigenvalue vector onto the probability simplex,
     and reassemble.  Idempotent, and a fixed point on valid densities.
     """
-    vals, vecs = herm_eig(h)
-    w = simplex_projection(vals)
-    return herm((vecs * w) @ dagger(vecs))
+    return project_to_density_stack(_checked_herm(h))
+
+
+def project_to_density_stack(h: np.ndarray) -> np.ndarray:
+    """:func:`project_to_density` of every matrix in a (..., d, d) stack, unvalidated.
+
+    Same contract as :func:`exp_density_stack`: ``h`` exactly Hermitian, any
+    eigenvector gauge, and per-matrix bits independent of the stack.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    return _reassemble(vecs, simplex_projection(vals))
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> np.ndarray:

@@ -110,17 +110,20 @@ def test_criterion_05_minimax_bracket():
         T = 10_000
         eta = float(np.sqrt(np.log(2) / T))
         widest = -np.inf
-        for seed in range(20):
-            g = qg.random_game((2, 2), 9400 + seed, kind="zero_sum")
+        # the twenty T=1e4 runs are one lockstep batch; the short horizons run singly
+        games = [qg.random_game((2, 2), 9400 + seed, kind="zero_sum") for seed in range(20)]
+        learners = [qg.MMWU(2, qg.fixed_schedule(eta), batch=len(games)) for _ in range(2)]
+        long_runs = qg.run_game(games, learners, T, stride=T)
+        for seed, (g, long_run) in enumerate(zip(games, long_runs)):
             zs = qg.zs_from_game(g)
-            certs = []
-            horizons = (100, 1000, T) if seed < 3 else (T,)
-            for horizon in horizons:
+            trajs = []
+            for horizon in (100, 1000) if seed < 3 else ():
                 learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
-                traj = qg.run_game(g, learners, horizon, stride=horizon)
-                certs.append(
-                    qg.zs_certificate(zs, traj.marginal_average(0), traj.marginal_average(1))
-                )
+                trajs.append(qg.run_game(g, learners, horizon, stride=horizon))
+            trajs.append(long_run)
+            certs = [
+                qg.zs_certificate(zs, traj.marginal_average(0), traj.marginal_average(1)) for traj in trajs
+            ]
             for cert in certs:
                 assert cert.lower <= cert.value_at + 1e-9 <= cert.upper + 2e-9, seed
             assert certs[-1].width < 0.05, seed

@@ -133,8 +133,7 @@ def test_run_polymatrix_game(tmp_path):
     assert manifest["T"] == 278
 
 
-def test_run_batch_inline(tmp_path, monkeypatch):
-    monkeypatch.setenv("QG_THREADS", "2")
+def test_run_batch_inline(tmp_path):
     out = tmp_path / "batch"
     assert main(["run", "--kind", "general", "--dims", "2,2", "--epsilon", "0.4",
                  "--seed", "50", "--runs", "3", "--out", str(out)]) == 0
@@ -143,11 +142,55 @@ def test_run_batch_inline(tmp_path, monkeypatch):
     g0 = (out / "run_000" / "game.json").read_bytes()
     g1 = (out / "run_001" / "game.json").read_bytes()
     assert g0 != g1
-    # batch against a fixed game file is refused
+    # batch against a fixed game file is refused, and so is an empty batch
     game = tmp_path / "g.json"
     main(["gen", "--kind", "general", "--dims", "2,2", "--seed", "2", "--out", str(game)])
     assert main(["run", "--game", str(game), "--epsilon", "0.4", "--runs", "2",
                  "--out", str(tmp_path / "bad")]) == 1
+    assert main(["run", "--kind", "general", "--dims", "2,2", "--epsilon", "0.4", "--runs", "0",
+                 "--out", str(tmp_path / "empty")]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "zero-sum", "--eta", "0.1"],
+        ["--kind", "general", "--dims", "2,3", "--schedule", "doubling"],
+        ["--kind", "general", "--eta", "0.2", "--learners", "ftrl,mmwu"],
+    ],
+    ids=["mmwu-fixed", "mmwu-doubling", "ftrl"],
+)
+def test_run_batch_matches_single_runs_byte_for_byte(tmp_path, flags):
+    common = ["run", *flags, "--T", "60", "--stride", "7"]
+    batch = tmp_path / "batch"
+    assert main(common + ["--seed", "40", "--runs", "8", "--out", str(batch)]) == 0
+    for r in range(8):
+        single = tmp_path / f"single{r}"
+        assert main(common + ["--seed", str(40 + r), "--out", str(single)]) == 0
+        for name in ("game.json", "trajectory.csv", "manifest.json"):
+            assert (batch / f"run_{r:03d}" / name).read_bytes() == (single / name).read_bytes(), (r, name)
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_run_rejects_non_finite_eta(tmp_path, capsys, eta):
+    rc = main(["run", "--kind", "general", "--dims", "2,2", "--eta", eta, "--T", "10",
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "stepsize" in err and "Traceback" not in err
+
+
+def test_run_rejects_malformed_game_files(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    ser.save_game(game, qg.random_game((2, 2), 3))
+    obj = json.loads(game.read_text())
+    few = tmp_path / "few.json"
+    few.write_text(json.dumps({**obj, "tensors": obj["tensors"][:1]}))
+    nulldims = tmp_path / "nulldims.json"
+    nulldims.write_text(json.dumps({**obj, "dims": None}))
+    for bad in (few, nulldims):
+        rc = main(["run", "--game", str(bad), "--eta", "0.1", "--T", "10", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc in (1, 2) and err.startswith("error:") and "Traceback" not in err, bad.name
 
 
 def test_bloch_norm_approaches_one_on_convergent_fixture(tmp_path):
@@ -196,6 +239,18 @@ def test_verify_zs_value_matching_pennies(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert abs(out["lower"]) < 1e-12 and abs(out["upper"]) < 1e-12
+
+
+def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    ser.save_game(game, qg.random_game((2, 2), 1))
+    rho = qg.random_density(4, np.random.default_rng(2))
+    for name, matrix, dims in [("half", rho / 2, (2, 2)), ("flat", np.eye(4) / 4, (4,))]:
+        state = tmp_path / f"{name}.json"
+        ser.save_state(state, matrix, dims)
+        rc = main(["verify", "--game", str(game), "--state", str(state), "--kind", "qcce"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), name
 
 
 def test_verify_malformed_files_exit_2(tmp_path, capsys):

@@ -27,6 +27,13 @@ def test_game_constructor_validation():
         qg.QuantumGame((2, 2), (np.eye(4), np.eye(4)), zero_sum=True)
 
 
+def test_game_needs_one_tensor_per_player():
+    with pytest.raises(ValueError, match="tensors"):
+        qg.QuantumGame((2, 2), (np.eye(4),))
+    with pytest.raises(ValueError, match="tensors"):
+        qg.QuantumGame((2, 2), (np.eye(4),) * 3)
+
+
 def test_utility_classical_lookup():
     g = matching_pennies()
     assert abs(qg.utility(g, basis_state(0, 4), 0) - 1.0) < 1e-12  # profile (0,0)

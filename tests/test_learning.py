@@ -156,6 +156,14 @@ def test_schedule_validation():
         qg.fixed_schedule(-0.1)
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+def test_non_finite_stepsizes_rejected(eta):
+    with pytest.raises(ValueError, match="stepsize"):
+        qg.fixed_schedule(eta)
+    with pytest.raises(ValueError, match="stepsize"):
+        qg.FrobeniusFTRL(2, eta)
+
+
 # -- runner ----------------------------------------------------------------------------
 
 
@@ -193,6 +201,50 @@ def test_run_game_validation():
         qg.run_game(g, [qg.MMWU(3, qg.fixed_schedule(0.1)) for _ in range(2)], 10)
     with pytest.raises(ValueError):
         qg.run_game(g, learners, 10, gap_mode="nash")
+
+
+def test_run_batch_equals_single_runs_row_for_row():
+    dims = (2, 3)
+    games = [qg.random_game(dims, 30 + b) for b in range(20)]
+    learners = [qg.MMWU(d, qg.doubling_schedule(), batch=20) for d in dims]
+    batch = qg.run_game(games, learners, 80, stride=9)
+    for g, traj in zip(games, batch):
+        single = qg.run_game(g, [qg.MMWU(d, qg.doubling_schedule()) for d in dims], 80, stride=9)
+        for field in ("checkpoints", "utils", "avg_regret", "gaps", "bound", "joint_eigs",
+                      "avg_joint_eigs", "joint_sum", "realized"):
+            assert np.array_equal(getattr(traj, field), getattr(single, field)), field
+        assert np.array_equal(traj.bloch[0], single.bloch[0])
+        for a, b in zip(traj.final_strategies, single.final_strategies):
+            assert np.array_equal(a, b)
+
+
+def test_batched_learner_observes_stacks():
+    m = qg.MMWU(2, qg.fixed_schedule(1.0), batch=3)
+    assert m.strategy.shape == (3, 2, 2)
+    gains = np.stack([np.diag([float(b), 0.0]) for b in range(3)]).astype(complex)
+    m.observe(gains)
+    for b in range(3):
+        expected = np.diag([np.exp(b), 1.0]) / (np.exp(b) + 1.0)
+        assert maxabs(m.strategy[b] - expected) < 1e-12
+    with pytest.raises(ValueError):
+        m.observe(gains[0])
+    with pytest.raises(ValueError):
+        m.observe(gains + np.triu(np.ones((2, 2)), 1))
+
+
+def test_run_batch_validation():
+    games = [qg.random_game((2, 2), s) for s in range(3)]
+    batched = [qg.MMWU(2, qg.fixed_schedule(0.1), batch=3) for _ in range(2)]
+    with pytest.raises(ValueError):
+        qg.run_game([], batched, 10)
+    with pytest.raises(ValueError):
+        qg.run_game(games[:2] + [qg.random_game((2, 3), 4)], batched, 10)
+    with pytest.raises(ValueError):
+        qg.run_game(games, [qg.MMWU(2, qg.fixed_schedule(0.1), batch=2) for _ in range(2)], 10)
+    with pytest.raises(ValueError):
+        qg.run_game(games, [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)], 10)
+    with pytest.raises(ValueError):
+        qg.MMWU(2, qg.fixed_schedule(0.1), batch=0)
 
 
 def test_zero_sum_sandwich_around_game_value():

@@ -68,6 +68,27 @@ def test_state_file_roundtrip(tmp_path):
     assert np.array_equal(back, rho)
 
 
+@pytest.mark.parametrize("dims", [None, [], [2, "2"], [2, 0], 4])
+def test_malformed_dims_rejected_on_load(tmp_path, dims):
+    game, state = tmp_path / "g.json", tmp_path / "s.json"
+    ser.save_game(game, qg.random_game((2, 2), 3))
+    ser.save_state(state, np.eye(4) / 4, (2, 2))
+    for path, loader in ((game, ser.load_game), (state, ser.load_state)):
+        obj = ser.read_json(path)
+        obj["dims"] = dims
+        ser.write_json(path, obj)
+        with pytest.raises(ValueError, match="dims"):
+            loader(path)
+
+
+def test_non_object_files_rejected_on_load(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for loader in (ser.load_game, ser.load_state):
+        with pytest.raises(ValueError):
+            loader(path)
+
+
 def test_save_game_is_deterministic(tmp_path):
     g = qg.random_game((2, 2), 11)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

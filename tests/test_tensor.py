@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qgames as qg
-from qgames.tensor import PAULI_X, PAULI_Z, dagger, maxabs
+from qgames.tensor import (
+    PAULI_X,
+    PAULI_Z,
+    dagger,
+    exp_density_stack,
+    maxabs,
+    project_to_density_stack,
+)
 
 
 def rand_herm(d, seed):
@@ -29,6 +39,10 @@ def test_kron_identities():
     d = np.diag([1.0, -1.0]).astype(complex)
     assert maxabs(qg.kron(d, d) - np.diag([1.0, -1.0, -1.0, 1.0])) == 0
     assert qg.kron(rand_complex(2, 0), rand_complex(3, 1)).shape == (6, 6)
+    # stacks: matrix by matrix, the same bits as np.kron
+    a, b = np.stack([rand_complex(2, s) for s in range(3)]), np.stack([rand_complex(3, s) for s in range(3)])
+    for s in range(3):
+        assert np.array_equal(qg.kron(a, b)[s], np.kron(a[s], b[s]))
 
 
 def test_kron_mixed_product():
@@ -275,3 +289,46 @@ def test_bloch_coords_unit_ball():
         assert x * x + y * y + z * z <= 1 + 1e-9
     x, y, z = qg.bloch_coords(np.array([[1, 0], [0, 0]], dtype=complex))
     assert abs(z - 1.0) < 1e-12 and abs(x) < 1e-12 and abs(y) < 1e-12
+
+
+# -- stacked density kernels ---------------------------------------------------------
+
+
+def _gauge_fixed_route(h, weights):
+    """The reference route: herm_eig's sorted, phase-fixed eigenbasis."""
+    vals, vecs = qg.herm_eig(h)
+    return qg.herm((vecs * weights(vals)) @ dagger(vecs))
+
+
+def _gibbs_weights(vals):
+    w = np.exp(vals - vals.max())
+    return w / w.sum()
+
+
+@st.composite
+def hermitian_stacks(draw):
+    b, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    parts = draw(hnp.arrays(np.float64, (2, b, d, d), elements=st.floats(-10, 10)))
+    return qg.herm(parts[0] + 1j * parts[1])
+
+
+@settings(deadline=None)
+@given(hermitian_stacks())
+def test_stacked_density_kernels_match_per_matrix_calls(h):
+    for stacked, single, weights in (
+        (exp_density_stack, qg.exp_density, _gibbs_weights),
+        (project_to_density_stack, qg.project_to_density, qg.simplex_projection),
+    ):
+        out = stacked(h)
+        assert out.shape == h.shape
+        for b in range(h.shape[0]):
+            assert np.array_equal(out[b], single(h[b]))
+            assert maxabs(out[b] - _gauge_fixed_route(h[b], weights)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=st.floats(-10, 10)))
+def test_simplex_projection_row_by_row(v):
+    out = qg.simplex_projection(v)
+    for row, got in zip(v, out):
+        assert np.array_equal(got, qg.simplex_projection(row))
