@@ -51,7 +51,6 @@ from .games import (
     graph_edges,
     maxent_game,
     polymatrix_to_qg,
-    polymatrix_utility,
     random_game,
     random_polymatrix,
     utility,

@@ -23,16 +23,16 @@ import numpy as np
 from . import __version__
 from .equilibria import is_qcce, is_qne, maxent_qcce_condition, ppt_witness, zs_certificate
 from .games import (
+    Game,
     PolymatrixGame,
-    QuantumGame,
     bell_projector,
     graph_edges,
     maxent_game,
-    polymatrix_to_qg,
     random_game,
     random_polymatrix,
     zs_from_game,
 )
+from .games import polymatrix_to_qg  # noqa: F401  (bench/tracer.py times the name cli.polymatrix_to_qg)
 from .learning import FrobeniusFTRL, MMWU, Schedule, doubling_schedule, fixed_schedule, horizon_for_epsilon, run_game
 from .serialize import (
     certificate_to_obj,
@@ -89,24 +89,20 @@ def cmd_gen(args) -> int:
 
 
 def _run_setup(game, args):
-    """Resolve (playable game, gap mode, bound scale, schedule, T) from flags."""
+    """Resolve (gap mode, bound scale, schedule, T) from the game and the flags."""
     if isinstance(game, PolymatrixGame):
-        playable = polymatrix_to_qg(game)
-        gap_mode, bound_scale = "qne", float(playable.n_players)
-        setting = "polymatrix"
+        gap_mode, bound_scale, setting = "qne", float(game.n_players), "polymatrix"
     elif game.zero_sum and game.n_players == 2:
-        playable, gap_mode, bound_scale, setting = game, "qne", 2.0, "zero_sum"
+        gap_mode, bound_scale, setting = "qne", 2.0, "zero_sum"
     else:
-        playable, gap_mode, bound_scale, setting = game, "qcce", 1.0, "general"
+        gap_mode, bound_scale, setting = "qcce", 1.0, "general"
 
     if (args.epsilon is None) == (args.T is None):
         raise ValueError("specify exactly one of --epsilon or --T")
     if args.epsilon is not None:
         if args.eta is not None or args.schedule == "doubling":
             raise ValueError("--epsilon fixes the stepsize; do not combine with --eta or doubling")
-        eta, horizon = horizon_for_epsilon(
-            setting, max(playable.dims), args.epsilon, k=playable.n_players
-        )
+        eta, horizon = horizon_for_epsilon(setting, max(game.dims), args.epsilon, k=game.n_players)
         schedule = fixed_schedule(eta)
     else:
         horizon = args.T
@@ -116,21 +112,21 @@ def _run_setup(game, args):
             if args.eta is None:
                 raise ValueError("--T needs --eta (or --schedule doubling)")
             schedule = fixed_schedule(args.eta)
-    return playable, gap_mode, bound_scale, schedule, horizon
+    return gap_mode, bound_scale, schedule, horizon
 
 
-def _make_learners(learner_arg: str | None, playable: QuantumGame, schedule: Schedule, batch: int):
-    names = learner_arg.split(",") if learner_arg else ["mmwu"] * playable.n_players
-    if len(names) != playable.n_players:
-        raise ValueError(f"need {playable.n_players} learner kinds, got {len(names)}")
+def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, batch: int):
+    names = learner_arg.split(",") if learner_arg else ["mmwu"] * game.n_players
+    if len(names) != game.n_players:
+        raise ValueError(f"need {game.n_players} learner kinds, got {len(names)}")
     learners = []
     for i, name in enumerate(names):
         if name == "mmwu":
-            learners.append(MMWU(playable.dims[i], schedule, batch=batch))
+            learners.append(MMWU(game.dims[i], schedule, batch=batch))
         elif name == "ftrl":
             if schedule.kind != "fixed":
                 raise ValueError("ftrl supports only fixed stepsizes")
-            learners.append(FrobeniusFTRL(playable.dims[i], schedule.eta, batch=batch))
+            learners.append(FrobeniusFTRL(game.dims[i], schedule.eta, batch=batch))
         else:
             raise ValueError(f"unknown learner kind {name!r}")
     return names, learners
@@ -160,13 +156,12 @@ def cmd_run(args) -> int:
     outdirs = [out] if args.runs == 1 else [out / f"run_{rid:03d}" for rid in range(args.runs)]
     seeds = [args.seed + rid for rid in range(args.runs)]
     loaded = [_load_or_generate(args, outdir, seed) for outdir, seed in zip(outdirs, seeds)]
-    # every run shares the flags and the register layout, so one setup holds for all
-    setups = [_run_setup(game, args) for _, game in loaded]
-    _, gap_mode, bound_scale, schedule, horizon = setups[0]
-    playables = [setup[0] for setup in setups]
-    names, learners = _make_learners(args.learners, playables[0], schedule, batch=args.runs)
+    # every run shares the flags, the game kind and the register layout, so one setup holds for all
+    games = [game for _, game in loaded]
+    gap_mode, bound_scale, schedule, horizon = _run_setup(games[0], args)
+    names, learners = _make_learners(args.learners, games[0], schedule, batch=args.runs)
     stride = args.stride if args.stride is not None else max(1, horizon // 1000)
-    trajs = run_game(playables, learners, horizon, stride=stride, gap_mode=gap_mode, bound_scale=bound_scale)
+    trajs = run_game(games, learners, horizon, stride=stride, gap_mode=gap_mode, bound_scale=bound_scale)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
     for outdir, seed, (game_path, _), traj in zip(outdirs, seeds, loaded, trajs):
         write_trajectory_csv(outdir / "trajectory.csv", traj)
@@ -191,22 +186,18 @@ def cmd_verify(args) -> int:
     if dims != game.dims:
         raise ValueError(f"state dims {list(dims)} do not match game dims {list(game.dims)}")
     check_density(rho)
-    playable = polymatrix_to_qg(game) if isinstance(game, PolymatrixGame) else game
     if args.kind == "qcce":
-        rep = is_qcce(playable, rho, tol=args.tol)
+        rep = is_qcce(game, rho, tol=args.tol)
         print(dumps_canonical(report_to_obj(rep)), end="")
         return 0 if rep.verdict else 1
     if args.kind == "qne":
-        rep = is_qne(playable, rho, tol=args.tol)
+        rep = is_qne(game, rho, tol=args.tol)
         print(dumps_canonical(report_to_obj(rep)), end="")
         return 0 if rep.verdict else 1
     if args.kind == "zs-value":
-        if isinstance(playable, QuantumGame) and playable.zero_sum and playable.n_players == 2:
-            zs = zs_from_game(playable)
-        else:
-            raise ValueError("zs-value verification needs a two-player zero-sum game")
-        rho_a = partial_trace(rho, playable.dims, keep=(0,))
-        sigma_b = partial_trace(rho, playable.dims, keep=(1,))
+        zs = zs_from_game(game)
+        rho_a = partial_trace(rho, game.dims, keep=(0,))
+        sigma_b = partial_trace(rho, game.dims, keep=(1,))
         cert = zs_certificate(zs, rho_a, sigma_b)
         print(dumps_canonical(certificate_to_obj(cert, args.tol)), end="")
         return 0 if cert.is_eps_qne(args.tol) else 1

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
-from .games import QuantumGame, TwoPlayerZeroSum, gain_matrix, utility
+from .games import Game, QuantumGame, TwoPlayerZeroSum, _others, gain_matrix, utility
 from .tensor import (
     herm,
     herm_eig,
@@ -70,22 +70,18 @@ class ValueCertificate:
         return self.width <= 2.0 * eps
 
 
-def _others(g: QuantumGame, i: int) -> tuple[int, ...]:
-    return tuple(j for j in range(g.n_players) if j != i)
-
-
-def _deviation_gap(g: QuantumGame, i: int, rho: np.ndarray) -> float:
+def _deviation_gap(g: Game, i: int, rho: np.ndarray) -> float:
     """Signed sup over deviations of u_i(rho_i' (x) Tr_i rho) - u_i(rho)."""
-    opp = partial_trace(rho, g.dims, keep=_others(g, i))
+    opp = partial_trace(rho, g.dims, keep=_others(g.n_players, i))
     return lambda_max(gain_matrix(g, i, opp)) - utility(g, rho, i)
 
 
-def exploitability(g: QuantumGame, i: int, rho: np.ndarray) -> float:
+def exploitability(g: Game, i: int, rho: np.ndarray) -> float:
     """Best achievable utility gain for player i by deviating, clamped at 0."""
     return max(_deviation_gap(g, i, rho), 0.0)
 
 
-def best_response(g: QuantumGame, i: int, rho_others: np.ndarray) -> np.ndarray:
+def best_response(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
     """Rank-1 projector onto the top eigenvector of the gain matrix.
 
     Deterministic under the eigenvector phase and tie conventions of
@@ -102,7 +98,7 @@ def marginalize(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return kron(*(partial_trace(rho, dims, keep=(i,)) for i in range(len(dims))))
 
 
-def is_qcce(g: QuantumGame, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumReport:
+def is_qcce(g: Game, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumReport:
     """Coarse-correlated certificate: no replacement deviation gains > tol.
 
     The per-player gap ``lambda_max(Theta_i((Tr_i rho)^T)) - u_i(rho)`` is the
@@ -115,7 +111,7 @@ def is_qcce(g: QuantumGame, rho: np.ndarray, tol: float = LEARNED_TOL) -> Equili
 
 
 def is_qne(
-    g: QuantumGame,
+    g: Game,
     rho: np.ndarray,
     tol: float = LEARNED_TOL,
     product_tol: float = 1e-8,
@@ -128,7 +124,7 @@ def is_qne(
 
 
 def phi_gap(
-    g: QuantumGame,
+    g: Game,
     rho: np.ndarray,
     deviations: Sequence[Sequence[ChoiMatrix]],
     tol: float = LEARNED_TOL,
@@ -220,7 +216,7 @@ def brute_force_gap(
     k = g.n_players
     d = g.dims[i]
     n = g.joint_dim
-    others = _others(g, i)
+    others = _others(k, i)
     opp = partial_trace(rho, g.dims, keep=others)
     base = utility(g, rho, i)
     rng = np.random.default_rng(seed)

@@ -11,8 +11,9 @@ generators normalized so every achievable utility lies in [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,29 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(m)
     m.setflags(write=False)
     return m
+
+
+def _others(k: int, i: int) -> tuple[int, ...]:
+    return tuple(j for j in range(k) if j != i)
+
+
+class GainTerm(NamedTuple):
+    """One summand of a player's gain: ``op @ vec(kron of the states on regs)``.
+
+    ``regs`` are opponent registers in tensor-factor order.  ``op`` is the
+    player's tensor on ``(i, *regs)`` as a ``(d_i^2, prod_r d_r^2)`` matrix,
+    ``op[(a, b), (s, r)] = R[(a, r), (b, s)]``, so the product with the
+    row-major ``vec`` of an opponent state sigma is ``Tr_regs(R (I (x) sigma))``.
+    """
+
+    regs: tuple[int, ...]
+    op: np.ndarray
+
+
+def _gain_op(front: np.ndarray, d: int) -> np.ndarray:
+    """A tensor on H_i (x) H_rest, register i first, as the (d^2, r^2) operator of a GainTerm."""
+    r = front.shape[0] // d
+    return _freeze(front.reshape(d, r, d, r).transpose(0, 2, 3, 1).reshape(d * d, r * r))
 
 
 @dataclass(frozen=True)
@@ -70,36 +94,18 @@ class QuantumGame:
     def joint_dim(self) -> int:
         return prod(self.dims)
 
-
-def utility(g: QuantumGame, rho: np.ndarray, i: int) -> float:
-    """Player i's payoff Tr(R_i rho) at the joint state rho."""
-    rho = np.asarray(rho, dtype=complex)
-    n = g.joint_dim
-    if rho.shape != (n, n):
-        raise ValueError(f"state shape {rho.shape} does not match joint dim {n}")
-    return float(np.vdot(g.tensors[i], rho).real)
+    @cached_property
+    def gain_terms(self) -> tuple[tuple[GainTerm, ...], ...]:
+        """Per player, one term over all the other registers, compiled on first use."""
+        return tuple(
+            (GainTerm(_others(self.n_players, i), _gain_op(front_tensor(self, i), d)),)
+            for i, d in enumerate(self.dims)
+        )
 
 
 def front_tensor(g: QuantumGame, i: int) -> np.ndarray:
     """R_i with register i permuted to the most significant slot."""
-    order = (i,) + tuple(j for j in range(g.n_players) if j != i)
-    return permute_registers(g.tensors[i], g.dims, order)
-
-
-def gain_matrix(g: QuantumGame, i: int, rho_others: np.ndarray) -> np.ndarray:
-    """Player i's gain matrix against the opponents' joint state.
-
-    With register i brought to the front, this is the contraction
-    ``Tr_rest(R_i (I_{d_i} (x) rho_others))``, i.e. the operator G on H_i
-    satisfying ``<rho_i, G> = u_i(rho_i (x) rho_others)`` for every rho_i.
-    """
-    d = g.dims[i]
-    rest = g.joint_dim // d
-    rho_others = np.asarray(rho_others, dtype=complex)
-    if rho_others.shape != (rest, rest):
-        raise ValueError(f"opponent state shape {rho_others.shape} does not match dim {rest}")
-    r4 = front_tensor(g, i).reshape(d, rest, d, rest)
-    return herm(np.einsum("arbs,sr->ab", r4, rho_others))
+    return permute_registers(g.tensors[i], g.dims, (i,) + _others(g.n_players, i))
 
 
 def zero_sum_game(r: np.ndarray, d_a: int, d_b: int) -> QuantumGame:
@@ -135,7 +141,14 @@ class TwoPlayerZeroSum:
         object.__setattr__(self, "dims", dims)
 
 
-def zs_from_game(g: QuantumGame) -> TwoPlayerZeroSum:
+def zs_from_game(g: Game) -> TwoPlayerZeroSum:
+    """The bilinear form of a two-player zero-sum game, dense or polymatrix.
+
+    A two-player polymatrix game has one edge on the pair's own joint space,
+    so its lift costs no more than the edge itself.
+    """
+    if isinstance(g, PolymatrixGame) and g.n_players == 2:
+        g = polymatrix_to_qg(g)
     if g.n_players != 2 or not g.zero_sum:
         raise ValueError("expected a two-player zero-sum game")
     return TwoPlayerZeroSum(partial_transpose(g.tensors[0], g.dims, 1), g.dims)
@@ -231,24 +244,78 @@ class PolymatrixGame:
     def n_players(self) -> int:
         return len(self.dims)
 
+    @property
+    def joint_dim(self) -> int:
+        return prod(self.dims)
+
     def neighbors(self, i: int) -> list[int]:
         out = [j for (a, j) in self.edges if a == i] + [a for (a, j) in self.edges if j == i]
         return sorted(out)
 
+    @cached_property
+    def gain_terms(self) -> tuple[tuple[GainTerm, ...], ...]:
+        """Per player, one term per incident edge, ordered by neighbor, compiled on first use."""
+        terms = [[] for _ in self.dims]
+        for (i, j), (r_ij, r_ji) in self.edges.items():
+            terms[i].append(GainTerm((j,), _gain_op(r_ij, self.dims[i])))
+            terms[j].append(GainTerm((i,), _gain_op(r_ji, self.dims[j])))
+        return tuple(tuple(sorted(ts, key=lambda term: term.regs)) for ts in terms)
 
-def polymatrix_utility(pg: PolymatrixGame, rho: np.ndarray, i: int) -> float:
-    """Edgewise payoff sum: u_i = sum_j Tr(Tr_{-ij}(rho) R_ij)."""
+
+Game = QuantumGame | PolymatrixGame
+
+
+def _reduce(rho: np.ndarray, dims: Sequence[int], regs: Sequence[int]) -> np.ndarray:
+    """Reduced state of rho on the registers regs, in the order given."""
+    if list(regs) == list(range(len(dims))):
+        return rho
+    kept = sorted(regs)
+    m = partial_trace(rho, dims, keep=kept)
+    if list(regs) == kept:
+        return m
+    return permute_registers(m, [dims[r] for r in kept], [kept.index(r) for r in regs])
+
+
+def utility(g: Game, rho: np.ndarray, i: int) -> float:
+    """Player i's payoff Tr(R_i rho) at the joint state rho.
+
+    For a polymatrix game this is the edgewise sum ``sum_j Tr(R_ij rho_ij)``
+    over the two-register marginals of rho; no joint tensor is built.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    n = g.joint_dim
+    if rho.shape != (n, n):
+        raise ValueError(f"state shape {rho.shape} does not match joint dim {n}")
+    if isinstance(g, QuantumGame):
+        return float(np.vdot(g.tensors[i], rho).real)
     total = 0.0
-    for (a, b), (r_ab, r_ba) in pg.edges.items():
-        if i not in (a, b):
-            continue
-        rho_ab = partial_trace(rho, pg.dims, keep=(a, b))
+    for (a, b), (r_ab, r_ba) in g.edges.items():
         if i == a:
-            total += float(np.vdot(r_ab, rho_ab).real)
-        else:
-            rho_ba = permute_registers(rho_ab, (pg.dims[a], pg.dims[b]), (1, 0))
-            total += float(np.vdot(r_ba, rho_ba).real)
+            total += float(np.vdot(r_ab, _reduce(rho, g.dims, (a, b))).real)
+        elif i == b:
+            total += float(np.vdot(r_ba, _reduce(rho, g.dims, (b, a))).real)
     return total
+
+
+def gain_matrix(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
+    """Player i's gain matrix against the opponents' joint state.
+
+    This is the operator G on H_i satisfying ``<rho_i, G> = u_i(rho_i (x)
+    rho_others)`` for every rho_i, with rho_others on the other registers in
+    ascending order: the sum over ``g.gain_terms[i]`` of each term's
+    contraction with the marginal of rho_others on the term's registers.
+    """
+    d = g.dims[i]
+    rest = g.joint_dim // d
+    rho_others = np.asarray(rho_others, dtype=complex)
+    if rho_others.shape != (rest, rest):
+        raise ValueError(f"opponent state shape {rho_others.shape} does not match dim {rest}")
+    others = _others(g.n_players, i)
+    dims_others = [g.dims[j] for j in others]
+    gain = np.zeros(d * d, dtype=complex)
+    for regs, op in g.gain_terms[i]:
+        gain += op @ _reduce(rho_others, dims_others, [others.index(r) for r in regs]).reshape(-1)
+    return herm(gain.reshape(d, d))
 
 
 def _embed_edge(r: np.ndarray, dims: Sequence[int], i: int, j: int) -> np.ndarray:

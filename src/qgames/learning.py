@@ -2,9 +2,12 @@
 
 Learners implement a two-method protocol: ``strategy`` is the density played
 this round (the maximally mixed state before any feedback), and
-``observe(gain, opponents)`` absorbs the round's gain matrix.  The runner is
-round-synchronous: all gains for round t are computed from round-t strategies
-before any learner advances, matching full-information simultaneous play.
+``observe(gain, opponents)`` absorbs the round's gain matrix.  The runner
+passes the opponents' joint state only to learners that set
+``watches_opponents`` (the scripted learner, which checks it against its
+script), and ``None`` to the others.  The runner is round-synchronous: all
+gains for round t are computed from round-t strategies before any learner
+advances, matching full-information simultaneous play.
 
 Feedback is the exact gain matrix of each player (full-information online
 linear optimization), never a sampled payoff.
@@ -23,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .equilibria import exploitability
-from .games import QuantumGame, front_tensor, utility
+from .games import Game, PolymatrixGame, QuantumGame, _others
+from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
     DEFAULT_HERM_TOL,
     bloch_coords,
@@ -32,6 +36,7 @@ from .tensor import (
     exp_density_stack,
     herm,
     kron,
+    kron_eigvalsh,
     lambda_max,
     maxabs,
     project_to_density_stack,
@@ -236,23 +241,6 @@ class Constant:
         return float("nan")
 
 
-def script_indices(weights: Sequence[float], t: int) -> list[int]:
-    """First t component choices of the greedy discrepancy-minimizing script.
-
-    At round s the script plays ``argmax_j (weights_j * s - count_j)``, ties
-    to the lowest index, which keeps every empirical frequency within
-    ``len(weights) / t`` of its target weight.
-    """
-    weights = np.asarray(weights, dtype=float)
-    counts = np.zeros(len(weights))
-    out = []
-    for s in range(1, t + 1):
-        j = int(np.argmax(weights * s - counts))
-        counts[j] += 1
-        out.append(j)
-    return out
-
-
 class ScriptedNoRegret:
     """Replays a shared product-state script; falls back to MMWU on deviation.
 
@@ -264,6 +252,7 @@ class ScriptedNoRegret:
     """
 
     kind = "scripted"
+    watches_opponents = True
 
     def __init__(
         self,
@@ -421,8 +410,14 @@ def regret_report(traj: Trajectory, schedule: Schedule) -> RegretReport:
     return RegretReport(regs, traj.T, bound)
 
 
+def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a^dag b) for each matrix pair of two (B, d, d) stacks."""
+    B = a.shape[0]
+    return (a.reshape(B, 1, -1).conj() @ b.reshape(B, -1, 1)).real[:, 0, 0]
+
+
 def run_game(
-    g: QuantumGame | Sequence[QuantumGame],
+    g: Game | Sequence[Game],
     learners: Sequence,
     T: int,
     stride: int | None = None,
@@ -439,20 +434,29 @@ def run_game(
     fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
     final round.  The run is deterministic given the game and learners.
 
-    ``g`` may also be a sequence of B games with one register layout.  They
-    are played in lockstep, every array of the round loop carrying a leading
-    batch axis, by learners built with ``batch=B`` (``learners[i]`` plays
-    register i of every game), and the result is one trajectory per game.
-    Each is bit-identical to a batch holding that game alone.  A single game
-    is the batch B = 1, played by learners with or without ``batch=1``.
+    Gains go through the game's compiled ``gain_terms``, so a
+    :class:`PolymatrixGame` is played edge by edge and its dense joint
+    tensors are never built; only the running joint average is joint-sized.
+
+    ``g`` may also be a sequence of B games of one kind with one register
+    layout (and, for polymatrix games, one edge set).  They are played in
+    lockstep, every array of the round loop carrying a leading batch axis, by
+    learners built with ``batch=B`` (``learners[i]`` plays register i of
+    every game), and the result is one trajectory per game.  Each is
+    bit-identical to a batch holding that game alone.  A single game is the
+    batch B = 1, played by learners with or without ``batch=1``.
     """
-    single = isinstance(g, QuantumGame)
+    single = isinstance(g, (QuantumGame, PolymatrixGame))
     games = [g] if single else list(g)
     if not games:
         raise ValueError("a batch needs at least one game")
     dims = games[0].dims
     if any(game.dims != dims for game in games):
         raise ValueError("games in a batch must share register dims")
+    if any(type(game) is not type(games[0]) for game in games):
+        raise ValueError("games in a batch must be of one kind")
+    if isinstance(games[0], PolymatrixGame) and any(game.edges.keys() != games[0].edges.keys() for game in games):
+        raise ValueError("polymatrix games in a batch must share one edge set")
     B, k = len(games), len(dims)
     if len(learners) != k:
         raise ValueError("one learner per player required")
@@ -474,17 +478,30 @@ def run_game(
         if lead != (B,) and not (lead == () and B == 1):
             raise ValueError(f"learner {i} plays a batch of shape {lead}, expected ({B},)")
 
-    n = prod(dims)
-    d_rest = [n // d for d in dims]
-    # gain_i = M_i @ vec(opponents_i): the front tensor as a (d_i^2, r_i^2) matrix per game
-    gain_ops = [
-        np.stack([front_tensor(game, i) for game in games])
-        .reshape(B, d, r, d, r)
-        .transpose(0, 1, 3, 4, 2)
-        .reshape(B, d * d, r * r)
-        for i, (d, r) in enumerate(zip(dims, d_rest))
+    # terms[i]: player i's gain terms, each (regs, (B, d_i^2, r^2) operator stack over the games)
+    terms = [
+        [(regs, np.stack([game.gain_terms[i][m].op for game in games])) for m, (regs, _) in enumerate(player_terms)]
+        for i, player_terms in enumerate(games[0].gain_terms)
     ]
 
+    def product(states: list[np.ndarray], regs: tuple[int, ...], memo: dict) -> np.ndarray:
+        """vec of the kron of states[r] over regs, as (B, -1, 1), formed once per memo."""
+        if regs not in memo:
+            memo[regs] = kron(*(states[r] for r in regs)).reshape(B, -1, 1)
+        return memo[regs]
+
+    def gains_against(states: list[np.ndarray], memo: dict) -> list[np.ndarray]:
+        """Each player's (B, d, d) gain when register r plays states[r]."""
+        gains = []
+        for i, d in enumerate(dims):
+            acc = None if terms[i] else np.zeros((B, d * d, 1), dtype=complex)
+            for regs, op in terms[i]:
+                part = op @ product(states, regs, memo)
+                acc = part if acc is None else acc + part
+            gains.append(herm(acc.reshape(B, d, d)))
+        return gains
+
+    n = prod(dims)
     joint_sum = np.zeros((B, n, n), dtype=complex)
     marginal_sums = [np.zeros((B, d, d), dtype=complex) for d in dims]
     cum_gain = [np.zeros((B, d, d), dtype=complex) for d in dims]
@@ -498,47 +515,49 @@ def run_game(
     def play() -> list[np.ndarray]:
         return [np.reshape(ln.strategy, (B, d, d)) for ln, d in zip(learners, dims)]
 
+    watchers = [getattr(ln, "watches_opponents", False) for ln in learners]
     strategies = play()
     for t in range(1, T + 1):
-        joint = kron(*strategies)
-        opponents = [kron(*strategies[:i], *strategies[i + 1:]) for i in range(k)]
-        gains = [
-            herm((gain_ops[i] @ opponents[i].reshape(B, -1, 1)).reshape(B, d, d)) for i, d in enumerate(dims)
-        ]
-
-        joint_sum += joint
+        joint_sum += kron(*strategies)
+        memo = {}
+        gains = gains_against(strategies, memo)
+        utils = np.empty((B, k))
         for i in range(k):
+            utils[:, i] = _pairing(strategies[i], gains[i])
             marginal_sums[i] += strategies[i]
             cum_gain[i] += gains[i]
-            realized[:, i] += (strategies[i].reshape(B, 1, -1).conj() @ gains[i].reshape(B, -1, 1)).real[:, 0, 0]
+        realized += utils
 
         if t % stride == 0 or t == T:
             check_ts.append(t)
             rho_bar = herm(joint_sum / t)
+            utils_rows.append(utils)
+            best_fixed = np.stack([np.linalg.eigvalsh(c)[:, -1] for c in cum_gain], axis=1)
+            regret_rows.append((best_fixed - realized) / t)
             if gap_mode == "qcce":
-                gap_state = rho_bar
+                gap_rows.append(
+                    [[exploitability(game, i, rho_bar[b]) for i in range(k)] for b, game in enumerate(games)]
+                )
             else:
-                gap_state = kron(*(herm(m / t) for m in marginal_sums))
-            utils_rows.append([[utility(game, joint[b], i) for i in range(k)] for b, game in enumerate(games)])
-            regret_rows.append(
-                [[(lambda_max(cum_gain[i][b]) - realized[b, i]) / t for i in range(k)] for b in range(B)]
-            )
-            gap_rows.append(
-                [[exploitability(game, i, gap_state[b]) for i in range(k)] for b, game in enumerate(games)]
-            )
+                # at a product state, player i's deviation gap is lambda_max(G_i) - Tr(rho_i G_i)
+                avg = [herm(m / t) for m in marginal_sums]
+                avg_gains = gains_against(avg, {})
+                gaps = [np.linalg.eigvalsh(gain)[:, -1] - _pairing(a, gain) for a, gain in zip(avg, avg_gains)]
+                gap_rows.append(np.maximum(np.stack(gaps, axis=1), 0.0))
             per_learner = [ln.average_regret_bound(t) for ln in learners]
             finite = [b for b in per_learner if not np.isnan(b)]
             bound_rows.append(bound_scale * max(finite) if finite else float("nan"))
-            joint_eig_rows.append(np.flip(np.sort(np.linalg.eigvalsh(joint), axis=-1), axis=-1))
+            joint_eig_rows.append(np.flip(kron_eigvalsh(*strategies), axis=-1))
             avg_eig_rows.append(np.flip(np.sort(np.linalg.eigvalsh(rho_bar), axis=-1), axis=-1))
             for i in qubit_players:
                 bloch_rows[i].append([bloch_coords(s) for s in strategies[i]])
 
         for i, ln in enumerate(learners):
-            ln._update(
-                gains[i].reshape(leads[i] + gains[i].shape[1:]),
-                opponents[i].reshape(leads[i] + opponents[i].shape[1:]),
-            )
+            opponents = None
+            if watchers[i]:
+                rest = n // dims[i]
+                opponents = product(strategies, _others(k, i), memo).reshape(leads[i] + (rest, rest))
+            ln._update(gains[i].reshape(leads[i] + gains[i].shape[1:]), opponents)
         if t < T:
             strategies = play()
 

@@ -27,9 +27,14 @@ def encode_matrix(m: np.ndarray) -> list[list[float]]:
 
 
 def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise ValueError(f"a matrix must be a list of [re, im] pairs, got {type(entries).__name__}")
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix entries must be [re, im] pairs of numbers: {exc}") from None
     return flat.reshape(rows, cols)
 
 
@@ -92,13 +97,32 @@ def _read_dims(obj: Any) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _read_list(obj: dict, key: str) -> list:
+    val = obj[key]
+    if not isinstance(val, list):
+        raise ValueError(f"{key} must be a list, got {val!r}")
+    return val
+
+
+def _read_edge_ends(e: Any, k: int) -> tuple[int, int]:
+    """The (i, j) of a polymatrix edge object: two distinct player indices below k."""
+    ends = (e.get("i"), e.get("j")) if isinstance(e, dict) else None
+    if ends is None or not all(type(p) is int and 0 <= p < k for p in ends) or ends[0] == ends[1]:
+        raise ValueError(f"edge ends must be two distinct players in [0, {k}), got {ends!r}")
+    return ends
+
+
 def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
     dims = _read_dims(obj)
     kind = obj["kind"]
+    if kind not in ("general", "zero_sum", "polymatrix"):
+        raise ValueError(f"unknown game kind {kind!r}")
     if kind == "polymatrix":
         edges = {}
-        for e in obj["edges"]:
-            i, j = int(e["i"]), int(e["j"])
+        for e in _read_list(obj, "edges"):
+            i, j = _read_edge_ends(e, len(dims))
+            if (i, j) in edges or (j, i) in edges:
+                raise ValueError(f"duplicate edge ({i}, {j})")
             nij = dims[i] * dims[j]
             edges[(i, j)] = (
                 decode_matrix(e["r_ij"], nij, nij),
@@ -108,7 +132,7 @@ def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
     n = 1
     for d in dims:
         n *= d
-    tensors = tuple(decode_matrix(t, n, n) for t in obj["tensors"])
+    tensors = tuple(decode_matrix(t, n, n) for t in _read_list(obj, "tensors"))
     return QuantumGame(dims, tensors, zero_sum=(kind == "zero_sum"))
 
 

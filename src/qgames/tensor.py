@@ -178,6 +178,22 @@ def lambda_min(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(np.asarray(h, dtype=complex)))[0])
 
 
+def kron_eigvalsh(*mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``kron(*mats)`` for Hermitian factors, from the factors' spectra.
+
+    The spectrum of a tensor product is every product of one eigenvalue per
+    factor, so only factor-sized eigensolvers run.  Acts on (..., d, d)
+    stacks like :func:`kron`.
+    """
+    if not mats:
+        raise ValueError("kron_eigvalsh needs at least one matrix")
+    spec = np.linalg.eigvalsh(mats[0])
+    for m in mats[1:]:
+        pairs = spec[..., :, None] * np.linalg.eigvalsh(m)[..., None, :]
+        spec = pairs.reshape(pairs.shape[:-2] + (-1,))
+    return np.sort(spec, axis=-1)
+
+
 def spectral_norm(h: np.ndarray) -> float:
     vals = np.linalg.eigvalsh(herm(np.asarray(h, dtype=complex)))
     return float(np.max(np.abs(vals)))

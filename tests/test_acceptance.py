@@ -94,12 +94,11 @@ def test_criterion_04_polymatrix_qne_horizon():
         worst = -np.inf
         for seed in range(5):
             pg = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), 9300 + seed)
-            g = qg.polymatrix_to_qg(pg)
-            assert g.zero_sum
+            assert qg.polymatrix_to_qg(pg).zero_sum
             learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(3)]
-            traj = qg.run_game(g, learners, T, stride=T, gap_mode="qne", bound_scale=3.0)
+            traj = qg.run_game(pg, learners, T, stride=T, gap_mode="qne", bound_scale=3.0)
             prod = traj.product_of_marginal_averages()
-            expl = [qg.exploitability(g, i, prod) for i in range(3)]
+            expl = [qg.exploitability(pg, i, prod) for i in range(3)]
             worst = max(worst, max(expl))
             assert max(expl) <= 0.3 + 1e-6, seed
         print(f"  worst player exploitability {worst:.4f} (limit 0.3)", end=" ")

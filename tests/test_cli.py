@@ -157,8 +157,9 @@ def test_run_batch_inline(tmp_path):
         ["--kind", "zero-sum", "--eta", "0.1"],
         ["--kind", "general", "--dims", "2,3", "--schedule", "doubling"],
         ["--kind", "general", "--eta", "0.2", "--learners", "ftrl,mmwu"],
+        ["--kind", "polymatrix", "--dims", "2,3,2", "--eta", "0.1"],
     ],
-    ids=["mmwu-fixed", "mmwu-doubling", "ftrl"],
+    ids=["mmwu-fixed", "mmwu-doubling", "ftrl", "polymatrix"],
 )
 def test_run_batch_matches_single_runs_byte_for_byte(tmp_path, flags):
     common = ["run", *flags, "--T", "60", "--stride", "7"]
@@ -191,6 +192,61 @@ def test_run_rejects_malformed_game_files(tmp_path, capsys):
         rc = main(["run", "--game", str(bad), "--eta", "0.1", "--T", "10", "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert rc in (1, 2) and err.startswith("error:") and "Traceback" not in err, bad.name
+
+
+def _null_tensors(obj):
+    return {**obj, "tensors": None}
+
+
+def _null_edges(obj):
+    return {**obj, "edges": None}
+
+
+def _edge_out_of_range(obj):
+    return {**obj, "edges": [{**obj["edges"][0], "j": 7}] + obj["edges"][1:]}
+
+
+def _duplicate_edge(obj):
+    e = obj["edges"][0]
+    return {**obj, "edges": obj["edges"] + [{**e, "i": e["j"], "j": e["i"]}]}
+
+
+def _unknown_kind(obj):
+    return {**obj, "kind": "potential"}
+
+
+def _matrix_not_a_list(obj):
+    return {**obj, "tensors": [None] + obj["tensors"][1:]}
+
+
+def _bad_matrix_entry(obj):
+    return {**obj, "edges": [{**obj["edges"][0], "r_ij": [[None, 0.0]] + obj["edges"][0]["r_ij"][1:]}] + obj["edges"][1:]}
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("general", _null_tensors),
+        ("polymatrix", _null_edges),
+        ("polymatrix", _edge_out_of_range),
+        ("polymatrix", _duplicate_edge),
+        ("general", _unknown_kind),
+        ("general", _matrix_not_a_list),
+        ("polymatrix", _bad_matrix_entry),
+    ],
+    ids=[
+        "null-tensors", "null-edges", "edge-out-of-range", "duplicate-edge",
+        "unknown-kind", "matrix-not-a-list", "bad-matrix-entry",
+    ],
+)
+def test_run_rejects_malformed_game_fields(tmp_path, capsys, kind, corrupt):
+    game = tmp_path / "g.json"
+    main(["gen", "--kind", kind, "--dims", "2,2,2", "--seed", "3", "--out", str(game)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(game.read_text()))))
+    rc = main(["run", "--game", str(bad), "--eta", "0.1", "--T", "10", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "Traceback" not in err
 
 
 def test_bloch_norm_approaches_one_on_convergent_fixture(tmp_path):
@@ -239,6 +295,25 @@ def test_verify_zs_value_matching_pennies(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert abs(out["lower"]) < 1e-12 and abs(out["upper"]) < 1e-12
+
+
+def test_verify_zs_value_on_two_player_polymatrix_file(tmp_path, capsys):
+    pg = qg.random_polymatrix((2, 3), [(0, 1)], seed=21)
+    game, lifted_game = tmp_path / "pg.json", tmp_path / "lifted.json"
+    ser.save_game(game, pg)
+    ser.save_game(lifted_game, qg.polymatrix_to_qg(pg))
+    state = tmp_path / "unif.json"
+    ser.save_state(state, np.eye(6) / 6, (2, 3))
+    outs = []
+    for path in (game, lifted_game):
+        rc = main(["verify", "--game", str(path), "--state", str(state), "--kind", "zs-value", "--tol", "0.5"])
+        outs.append((rc, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    three = tmp_path / "pg3.json"
+    ser.save_game(three, qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), seed=22))
+    ser.save_state(state, np.eye(8) / 8, (2, 2, 2))
+    assert main(["verify", "--game", str(three), "--state", str(state), "--kind", "zs-value"]) == 1
+    assert "two-player zero-sum" in capsys.readouterr().err
 
 
 def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):

@@ -194,12 +194,11 @@ def test_polymatrix_marginalized_qcce_is_qne():
     # zero-sum polymatrix: coarse-correlated certificates transfer to the
     # marginalized product state, with gaps bounded by the summed gaps
     pg = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), seed=11)
-    g = qg.polymatrix_to_qg(pg)
     eta, T = qg.horizon_for_epsilon("polymatrix", 2, 0.6, k=3)
-    traj = qg.run_game(g, [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(3)], T, stride=T)
+    traj = qg.run_game(pg, [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(3)], T, stride=T)
     rho_bar = traj.joint_average()
-    qcce = qg.is_qcce(g, rho_bar)
-    qne = qg.is_qne(g, qg.marginalize(rho_bar, g.dims), tol=1.0)
+    qcce = qg.is_qcce(pg, rho_bar)
+    qne = qg.is_qne(pg, qg.marginalize(rho_bar, pg.dims), tol=1.0)
     assert qne.max_gap <= sum(qcce.gaps) + 1e-8
 
 

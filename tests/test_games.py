@@ -158,7 +158,7 @@ def test_polymatrix_path_graph_edgewise_oracle():
     parts = [qg.random_density(2, rng) for _ in range(3)]
     rho = qg.kron(*parts)
     for i in range(3):
-        assert abs(qg.utility(lifted, rho, i) - qg.polymatrix_utility(pg, rho, i)) < 1e-9
+        assert abs(qg.utility(lifted, rho, i) - qg.utility(pg, rho, i)) < 1e-9
 
 
 def test_polymatrix_lift_commutes_with_marginalization():
@@ -167,7 +167,7 @@ def test_polymatrix_lift_commutes_with_marginalization():
     lifted = qg.polymatrix_to_qg(pg)
     rho = qg.random_density(8, np.random.default_rng(12))
     for i in range(3):
-        assert abs(qg.utility(lifted, rho, i) - qg.polymatrix_utility(pg, rho, i)) < 1e-9
+        assert abs(qg.utility(lifted, rho, i) - qg.utility(pg, rho, i)) < 1e-9
 
 
 def test_pairwise_zero_sum_edges_cancel_globally():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import qgames as qg
-from qgames.learning import script_indices
 from qgames.tensor import maxabs
 
 
@@ -279,12 +278,24 @@ def test_qcce_gap_of_average_equals_average_regret():
 # -- scripted learners --------------------------------------------------------------------
 
 
+def scripted_choices(weights, T):
+    """The components a one-player scripted learner plays in T rounds: component j plays |j><j|."""
+    d = len(weights)
+    profiles = [[np.diag(np.eye(d)[j]).astype(complex)] for j in range(d)]
+    learner = qg.ScriptedNoRegret(0, weights, profiles)
+    out = []
+    for _ in range(T):
+        out.append(int(np.argmax(np.diag(learner.strategy).real)))
+        learner.observe(np.zeros((d, d)))
+    return out
+
+
 def test_script_indices_greedy_rounding():
-    assert script_indices([1.0], 5) == [0, 0, 0, 0, 0]
-    alt = script_indices([0.5, 0.5], 10)
+    assert scripted_choices([1.0], 5) == [0, 0, 0, 0, 0]
+    alt = scripted_choices([0.5, 0.5], 10)
     assert alt == [0, 1] * 5
     for T in (10, 100, 1000):
-        idx = script_indices([0.4, 0.3, 0.2, 0.1], T)
+        idx = scripted_choices([0.4, 0.3, 0.2, 0.1], T)
         counts = np.bincount(idx, minlength=4)
         assert np.abs(counts / T - np.array([0.4, 0.3, 0.2, 0.1])).max() <= 4 / T
 

@@ -10,6 +10,7 @@ from qgames.tensor import (
     PAULI_Z,
     dagger,
     exp_density_stack,
+    kron_eigvalsh,
     maxabs,
     project_to_density_stack,
 )
@@ -332,3 +333,26 @@ def test_simplex_projection_row_by_row(v):
     out = qg.simplex_projection(v)
     for row, got in zip(v, out):
         assert np.array_equal(got, qg.simplex_projection(row))
+
+
+@st.composite
+def density_factor_stacks(draw):
+    """One to four density factors, each a (b, d, d) stack or a single (d, d) matrix, with one b."""
+    b = draw(st.integers(1, 3))
+    factors = []
+    for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        parts = draw(hnp.arrays(np.float64, (2, b, d, d), elements=st.floats(-1, 1)))
+        g = parts[0] + 1j * parts[1]
+        rho = g @ dagger(g) + 0.1 * np.eye(d)
+        rho = qg.herm(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
+        factors.append(rho if draw(st.booleans()) else rho[0])
+    return factors
+
+
+@settings(deadline=None)
+@given(density_factor_stacks())
+def test_kron_eigvalsh_matches_joint_eigvalsh(factors):
+    got = kron_eigvalsh(*factors)
+    assert maxabs(got - np.linalg.eigvalsh(qg.kron(*factors))) <= 1e-12
+    for b in range(got.shape[0] if got.ndim == 2 else 0):
+        assert np.array_equal(got[b], kron_eigvalsh(*(f[b] if f.ndim == 3 else f for f in factors)))
