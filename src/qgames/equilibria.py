@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
-from .games import Game, QuantumGame, TwoPlayerZeroSum, _others, gain_matrix, utility
+from .games import Game, PolymatrixGame, QuantumGame, TwoPlayerZeroSum, _others, gain_matrix, polymatrix_to_qg, utility
 from .tensor import (
     herm,
     herm_eig,
@@ -197,7 +197,7 @@ def ppt_witness(rho: np.ndarray, dims: tuple[int, int]) -> str:
 
 
 def brute_force_gap(
-    g: QuantumGame,
+    g: Game,
     i: int,
     rho: np.ndarray,
     n_samples: int,
@@ -210,9 +210,13 @@ def brute_force_gap(
     estimate is independent of the gain-matrix eigenvalue route it is used to
     cross-check.  Never exceeds the exact gap, converges upward with
     ``n_samples``, and is a running max over a seed-deterministic stream.
+    A :class:`PolymatrixGame` is evaluated on its dense lift, so the estimate
+    stays independent of the edgewise gain terms too.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if isinstance(g, PolymatrixGame):
+        g = polymatrix_to_qg(g)
     k = g.n_players
     d = g.dims[i]
     n = g.joint_dim

@@ -159,10 +159,16 @@ class MMWU:
             return self.schedule.eta
         return self.schedule.epoch_eta(self._epoch, self.dim)
 
+    kernel = staticmethod(exp_density_stack)
+
+    def _scaled_sum(self) -> np.ndarray:
+        """The matrix ``kernel`` maps to the strategy; :func:`run_game` stacks it across learners."""
+        return self._eta * self._sum
+
     @property
     def strategy(self) -> np.ndarray:
         if self._cached is None:
-            self._cached = exp_density_stack(self._eta * self._sum)
+            self._cached = self.kernel(self._scaled_sum())
         return self._cached
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
@@ -201,10 +207,15 @@ class FrobeniusFTRL:
         self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
         self._cached = None
 
+    kernel = staticmethod(project_to_density_stack)
+
+    def _scaled_sum(self) -> np.ndarray:
+        return self.eta * self._sum
+
     @property
     def strategy(self) -> np.ndarray:
         if self._cached is None:
-            self._cached = project_to_density_stack(self.eta * self._sum)
+            self._cached = self.kernel(self._scaled_sum())
         return self._cached
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
@@ -348,9 +359,11 @@ class Trajectory:
 
     Running sums (joint product states, marginals, gain matrices, realized
     payoffs) cover the full horizon; the per-checkpoint arrays hold the CSV
-    columns.  The joint average at any checkpoint is a valid density up to
-    accumulated rounding (1e-6 tier), and its marginals equal the averaged
-    marginals exactly by linearity.
+    columns.  ``joint_sum`` is the sum over rounds of the played product
+    states, which the runner adds up a window of rounds at a time, so it
+    equals the round-by-round sum up to rounding (1e-12).  The joint average
+    at any checkpoint is a valid density up to accumulated rounding (1e-6
+    tier), and its marginals equal the averaged marginals up to rounding.
     """
 
     dims: tuple[int, ...]
@@ -416,6 +429,28 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(B, 1, -1).conj() @ b.reshape(B, -1, 1)).real[:, 0, 0]
 
 
+FOLD_FLOOR = 1 << 10  # entries per game a fold window may use however small the joint space
+
+
+def _fold_plan(dims: Sequence[int]) -> tuple[int, int]:
+    """The register cut h of the windowed joint fold and the window's cap in rounds.
+
+    h balances ``n_L = prod(dims[:h])`` against ``n_R = prod(dims[h:])`` (h = k,
+    with ``n_R = 1``, only for one register).  A window of W rounds holds
+    ``W * sum(d_i^2)`` buffered entries and ``W * (n_L^2 + n_R^2)`` half-product
+    entries per game; the cap keeps that within ``max(n^2, FOLD_FLOOR)``.
+    """
+    k = len(dims)
+    h = min(range(1, k + 1), key=lambda c: max(prod(dims[:c]), prod(dims[c:])))
+    per_round = prod(dims[:h]) ** 2 + prod(dims[h:]) ** 2 + sum(d * d for d in dims)
+    return h, max(1, max(prod(dims) ** 2, FOLD_FLOOR) // per_round)
+
+
+def _kron_or_identity(factors: list[np.ndarray], lead: tuple[int, ...]) -> np.ndarray:
+    """kron of factor stacks with leading shape ``lead``, or a stack of 1x1 identities for no factor."""
+    return kron(*factors) if factors else np.ones(lead + (1, 1), dtype=complex)
+
+
 def run_game(
     g: Game | Sequence[Game],
     learners: Sequence,
@@ -437,6 +472,17 @@ def run_game(
     Gains go through the game's compiled ``gain_terms``, so a
     :class:`PolymatrixGame` is played edge by edge and its dense joint
     tensors are never built; only the running joint average is joint-sized.
+    No joint product state is formed per round: each round's strategies are
+    copied into a window, and at every checkpoint (and whenever the window
+    is full) the window is folded into ``joint_sum`` as ``sum_s L_s (x) R_s``,
+    one matmul over the window's products of the registers before and after
+    a balanced cut.  The window's cap keeps it within the size of
+    ``joint_sum`` (or a small fixed floor), whatever T and ``stride`` are.
+
+    :class:`MMWU` and :class:`FrobeniusFTRL` learners (subclasses included)
+    whose states share one shape compute each round's strategies in one
+    stacked kernel call, bit-identical per matrix to their own ``strategy``;
+    any other learner is asked for its ``strategy`` alone.
 
     ``g`` may also be a sequence of B games of one kind with one register
     layout (and, for polymatrix games, one edge set).  They are played in
@@ -487,7 +533,7 @@ def run_game(
     def product(states: list[np.ndarray], regs: tuple[int, ...], memo: dict) -> np.ndarray:
         """vec of the kron of states[r] over regs, as (B, -1, 1), formed once per memo."""
         if regs not in memo:
-            memo[regs] = kron(*(states[r] for r in regs)).reshape(B, -1, 1)
+            memo[regs] = _kron_or_identity([states[r] for r in regs], (B,)).reshape(B, -1, 1)
         return memo[regs]
 
     def gains_against(states: list[np.ndarray], memo: dict) -> list[np.ndarray]:
@@ -503,6 +549,18 @@ def run_game(
 
     n = prod(dims)
     joint_sum = np.zeros((B, n, n), dtype=complex)
+    # window[i][:, s]: player i's strategy s rounds after the last fold, a copy (a learner
+    # may reuse its array); folded into joint_sum as sum_s L_s (x) R_s, L on registers [:h]
+    h, cap = _fold_plan(dims)
+    n_l, n_r = prod(dims[:h]), prod(dims[h:])
+    window = [np.empty((B, min(cap, stride, T), d, d), dtype=complex) for d in dims]
+
+    def fold(w: int) -> None:
+        left = _kron_or_identity([buf[:, :w] for buf in window[:h]], (B, w)).reshape(B, w, -1)
+        right = _kron_or_identity([buf[:, :w] for buf in window[h:]], (B, w)).reshape(B, w, -1)
+        outer = left.transpose(0, 2, 1) @ right    # (B, n_L^2, n_R^2): sum over the window
+        joint_sum[...] += outer.reshape(B, n_l, n_l, n_r, n_r).transpose(0, 1, 3, 2, 4).reshape(B, n, n)
+
     marginal_sums = [np.zeros((B, d, d), dtype=complex) for d in dims]
     cum_gain = [np.zeros((B, d, d), dtype=complex) for d in dims]
     realized = np.zeros((B, k))
@@ -512,13 +570,31 @@ def run_game(
     qubit_players = [i for i, d in enumerate(dims) if d == 2]
     bloch_rows = {i: [] for i in qubit_players}
 
+    # MMWU and FTRL learners of one state shape compute their strategies in one stacked
+    # kernel call; the kernels are spectral maps, bit-identical per matrix to separate calls
+    spectral = [ln for ln in learners if isinstance(ln, (MMWU, FrobeniusFTRL))]
+
     def play() -> list[np.ndarray]:
+        stale = {}
+        for ln in spectral:
+            if ln._cached is None:
+                stale.setdefault((ln.kernel, ln._sum.shape), []).append(ln)
+        for (kernel, _), group in stale.items():
+            for ln, s in zip(group, kernel(np.stack([ln._scaled_sum() for ln in group]))):
+                ln._cached = s
         return [np.reshape(ln.strategy, (B, d, d)) for ln, d in zip(learners, dims)]
 
     watchers = [getattr(ln, "watches_opponents", False) for ln in learners]
     strategies = play()
+    filled = 0
     for t in range(1, T + 1):
-        joint_sum += kron(*strategies)
+        for buf, s in zip(window, strategies):
+            buf[:, filled] = s
+        filled += 1
+        checkpoint = t % stride == 0 or t == T
+        if checkpoint or filled == window[0].shape[1]:
+            fold(filled)
+            filled = 0
         memo = {}
         gains = gains_against(strategies, memo)
         utils = np.empty((B, k))
@@ -528,7 +604,7 @@ def run_game(
             cum_gain[i] += gains[i]
         realized += utils
 
-        if t % stride == 0 or t == T:
+        if checkpoint:
             check_ts.append(t)
             rho_bar = herm(joint_sum / t)
             utils_rows.append(utils)

@@ -22,8 +22,7 @@ from .tensor import spectral_norm
 
 
 def encode_matrix(m: np.ndarray) -> list[list[float]]:
-    m = np.asarray(m, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarray:
@@ -38,8 +37,32 @@ def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarra
     return flat.reshape(rows, cols)
 
 
+def _render(obj: Any, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it at nesting ``indent``.
+
+    Dict keys must be strings.  Lists of ``[re, im]`` float pairs, the bulk of
+    game and state files, are formatted in one pass instead of going through
+    json's pure-Python indenting encoder.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{json.dumps(key)}: {_render(val, inner)}" for key, val in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float for p in obj):
+            row = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+            body = ",\n".join([row % (re, im) for re, im in obj])
+            if "n" in body:  # json spells the reprs nan and (-)inf as NaN and (-)Infinity
+                body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        else:
+            body = ",\n".join([inner + _render(val, inner) for val in obj])
+        return "[\n" + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical text of a JSON object: byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``."""
+    return _render(obj, "") + "\n"
 
 
 def write_json(path, obj: Any) -> None:
@@ -214,18 +237,11 @@ def trajectory_header(dims) -> list[str]:
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     qubit_players = [i for i, d in enumerate(traj.dims) if d == 2]
+    columns = [traj.utils, traj.avg_regret, traj.gaps, traj.bound[:, None], traj.joint_eigs, traj.avg_joint_eigs]
+    table = np.concatenate(columns + [traj.bloch[i] for i in qubit_players], axis=1, dtype=float)
     lines = [",".join(trajectory_header(traj.dims))]
-    for row, t in enumerate(traj.checkpoints):
-        cells: list[str] = [str(int(t))]
-        cells += [repr(float(x)) for x in traj.utils[row]]
-        cells += [repr(float(x)) for x in traj.avg_regret[row]]
-        cells += [repr(float(x)) for x in traj.gaps[row]]
-        cells.append(repr(float(traj.bound[row])))
-        cells += [repr(float(x)) for x in traj.joint_eigs[row]]
-        cells += [repr(float(x)) for x in traj.avg_joint_eigs[row]]
-        for i in qubit_players:
-            cells += [repr(float(x)) for x in traj.bloch[i][row]]
-        lines.append(",".join(cells))
+    for t, row in zip(traj.checkpoints.tolist(), table.tolist()):
+        lines.append(",".join([str(int(t)), *map(repr, row)]))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -259,6 +259,16 @@ def test_brute_force_gap_at_qne():
         assert qg.brute_force_gap(g, i, qne, 2000, seed=17) <= 1e-8
 
 
+def test_brute_force_gap_on_polymatrix_game_matches_lift():
+    pg = qg.random_polymatrix((2, 3, 2), qg.graph_edges("cycle", 3), 20)
+    lifted = qg.polymatrix_to_qg(pg)
+    rho = qg.random_density(12, np.random.default_rng(21))
+    for i in range(3):
+        sampled = qg.brute_force_gap(pg, i, rho, 200, seed=22 + i)
+        assert sampled == qg.brute_force_gap(lifted, i, rho, 200, seed=22 + i)
+        assert sampled <= qg.exploitability(pg, i, rho) + 1e-12
+
+
 def test_exploitability_invariant_under_relabeling():
     dims = (2, 3, 2)
     g = qg.random_game(dims, 18)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgames as qg
 from qgames import serialize as ser
@@ -148,3 +150,88 @@ def test_sha256_file(tmp_path):
     p = tmp_path / "x"
     p.write_bytes(b"abc")
     assert ser.sha256_file(p) == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+# -- byte-identical fast writers ----------------------------------------------------
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+pair_lists = st.lists(st.lists(any_float, min_size=2, max_size=2), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | any_float | st.text(max_size=5) | pair_lists,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_dumps_canonical_matches_json_dumps(obj):
+    assert ser.dumps_canonical(obj) == reference_dumps(obj)
+
+
+@st.composite
+def games(draw):
+    """A random dense (general or two-player zero-sum) or polymatrix (cycle or path) game and its seed."""
+    seed = draw(st.integers(0, 2**16))
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3)))
+    kind = draw(st.sampled_from(["general", "zero_sum", "cycle", "path"]))
+    if kind == "general":
+        return qg.random_game(dims, seed), seed
+    if kind == "zero_sum":
+        return qg.random_game(dims[:2], seed, "zero_sum"), seed
+    return qg.random_polymatrix(dims, qg.graph_edges(kind, len(dims)), seed), seed
+
+
+@settings(deadline=None, max_examples=30)
+@given(games(), any_float)
+def test_file_objects_dump_like_json_dumps(game_seed, bound_scale):
+    game, seed = game_seed
+    rho = qg.random_density(game.joint_dim, np.random.default_rng(seed))
+    objs = [
+        ser.game_to_obj(game, seed=seed),
+        {"dims": list(game.dims), "matrix": ser.encode_matrix(rho)},
+        ser.manifest_obj("ab" * 32, {"game": seed, "run": seed}, ["mmwu"] * game.n_players,
+                         {"kind": "fixed", "eta": 0.1, "base_epoch": 8}, 10, 1, "qcce", bound_scale, "0.1.0"),
+        ser.report_to_obj(qg.is_qne(game, rho)),
+    ]
+    for obj in objs:
+        assert ser.dumps_canonical(obj) == reference_dumps(obj)
+
+
+def reference_csv(traj):
+    """The trajectory CSV rendered cell by cell with repr(float(x))."""
+    qubit_players = [i for i, d in enumerate(traj.dims) if d == 2]
+    lines = [",".join(ser.trajectory_header(traj.dims))]
+    for row, t in enumerate(traj.checkpoints):
+        cells = [str(int(t))]
+        for arr in (traj.utils, traj.avg_regret, traj.gaps):
+            cells += [repr(float(x)) for x in arr[row]]
+        cells.append(repr(float(traj.bound[row])))
+        cells += [repr(float(x)) for x in traj.joint_eigs[row]]
+        cells += [repr(float(x)) for x in traj.avg_joint_eigs[row]]
+        for i in qubit_players:
+            cells += [repr(float(x)) for x in traj.bloch[i][row]]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("dims,learners", [
+    ((2, 2), "mmwu"),
+    ((2, 3, 2), "mmwu"),
+    ((3, 3), "ftrl"),   # FTRL has no regret bound: the bound column is nan
+])
+def test_trajectory_csv_matches_per_cell_repr(tmp_path, dims, learners):
+    g = qg.random_game(dims, 23)
+    if learners == "mmwu":
+        team = [qg.MMWU(d, qg.doubling_schedule()) for d in dims]
+    else:
+        team = [qg.FrobeniusFTRL(d, 0.2) for d in dims]
+    traj = qg.run_game(g, team, 30, stride=7)
+    path = tmp_path / "t.csv"
+    ser.write_trajectory_csv(path, traj)
+    assert path.read_bytes() == reference_csv(traj)

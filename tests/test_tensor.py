@@ -327,6 +327,44 @@ def test_stacked_density_kernels_match_per_matrix_calls(h):
             assert maxabs(out[b] - _gauge_fixed_route(h[b], weights)) <= 1e-12
 
 
+@st.composite
+def learner_stacks(draw):
+    """An (m, B, d, d) stack: m learners' (B, d, d) states, the shape run_game hands the kernels."""
+    m, b, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    parts = draw(hnp.arrays(np.float64, (2, m, b, d, d), elements=st.floats(-10, 10)))
+    return qg.herm(parts[0] + 1j * parts[1])
+
+
+@settings(deadline=None)
+@given(learner_stacks())
+def test_stacked_density_kernels_match_per_matrix_calls_on_4d_stacks(h):
+    for stacked, single in ((exp_density_stack, qg.exp_density), (project_to_density_stack, qg.project_to_density)):
+        out = stacked(h)
+        assert out.shape == h.shape
+        for j in range(h.shape[0]):
+            assert np.array_equal(out[j], stacked(h[j]))
+            for b in range(h.shape[1]):
+                assert np.array_equal(out[j, b], single(h[j, b]))
+
+
+@settings(deadline=None)
+@given(hermitian_stacks(), st.floats(-10, 10))
+def test_exp_density_is_shift_invariant(h, c):
+    for m in h:
+        assert maxabs(qg.exp_density(m + c * np.eye(len(m))) - qg.exp_density(m)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(hermitian_stacks())
+def test_project_to_density_is_idempotent_and_fixes_densities(h):
+    for m in h:
+        rho = qg.check_density(qg.project_to_density(m))
+        assert maxabs(qg.project_to_density(rho) - rho) <= 1e-12
+        sigma = m @ dagger(m) + 1e-3 * np.eye(len(m))
+        sigma = qg.herm(sigma / np.trace(sigma).real)
+        assert maxabs(qg.project_to_density(sigma) - sigma) <= 1e-12
+
+
 @settings(deadline=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=st.floats(-10, 10)))
 def test_simplex_projection_row_by_row(v):
