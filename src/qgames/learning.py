@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .equilibria import exploitability
+from .equilibria import exploitability  # noqa: F401  (bench/tracer.py times the name learning.exploitability)
 from .games import Game, PolymatrixGame, QuantumGame, _others
 from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
@@ -359,7 +359,10 @@ class Trajectory:
 
     Running sums (joint product states, marginals, gain matrices, realized
     payoffs) cover the full horizon; the per-checkpoint arrays hold the CSV
-    columns.  ``joint_sum`` is the sum over rounds of the played product
+    columns.  In "qcce" mode ``gaps`` is ``max(avg_regret, 0)``, which is
+    the exploitability of the joint average up to rounding; in "qne" mode it
+    is the exploitability of the product of averaged marginals.
+    ``joint_sum`` is the sum over rounds of the played product
     states, which the runner adds up a window of rounds at a time, so it
     equals the round-by-round sum up to rounding (1e-12).  The joint average
     at any checkpoint is a valid density up to accumulated rounding (1e-6
@@ -373,7 +376,7 @@ class Trajectory:
     checkpoints: np.ndarray
     utils: np.ndarray            # (C, k) realized utility at the checkpoint round
     avg_regret: np.ndarray       # (C, k)
-    gaps: np.ndarray             # (C, k) exploitability per player
+    gaps: np.ndarray             # (C, k) exploitability per player (see gap_mode)
     bound: np.ndarray            # (C,)
     joint_eigs: np.ndarray       # (C, n) spectrum of the round-t product state
     avg_joint_eigs: np.ndarray   # (C, n) spectrum of the running joint average
@@ -464,8 +467,14 @@ def run_game(
     Each round every learner's gain matrix is computed from the current
     strategy profile, utilities and running sums are updated, and only then
     do all learners advance.  ``gap_mode`` selects the exploitability column:
-    "qcce" evaluates deviation gaps at the running joint average, while
-    "qne" evaluates them at the product of averaged marginals.  Checkpoints
+    "qcce" reports the deviation gaps of the running joint average, read off
+    the regret sums as ``max(avg_regret, 0)``: the gain map and the utility
+    are linear, so ``lambda_max(G_i(Tr_i rho_bar)) - Tr(R_i rho_bar)`` is
+    ``(lambda_max(cum_gain_i) - realized_i) / t``, the identity behind the
+    paper's QCCE theorem.
+    :func:`qgames.equilibria.is_qcce` (``verify --kind qcce``) stays the
+    independent joint-space certificate.  "qne" evaluates the gaps at the
+    product of averaged marginals.  Checkpoints
     fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
     final round.  The run is deterministic given the game and learners.
 
@@ -606,14 +615,13 @@ def run_game(
 
         if checkpoint:
             check_ts.append(t)
-            rho_bar = herm(joint_sum / t)
             utils_rows.append(utils)
             best_fixed = np.stack([np.linalg.eigvalsh(c)[:, -1] for c in cum_gain], axis=1)
-            regret_rows.append((best_fixed - realized) / t)
+            avg_regret = (best_fixed - realized) / t
+            regret_rows.append(avg_regret)
             if gap_mode == "qcce":
-                gap_rows.append(
-                    [[exploitability(game, i, rho_bar[b]) for i in range(k)] for b, game in enumerate(games)]
-                )
+                # by linearity, the deviation gap of the joint average is the average regret
+                gap_rows.append(np.maximum(avg_regret, 0.0))
             else:
                 # at a product state, player i's deviation gap is lambda_max(G_i) - Tr(rho_i G_i)
                 avg = [herm(m / t) for m in marginal_sums]
@@ -624,7 +632,7 @@ def run_game(
             finite = [b for b in per_learner if not np.isnan(b)]
             bound_rows.append(bound_scale * max(finite) if finite else float("nan"))
             joint_eig_rows.append(np.flip(kron_eigvalsh(*strategies), axis=-1))
-            avg_eig_rows.append(np.flip(np.sort(np.linalg.eigvalsh(rho_bar), axis=-1), axis=-1))
+            avg_eig_rows.append(np.flip(np.linalg.eigvalsh(joint_sum / t), axis=-1))
             for i in qubit_players:
                 bloch_rows[i].append([bloch_coords(s) for s in strategies[i]])
 

@@ -31,9 +31,16 @@ def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarra
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
     try:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        # complex() takes booleans as 1 and 0, so they are filtered out and counted as bad entries
+        flat = np.array(
+            [complex(re, im) for re, im in entries if type(re) is not bool and type(im) is not bool], dtype=complex
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix entries must be [re, im] pairs of numbers: {exc}") from None
+    if len(flat) != len(entries):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers, not booleans")
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries must be finite")
     return flat.reshape(rows, cols)
 
 
@@ -72,7 +79,10 @@ def write_json(path, obj: Any) -> None:
 
 def read_json(path) -> Any:
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def sha256_file(path) -> str:

@@ -223,6 +223,13 @@ def _bad_matrix_entry(obj):
     return {**obj, "edges": [{**obj["edges"][0], "r_ij": [[None, 0.0]] + obj["edges"][0]["r_ij"][1:]}] + obj["edges"][1:]}
 
 
+def _bool_matrix_entry(obj):
+    # the first entry sits on the diagonal, so its imaginary part is 0.0 and False has the same value
+    first, *rest = obj["tensors"][0]
+    assert first[1] == 0.0
+    return {**obj, "tensors": [[[first[0], False]] + rest] + obj["tensors"][1:]}
+
+
 @pytest.mark.parametrize(
     "kind, corrupt",
     [
@@ -233,10 +240,11 @@ def _bad_matrix_entry(obj):
         ("general", _unknown_kind),
         ("general", _matrix_not_a_list),
         ("polymatrix", _bad_matrix_entry),
+        ("general", _bool_matrix_entry),
     ],
     ids=[
         "null-tensors", "null-edges", "edge-out-of-range", "duplicate-edge",
-        "unknown-kind", "matrix-not-a-list", "bad-matrix-entry",
+        "unknown-kind", "matrix-not-a-list", "bad-matrix-entry", "bool-matrix-entry",
     ],
 )
 def test_run_rejects_malformed_game_fields(tmp_path, capsys, kind, corrupt):
@@ -326,6 +334,20 @@ def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):
         rc = main(["verify", "--game", str(game), "--state", str(state), "--kind", "qcce"])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), name
+
+
+def test_deeply_nested_files_exit_1(tmp_path, capsys):
+    game, state = tmp_path / "g.json", tmp_path / "s.json"
+    ser.save_game(game, qg.random_game((2, 2), 1))
+    ser.save_state(state, np.eye(4) / 4, (2, 2))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    for argv in (["verify", "--game", str(deep), "--state", str(state), "--kind", "qcce"],
+                 ["verify", "--game", str(game), "--state", str(deep), "--kind", "qcce"],
+                 ["run", "--game", str(deep), "--eta", "0.1", "--T", "3", "--out", str(tmp_path / "run")]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "nested too deeply" in err, argv
 
 
 def test_verify_malformed_files_exit_2(tmp_path, capsys):

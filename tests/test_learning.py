@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgames as qg
 from qgames.tensor import maxabs
@@ -265,14 +267,44 @@ def test_zero_sum_sandwich_around_game_value():
     assert cert.upper <= ref.upper + 2 * eps + 1e-9
 
 
-def test_qcce_gap_of_average_equals_average_regret():
-    # the coarse-deviation gap of the joint average equals the average regret
-    g = qg.random_game((2, 2), 8)
-    learners = [qg.MMWU(2, qg.fixed_schedule(0.2)) for _ in range(2)]
-    traj = qg.run_game(g, learners, 150, stride=150)
-    rep = qg.is_qcce(g, traj.joint_average())
-    for i in range(2):
-        assert abs(rep.gaps[i] - qg.external_regret(traj, i)) < 1e-8
+QCCE_TEAMS = {
+    "mmwu": lambda d, B: qg.MMWU(d, qg.fixed_schedule(0.2), batch=B),
+    "mmwu-doubling": lambda d, B: qg.MMWU(d, qg.doubling_schedule(2), batch=B),
+    "ftrl": lambda d, B: qg.FrobeniusFTRL(d, 0.2, batch=B),
+}
+
+
+@st.composite
+def qcce_runs(draw):
+    dims = draw(st.sampled_from([(2, 3, 2), (4, 4)]))
+    B = draw(st.sampled_from([1, 3]))
+    scripted = B == 1 and draw(st.booleans())   # scripted learners play a single game
+    kinds = draw(st.lists(st.sampled_from(sorted(QCCE_TEAMS)), min_size=len(dims), max_size=len(dims)))
+    T = draw(st.integers(1, 40))
+    return dims, draw(st.booleans()), B, scripted, kinds, T, draw(st.sampled_from([1, 7, T])), draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=40)
+@given(qcce_runs())
+def test_qcce_gap_of_average_equals_average_regret(run):
+    # the runner's qcce gap column is the clamped average regret, which by linearity is the
+    # coarse-deviation gap of the joint average that is_qcce computes in joint space
+    dims, polymatrix, B, scripted, kinds, T, stride, seed = run
+    if polymatrix:
+        games = [qg.random_polymatrix(dims, qg.graph_edges("cycle", len(dims)), seed + b) for b in range(B)]
+    else:
+        games = [qg.random_game(dims, seed + b) for b in range(B)]
+    if scripted:
+        learners = qg.scripted_team([0.3, 0.7], rand_profiles(2, dims, seed))
+    else:
+        learners = [QCCE_TEAMS[kind](d, B) for kind, d in zip(kinds, dims)]
+    trajs = qg.run_game(games, learners, T, stride=stride, gap_mode="qcce")
+    for g, traj in zip(games, trajs):
+        assert np.array_equal(traj.gaps, np.maximum(traj.avg_regret, 0.0))
+        rep = qg.is_qcce(g, traj.joint_average())
+        for i in range(len(dims)):
+            assert abs(rep.gaps[i] - qg.external_regret(traj, i)) <= 1e-12
+            assert abs(traj.gaps[-1, i] - qg.exploitability(g, i, traj.joint_average())) <= 1e-12
 
 
 # -- scripted learners --------------------------------------------------------------------
