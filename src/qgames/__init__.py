@@ -62,7 +62,6 @@ from .learning import (
     Constant,
     FrobeniusFTRL,
     MMWU,
-    RegretReport,
     Schedule,
     ScriptedNoRegret,
     Trajectory,
@@ -70,7 +69,6 @@ from .learning import (
     external_regret,
     fixed_schedule,
     horizon_for_epsilon,
-    regret_report,
     run_game,
     scripted_team,
 )
@@ -83,7 +81,6 @@ from .tensor import (
     exp_density,
     herm,
     herm_eig,
-    herm_exp,
     hs_inner,
     kron,
     lambda_max,

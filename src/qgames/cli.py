@@ -16,6 +16,8 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -132,21 +134,6 @@ def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, batc
     return names, learners
 
 
-def _load_or_generate(args, outdir: Path, seed: int):
-    """(game file path, game) for one run: --game as given, or a fresh seeded game saved in outdir."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.game is not None:
-        game_path = Path(args.game)
-        _, game = load_game(game_path)
-        return game_path, game
-    if args.kind is None:
-        raise ValueError("either --game or an inline --kind spec is required")
-    game = _generate(args.kind, _parse_dims(args.dims), seed, args.graph, args.pairwise_zero_sum)
-    game_path = outdir / "game.json"
-    save_game(game_path, game, seed=seed)
-    return game_path, game
-
-
 def cmd_run(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
@@ -155,15 +142,27 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     outdirs = [out] if args.runs == 1 else [out / f"run_{rid:03d}" for rid in range(args.runs)]
     seeds = [args.seed + rid for rid in range(args.runs)]
-    loaded = [_load_or_generate(args, outdir, seed) for outdir, seed in zip(outdirs, seeds)]
+    # everything that can reject the flags runs before the first file is written
+    if args.game is not None:
+        games = [load_game(args.game)[1]]
+    elif args.kind is None:
+        raise ValueError("either --game or an inline --kind spec is required")
+    else:
+        dims = _parse_dims(args.dims)
+        games = [_generate(args.kind, dims, seed, args.graph, args.pairwise_zero_sum) for seed in seeds]
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
-    games = [game for _, game in loaded]
     gap_mode, bound_scale, schedule, horizon = _run_setup(games[0], args)
     names, learners = _make_learners(args.learners, games[0], schedule, batch=args.runs)
     stride = args.stride if args.stride is not None else max(1, horizon // 1000)
     trajs = run_game(games, learners, horizon, stride=stride, gap_mode=gap_mode, bound_scale=bound_scale)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
-    for outdir, seed, (game_path, _), traj in zip(outdirs, seeds, loaded, trajs):
+    for outdir, seed, game, traj in zip(outdirs, seeds, games, trajs):
+        outdir.mkdir(parents=True, exist_ok=True)
+        if args.game is not None:
+            game_path = Path(args.game)
+        else:
+            game_path = outdir / "game.json"
+            save_game(game_path, game, seed=seed)
         write_trajectory_csv(outdir / "trajectory.csv", traj)
         manifest = manifest_obj(
             game_hash=sha256_file(game_path),
@@ -181,6 +180,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     _, game = load_game(args.game)
     dims, rho = load_state(args.state)
     if dims != game.dims:
@@ -229,6 +230,7 @@ def cmd_maxent(args) -> int:
     return 0
 
 
+@cache   # built once per process: argparse set-up costs more than a small run's rounds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgames", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

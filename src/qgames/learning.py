@@ -36,7 +36,7 @@ from .tensor import (
     exp_density_stack,
     herm,
     kron,
-    kron_eigvalsh,
+    kron_spectrum,
     lambda_max,
     maxabs,
     project_to_density_stack,
@@ -411,25 +411,10 @@ def external_regret(traj: Trajectory, i: int, average: bool = True) -> float:
     return reg / traj.T if average else reg
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    """Average external regret per player next to the stepsize bound."""
-
-    avg_regret: tuple[float, ...]
-    T: int
-    bound: float
-
-
-def regret_report(traj: Trajectory, schedule: Schedule) -> RegretReport:
-    regs = tuple(external_regret(traj, i) for i in range(traj.n_players))
-    bound = max(schedule.average_bound(traj.T, d) for d in traj.dims)
-    return RegretReport(regs, traj.T, bound)
-
-
 def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a^dag b) for each matrix pair of two (B, d, d) stacks."""
-    B = a.shape[0]
-    return (a.reshape(B, 1, -1).conj() @ b.reshape(B, -1, 1)).real[:, 0, 0]
+    """Re Tr(a^dag b) for each matrix pair of two (..., d, d) stacks."""
+    lead = a.shape[:-2]
+    return (a.reshape(lead + (1, -1)).conj() @ b.reshape(lead + (-1, 1))).real[..., 0, 0]
 
 
 FOLD_FLOOR = 1 << 10  # entries per game a fold window may use however small the joint space
@@ -452,6 +437,58 @@ def _fold_plan(dims: Sequence[int]) -> tuple[int, int]:
 def _kron_or_identity(factors: list[np.ndarray], lead: tuple[int, ...]) -> np.ndarray:
     """kron of factor stacks with leading shape ``lead``, or a stack of 1x1 identities for no factor."""
     return kron(*factors) if factors else np.ones(lead + (1, 1), dtype=complex)
+
+
+def _gain_contraction(games: Sequence[Game], group_dims: list[int], where: list[tuple[int, int]]):
+    """The stacked gain map of a batch of games over player groups.
+
+    Player i sits in slot ``where[i][1]`` of the stack of group ``where[i][0]``,
+    whose players have register dim ``group_dims[g]``.  The games' gain terms
+    are compiled once into term groups, one per shape ``(d_i, dims of regs)``:
+    an ``(M, B, d_i^2, r^2)`` operator stack over the terms and games, and the
+    group and slots of the register at each position.  The returned map takes
+    one ``(m_g, B, d, d)`` strategy stack per group and returns the groups'
+    gain stacks: per term group one gather and kron of the sources and one
+    matmul into rows of its target group's buffer, then per player group one
+    scatter-add that sums each player's terms in ``gain_terms`` order
+    (ascending regs), one after the other, as a per-player loop would.
+    """
+    B = len(games)
+    dims = games[0].dims
+    by_shape = {}
+    for i, player_terms in enumerate(games[0].gain_terms):
+        for m, (regs, _) in enumerate(player_terms):
+            by_shape.setdefault((dims[i], tuple(dims[r] for r in regs)), []).append((i, m, regs))
+    term_groups, rows = [], [[] for _ in group_dims]    # rows[g]: (player, term index) per buffer row
+    for (d, reg_dims), entries in by_shape.items():
+        g = group_dims.index(d)
+        ops = np.stack([np.stack([game.gain_terms[i][m].op for game in games]) for i, m, _ in entries])
+        sources = [
+            (group_dims.index(rd), np.array([where[regs[p]][1] for _, _, regs in entries]))
+            for p, rd in enumerate(reg_dims)
+        ]
+        lo = len(rows[g])
+        rows[g] += [(i, m) for i, m, _ in entries]
+        term_groups.append((ops, sources, g, slice(lo, len(rows[g]))))
+    buffers = [np.empty((len(r), B, d * d, 1), dtype=complex) for r, d in zip(rows, group_dims)]
+    scatter = []    # per group: the target slot of each buffer row, and the rows in (player, term) order
+    for r in rows:
+        order = sorted(range(len(r)), key=r.__getitem__)
+        scatter.append((np.array([where[r[c][0]][1] for c in order], dtype=np.intp), np.array(order, dtype=np.intp)))
+    sizes = [sum(1 for g, _ in where if g == gi) for gi in range(len(group_dims))]
+
+    def contract(stacks: list[np.ndarray]) -> list[np.ndarray]:
+        for ops, sources, g, span in term_groups:
+            vec = _kron_or_identity([stacks[s][slots] for s, slots in sources], ops.shape[:2])
+            np.matmul(ops, vec.reshape(ops.shape[:2] + (-1, 1)), out=buffers[g][span])
+        gains = []
+        for m, d, buf, (targets, order) in zip(sizes, group_dims, buffers, scatter):
+            acc = np.zeros((m, B, d * d, 1), dtype=complex)
+            np.add.at(acc, targets, buf[order])
+            gains.append(herm(acc.reshape(m, B, d, d)))
+        return gains
+
+    return contract
 
 
 def run_game(
@@ -478,9 +515,17 @@ def run_game(
     fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
     final round.  The run is deterministic given the game and learners.
 
-    Gains go through the game's compiled ``gain_terms``, so a
-    :class:`PolymatrixGame` is played edge by edge and its dense joint
-    tensors are never built; only the running joint average is joint-sized.
+    The round works on player groups, the players of one register
+    dimension, each held as one ``(m, B, d, d)`` stack of strategies, gains
+    and running sums.  Gains go through the game's compiled ``gain_terms``,
+    so a :class:`PolymatrixGame` is played edge by edge and its dense joint
+    tensors are never built.  The terms are compiled once per run into term
+    groups, one per shape ``(d_i, dims of regs)``; each round a term group
+    gathers its source registers, forms their kron and applies all its
+    operators in one matmul, and one scatter-add per player group sums each
+    player's terms in ``gain_terms`` order.  Utilities, running sums,
+    checkpoint spectra and the window then take one call per player group.
+    Only the running joint average is joint-sized.
     No joint product state is formed per round: each round's strategies are
     copied into a window, and at every checkpoint (and whenever the window
     is full) the window is folded into ``joint_sum`` as ``sum_s L_s (x) R_s``,
@@ -489,13 +534,14 @@ def run_game(
     ``joint_sum`` (or a small fixed floor), whatever T and ``stride`` are.
 
     :class:`MMWU` and :class:`FrobeniusFTRL` learners (subclasses included)
-    whose states share one shape compute each round's strategies in one
-    stacked kernel call, bit-identical per matrix to their own ``strategy``;
-    any other learner is asked for its ``strategy`` alone.
+    of one kernel and state shape compute each round's strategies in one
+    stacked kernel call, written straight into their group's stack and
+    bit-identical per matrix to their own ``strategy``; any other learner is
+    asked for its ``strategy`` alone.
 
     ``g`` may also be a sequence of B games of one kind with one register
     layout (and, for polymatrix games, one edge set).  They are played in
-    lockstep, every array of the round loop carrying a leading batch axis, by
+    lockstep, every array of the round loop carrying a batch axis, by
     learners built with ``batch=B`` (``learners[i]`` plays register i of
     every game), and the result is one trajectory per game.  Each is
     bit-identical to a batch holding that game alone.  A single game is the
@@ -527,97 +573,108 @@ def run_game(
     if stride < 1:
         raise ValueError("checkpoint stride must be >= 1")
 
-    # a learner's own batch shape: () for a single learner, (B,) for a batch
-    leads = [np.shape(ln.strategy)[:-2] for ln in learners]
+    # a learner's own batch shape: () for a single learner, (B,) for a batch; a spectral
+    # learner's strategy has the shape of its sum, so only the others are asked to play
+    spectral = (MMWU, FrobeniusFTRL)
+    leads = [np.shape(ln._sum if isinstance(ln, spectral) else ln.strategy)[:-2] for ln in learners]
     for i, lead in enumerate(leads):
         if lead != (B,) and not (lead == () and B == 1):
             raise ValueError(f"learner {i} plays a batch of shape {lead}, expected ({B},)")
 
-    # terms[i]: player i's gain terms, each (regs, (B, d_i^2, r^2) operator stack over the games)
-    terms = [
-        [(regs, np.stack([game.gain_terms[i][m].op for game in games])) for m, (regs, _) in enumerate(player_terms)]
-        for i, player_terms in enumerate(games[0].gain_terms)
-    ]
+    # player group g: the players of register dim group_dims[g], ascending, as the slots of
+    # (m_g, B, d, d) stacks; player i sits in slot where[i][1] of group where[i][0]
+    group_dims = sorted(set(dims))
+    members = [[i for i, d in enumerate(dims) if d == gd] for gd in group_dims]
+    where = [(group_dims.index(d), dims[:i].count(d)) for i, d in enumerate(dims)]
+    shapes = [(len(ids), B, d, d) for ids, d in zip(members, group_dims)]
 
-    def product(states: list[np.ndarray], regs: tuple[int, ...], memo: dict) -> np.ndarray:
-        """vec of the kron of states[r] over regs, as (B, -1, 1), formed once per memo."""
-        if regs not in memo:
-            memo[regs] = _kron_or_identity([states[r] for r in regs], (B,)).reshape(B, -1, 1)
-        return memo[regs]
+    def player(stacks: list[np.ndarray], i: int) -> np.ndarray:
+        g, s = where[i]
+        return stacks[g][s]
 
-    def gains_against(states: list[np.ndarray], memo: dict) -> list[np.ndarray]:
-        """Each player's (B, d, d) gain when register r plays states[r]."""
-        gains = []
-        for i, d in enumerate(dims):
-            acc = None if terms[i] else np.zeros((B, d * d, 1), dtype=complex)
-            for regs, op in terms[i]:
-                part = op @ product(states, regs, memo)
-                acc = part if acc is None else acc + part
-            gains.append(herm(acc.reshape(B, d, d)))
-        return gains
+    def per_player(rows: list[np.ndarray]) -> np.ndarray:
+        """The (B, k) table of one (m_g, B) row stack per player group."""
+        out = np.empty((B, k))
+        for ids, r in zip(members, rows):
+            out[:, ids] = r.T
+        return out
+
+    contract = _gain_contraction(games, group_dims, where)
 
     n = prod(dims)
     joint_sum = np.zeros((B, n, n), dtype=complex)
-    # window[i][:, s]: player i's strategy s rounds after the last fold, a copy (a learner
-    # may reuse its array); folded into joint_sum as sum_s L_s (x) R_s, L on registers [:h]
+    # window[g][:, :, s]: group g's strategies s rounds after the last fold; folded into
+    # joint_sum as sum_s L_s (x) R_s, L on registers [:h]
     h, cap = _fold_plan(dims)
     n_l, n_r = prod(dims[:h]), prod(dims[h:])
-    window = [np.empty((B, min(cap, stride, T), d, d), dtype=complex) for d in dims]
+    window = [np.empty((m, B, min(cap, stride, T), d, d), dtype=complex) for m, _, d, _ in shapes]
 
     def fold(w: int) -> None:
-        left = _kron_or_identity([buf[:, :w] for buf in window[:h]], (B, w)).reshape(B, w, -1)
-        right = _kron_or_identity([buf[:, :w] for buf in window[h:]], (B, w)).reshape(B, w, -1)
+        left = _kron_or_identity([player(window, i)[:, :w] for i in range(h)], (B, w)).reshape(B, w, -1)
+        right = _kron_or_identity([player(window, i)[:, :w] for i in range(h, k)], (B, w)).reshape(B, w, -1)
         outer = left.transpose(0, 2, 1) @ right    # (B, n_L^2, n_R^2): sum over the window
-        joint_sum[...] += outer.reshape(B, n_l, n_l, n_r, n_r).transpose(0, 1, 3, 2, 4).reshape(B, n, n)
+        # added in place through a strided view: no n x n temporary
+        joint_sum.reshape(B, n_l, n_r, n_l, n_r)[...] += outer.reshape(B, n_l, n_l, n_r, n_r).transpose(0, 1, 3, 2, 4)
 
-    marginal_sums = [np.zeros((B, d, d), dtype=complex) for d in dims]
-    cum_gain = [np.zeros((B, d, d), dtype=complex) for d in dims]
-    realized = np.zeros((B, k))
+    marginal_sums = [np.zeros(shape, dtype=complex) for shape in shapes]
+    cum_gain = [np.zeros(shape, dtype=complex) for shape in shapes]
+    realized = [np.zeros((m, B)) for m, *_ in shapes]
 
     check_ts, utils_rows, regret_rows, gap_rows, bound_rows = [], [], [], [], []
     joint_eig_rows, avg_eig_rows = [], []
     qubit_players = [i for i, d in enumerate(dims) if d == 2]
     bloch_rows = {i: [] for i in qubit_players}
 
-    # MMWU and FTRL learners of one state shape compute their strategies in one stacked
-    # kernel call; the kernels are spectral maps, bit-identical per matrix to separate calls
-    spectral = [ln for ln in learners if isinstance(ln, (MMWU, FrobeniusFTRL))]
+    # MMWU and FTRL learners of one kernel and state shape play one stacked kernel call, written
+    # into their slots; the kernels are spectral maps, bit-identical per matrix to separate calls
+    by_kernel = {}
+    for i, ln in enumerate(learners):
+        if isinstance(ln, spectral):
+            by_kernel.setdefault((ln.kernel, ln._sum.shape), []).append(i)
+    stacked = []
+    for (kernel, _), ids in by_kernel.items():
+        g = where[ids[0]][0]
+        slots = np.array([where[i][1] for i in ids])
+        stacked.append((kernel, [learners[i] for i in ids], g, slots, (len(ids),) + shapes[g][1:]))
+    alone = [(ln, *where[i]) for i, ln in enumerate(learners) if not isinstance(ln, spectral)]
+    strategies = [np.empty(shape, dtype=complex) for shape in shapes]
 
-    def play() -> list[np.ndarray]:
-        stale = {}
-        for ln in spectral:
-            if ln._cached is None:
-                stale.setdefault((ln.kernel, ln._sum.shape), []).append(ln)
-        for (kernel, _), group in stale.items():
-            for ln, s in zip(group, kernel(np.stack([ln._scaled_sum() for ln in group]))):
-                ln._cached = s
-        return [np.reshape(ln.strategy, (B, d, d)) for ln, d in zip(learners, dims)]
+    def play() -> None:
+        for kernel, group, g, slots, shape in stacked:
+            strategies[g][slots] = kernel(np.array([ln._scaled_sum() for ln in group])).reshape(shape)
+        for ln, g, s in alone:
+            strategies[g][s] = np.reshape(ln.strategy, shapes[g][1:])
 
-    watchers = [getattr(ln, "watches_opponents", False) for ln in learners]
-    strategies = play()
+    # each learner's update: (learner, group, slot, its gain shape, and, if it watches the
+    # opponents, their registers and the shape of their joint state)
+    updates = []
+    for i, ln in enumerate(learners):
+        rest = n // dims[i]
+        watched = (_others(k, i), leads[i] + (rest, rest)) if getattr(ln, "watches_opponents", False) else None
+        updates.append((ln, *where[i], leads[i] + (dims[i], dims[i]), watched))
+
+    play()
     filled = 0
     for t in range(1, T + 1):
         for buf, s in zip(window, strategies):
-            buf[:, filled] = s
+            buf[:, :, filled] = s
         filled += 1
         checkpoint = t % stride == 0 or t == T
-        if checkpoint or filled == window[0].shape[1]:
+        if checkpoint or filled == window[0].shape[2]:
             fold(filled)
             filled = 0
-        memo = {}
-        gains = gains_against(strategies, memo)
-        utils = np.empty((B, k))
-        for i in range(k):
-            utils[:, i] = _pairing(strategies[i], gains[i])
-            marginal_sums[i] += strategies[i]
-            cum_gain[i] += gains[i]
-        realized += utils
+        gains = contract(strategies)
+        utils = [_pairing(s, gain) for s, gain in zip(strategies, gains)]
+        for msum, cum, r, s, gain, u in zip(marginal_sums, cum_gain, realized, strategies, gains, utils):
+            msum += s
+            cum += gain
+            r += u
 
         if checkpoint:
             check_ts.append(t)
-            utils_rows.append(utils)
-            best_fixed = np.stack([np.linalg.eigvalsh(c)[:, -1] for c in cum_gain], axis=1)
-            avg_regret = (best_fixed - realized) / t
+            utils_rows.append(per_player(utils))
+            best_fixed = per_player([np.linalg.eigvalsh(c)[..., -1] for c in cum_gain])
+            avg_regret = (best_fixed - per_player(realized)) / t
             regret_rows.append(avg_regret)
             if gap_mode == "qcce":
                 # by linearity, the deviation gap of the joint average is the average regret
@@ -625,30 +682,31 @@ def run_game(
             else:
                 # at a product state, player i's deviation gap is lambda_max(G_i) - Tr(rho_i G_i)
                 avg = [herm(m / t) for m in marginal_sums]
-                avg_gains = gains_against(avg, {})
-                gaps = [np.linalg.eigvalsh(gain)[:, -1] - _pairing(a, gain) for a, gain in zip(avg, avg_gains)]
-                gap_rows.append(np.maximum(np.stack(gaps, axis=1), 0.0))
+                gaps = [np.linalg.eigvalsh(gain)[..., -1] - _pairing(a, gain) for a, gain in zip(avg, contract(avg))]
+                gap_rows.append(np.maximum(per_player(gaps), 0.0))
             per_learner = [ln.average_regret_bound(t) for ln in learners]
             finite = [b for b in per_learner if not np.isnan(b)]
             bound_rows.append(bound_scale * max(finite) if finite else float("nan"))
-            joint_eig_rows.append(np.flip(kron_eigvalsh(*strategies), axis=-1))
+            spectra = [np.linalg.eigvalsh(s) for s in strategies]
+            joint_eig_rows.append(np.flip(kron_spectrum([player(spectra, i) for i in range(k)]), axis=-1))
             avg_eig_rows.append(np.flip(np.linalg.eigvalsh(joint_sum / t), axis=-1))
             for i in qubit_players:
-                bloch_rows[i].append([bloch_coords(s) for s in strategies[i]])
+                bloch_rows[i].append([bloch_coords(s) for s in player(strategies, i)])
 
-        for i, ln in enumerate(learners):
+        for ln, g, s, shape, watched in updates:
             opponents = None
-            if watchers[i]:
-                rest = n // dims[i]
-                opponents = product(strategies, _others(k, i), memo).reshape(leads[i] + (rest, rest))
-            ln._update(gains[i].reshape(leads[i] + gains[i].shape[1:]), opponents)
+            if watched is not None:
+                others, opponents_shape = watched
+                opponents = _kron_or_identity([player(strategies, j) for j in others], (B,)).reshape(opponents_shape)
+            ln._update(gains[g][s].reshape(shape), opponents)
         if t < T:
-            strategies = play()
+            play()
 
     # per-checkpoint rows are (C, B, ...); game b reads slice [:, b]
     utils, avg_regret, gaps = np.asarray(utils_rows), np.asarray(regret_rows), np.asarray(gap_rows)
     joint_eigs, avg_joint_eigs = np.asarray(joint_eig_rows), np.asarray(avg_eig_rows)
     bloch = {i: np.asarray(rows) for i, rows in bloch_rows.items()}
+    realized = per_player(realized)
     trajs = [
         Trajectory(
             dims=dims,
@@ -664,10 +722,10 @@ def run_game(
             avg_joint_eigs=avg_joint_eigs[:, b],
             bloch={i: rows[:, b] for i, rows in bloch.items()},
             joint_sum=joint_sum[b],
-            marginal_sums=[m[b] for m in marginal_sums],
-            cum_gain=[c[b] for c in cum_gain],
+            marginal_sums=[player(marginal_sums, i)[b] for i in range(k)],
+            cum_gain=[player(cum_gain, i)[b] for i in range(k)],
             realized=realized[b],
-            final_strategies=[s[b] for s in strategies],
+            final_strategies=[player(strategies, i)[b] for i in range(k)],
         )
         for b in range(B)
     ]

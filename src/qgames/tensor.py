@@ -178,18 +178,18 @@ def lambda_min(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(np.asarray(h, dtype=complex)))[0])
 
 
-def kron_eigvalsh(*mats: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``kron(*mats)`` for Hermitian factors, from the factors' spectra.
+def kron_spectrum(spectra: Sequence[np.ndarray]) -> np.ndarray:
+    """Ascending spectrum of a tensor product from its factors' (..., d) spectra.
 
-    The spectrum of a tensor product is every product of one eigenvalue per
-    factor, so only factor-sized eigensolvers run.  Acts on (..., d, d)
-    stacks like :func:`kron`.
+    The spectrum of ``kron(*mats)`` for Hermitian factors is every product of
+    one eigenvalue per factor, so ``kron_spectrum([eigvalsh(m) for m in mats])``
+    runs only factor-sized eigensolvers.  Acts on stacks like :func:`kron`.
     """
-    if not mats:
-        raise ValueError("kron_eigvalsh needs at least one matrix")
-    spec = np.linalg.eigvalsh(mats[0])
-    for m in mats[1:]:
-        pairs = spec[..., :, None] * np.linalg.eigvalsh(m)[..., None, :]
+    if not spectra:
+        raise ValueError("kron_spectrum needs at least one spectrum")
+    spec = spectra[0]
+    for s in spectra[1:]:
+        pairs = spec[..., :, None] * s[..., None, :]
         spec = pairs.reshape(pairs.shape[:-2] + (-1,))
     return np.sort(spec, axis=-1)
 
@@ -197,17 +197,6 @@ def kron_eigvalsh(*mats: np.ndarray) -> np.ndarray:
 def spectral_norm(h: np.ndarray) -> float:
     vals = np.linalg.eigvalsh(herm(np.asarray(h, dtype=complex)))
     return float(np.max(np.abs(vals)))
-
-
-def herm_exp(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via eigendecomposition.
-
-    Always Hermitian positive definite.  Callers that need ``exp(h)``
-    normalized to a density should use :func:`exp_density`, which subtracts
-    the top eigenvalue before exponentiating and therefore never overflows.
-    """
-    vals, vecs = herm_eig(h)
-    return herm((vecs * np.exp(vals)) @ dagger(vecs))
 
 
 def exp_density(h: np.ndarray) -> np.ndarray:

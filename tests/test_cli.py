@@ -336,6 +336,38 @@ def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):
         assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), name
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-6"])
+@pytest.mark.parametrize("kind", ["qcce", "qne", "zs-value"])
+def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
+    # the maximally mixed state is no 1e-6 certificate of these games; no --tol may make it one
+    game, state = tmp_path / "g.json", tmp_path / "s.json"
+    ser.save_game(game, qg.random_game((2, 2), 8, "zero_sum" if kind == "zs-value" else "general"))
+    ser.save_state(state, np.eye(4) / 4, (2, 2))
+    rc = main(["verify", "--game", str(game), "--state", str(state), "--kind", kind, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err.startswith("error: --tol"), captured.err
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--T", "5", "--eta", "0.1", "--stride", "0"],
+        ["--T", "0", "--eta", "0.1"],
+        ["--T", "5", "--eta", "0.1", "--learners", "mmwu"],
+        ["--T", "5"],
+        ["--T", "5", "--schedule", "doubling", "--learners", "ftrl,mmwu"],
+    ],
+    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling"],
+)
+def test_rejected_run_writes_nothing(tmp_path, capsys, flags, runs):
+    out = tmp_path / "o"
+    rc = main(["run", "--kind", "general", "--dims", "2,2", *flags, "--runs", str(runs), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_deeply_nested_files_exit_1(tmp_path, capsys):
     game, state = tmp_path / "g.json", tmp_path / "s.json"
     ser.save_game(game, qg.random_game((2, 2), 1))

@@ -93,14 +93,44 @@ def test_best_fixed_strategy_is_top_eigenprojector():
     assert sampled <= qg.lambda_max(total) + 1e-9
 
 
-def test_regret_report_bound_holds():
-    g = qg.random_game((2, 2), 2)
-    sched = qg.fixed_schedule(0.2)
-    learners = [qg.MMWU(2, sched) for _ in range(2)]
-    traj = qg.run_game(g, learners, 300, stride=300)
-    rep = qg.regret_report(traj, sched)
-    assert all(r <= rep.bound + 1e-6 for r in rep.avg_regret)
-    assert rep.T == 300
+@st.composite
+def bounded_runs(draw):
+    """A random game with its CLI gap mode and bound scale, a batch, and an MMWU team."""
+    setting = draw(st.sampled_from(["general", "zero-sum", "polymatrix", "polymatrix-general"]))
+    if setting == "zero-sum":
+        dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=2)))
+    else:
+        dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4)))
+    B = draw(st.integers(1, 3))
+    schedules = draw(st.lists(st.sampled_from([0.05, 0.3, 1.0, "doubling"]), min_size=len(dims), max_size=len(dims)))
+    T = draw(st.integers(1, 80))
+    return setting, dims, B, schedules, T, draw(st.sampled_from([1, 7, T])), draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=40)
+@given(bounded_runs())
+def test_gap_and_regret_stay_within_bound(run):
+    # ROADMAP aim 3: gap <= bound and each learner's average regret <= its own bound, every checkpoint
+    setting, dims, B, schedules, T, stride, seed = run
+    k = len(dims)
+    if setting == "general":
+        games, gap_mode, scale = [qg.random_game(dims, seed + b) for b in range(B)], "qcce", 1.0
+    elif setting == "zero-sum":
+        games, gap_mode, scale = [qg.random_game(dims, seed + b, "zero_sum") for b in range(B)], "qne", 2.0
+    else:
+        graph = qg.graph_edges(["cycle", "path", "complete"][seed % 3], k)
+        zero_sum = setting == "polymatrix"
+        games = [qg.random_polymatrix(dims, graph, seed + b, zero_sum) for b in range(B)]
+        gap_mode, scale = ("qne", float(k)) if zero_sum else ("qcce", 1.0)
+    learners = [
+        qg.MMWU(d, qg.doubling_schedule(4) if s == "doubling" else qg.fixed_schedule(s), batch=B)
+        for d, s in zip(dims, schedules)
+    ]
+    for traj in qg.run_game(games, learners, T, stride=stride, gap_mode=gap_mode, bound_scale=scale):
+        assert np.max(traj.gaps - traj.bound[:, None]) <= 1e-9
+        for row, t in enumerate(traj.checkpoints):
+            for i, ln in enumerate(learners):
+                assert traj.avg_regret[row, i] <= ln.average_regret_bound(int(t)) + 1e-9
 
 
 # -- horizon calculator --------------------------------------------------------------

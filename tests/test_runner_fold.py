@@ -141,3 +141,136 @@ def test_scripted_team_member_plays_alone_next_to_stacked_learners():
     traj = qg.run_game(g, stacked_team, 60, stride=10)
     assert stacked_team[0]._fallback is not None
     assert_same_bits(traj, qg.run_game(g, [OneAtATime(ln) for ln in team()], 60, stride=10))
+
+
+def star_edges(k):
+    return [(0, j) for j in range(1, k)]
+
+
+def reference_run(games, learners, T, stride, gap_mode, bound_scale):
+    """The round loop one player at a time, as (field, value) pairs of each game's Trajectory.
+
+    Each round reads every learner's ``strategy``, forms each player's gain with
+    ``gain_matrix`` against the kron of the other players' strategies, game by game,
+    and then lets the learners ``observe`` their gains one after the other.
+    """
+    dims, B = games[0].dims, len(games)
+    k, n = len(dims), prod(dims)
+    others = [[j for j in range(k) if j != i] for i in range(k)]
+    leads = [np.shape(ln.strategy)[:-2] for ln in learners]
+    joint = np.zeros((B, n, n), dtype=complex)
+    msum = [np.zeros((B, d, d), dtype=complex) for d in dims]
+    cum = [np.zeros((B, d, d), dtype=complex) for d in dims]
+    realized = np.zeros((B, k))
+    rows = {key: [] for key in ("checkpoints", "utils", "avg_regret", "gaps", "bound", "joint_eigs", "avg_joint_eigs")}
+    bloch = {i: [] for i, d in enumerate(dims) if d == 2}
+    for t in range(1, T + 1):
+        play = [np.array(np.reshape(ln.strategy, (B, d, d))) for ln, d in zip(learners, dims)]
+        joint += qg.kron(*play)
+        gains = [
+            np.stack([qg.gain_matrix(g, i, qg.kron(*(play[j][b] for j in others[i]))) for b, g in enumerate(games)])
+            for i in range(k)
+        ]
+        utils = np.array([[np.vdot(play[i][b], gains[i][b]).real for i in range(k)] for b in range(B)])
+        for i in range(k):
+            msum[i] += play[i]
+            cum[i] += gains[i]
+        realized += utils
+        if t % stride == 0 or t == T:
+            best = np.array([[np.linalg.eigvalsh(cum[i][b])[-1] for i in range(k)] for b in range(B)])
+            avg_regret = (best - realized) / t
+            if gap_mode == "qcce":
+                gaps = np.maximum(avg_regret, 0.0)
+            else:
+                avg = [m / t for m in msum]
+                gaps = np.zeros((B, k))
+                for b, g in enumerate(games):
+                    for i in range(k):
+                        gain = qg.gain_matrix(g, i, qg.kron(*(avg[j][b] for j in others[i])))
+                        gaps[b, i] = max(np.linalg.eigvalsh(gain)[-1] - np.vdot(avg[i][b], gain).real, 0.0)
+            finite = [x for x in (ln.average_regret_bound(t) for ln in learners) if not np.isnan(x)]
+            rows["checkpoints"].append(t)
+            rows["utils"].append(utils)
+            rows["avg_regret"].append(avg_regret)
+            rows["gaps"].append(gaps)
+            rows["bound"].append(bound_scale * max(finite) if finite else np.nan)
+            rows["joint_eigs"].append(np.flip(np.linalg.eigvalsh(qg.kron(*play)), axis=-1))
+            rows["avg_joint_eigs"].append(np.flip(np.linalg.eigvalsh(joint / t), axis=-1))
+            for i in bloch:
+                bloch[i].append([qg.bloch_coords(s) for s in play[i]])
+        for i, ln in enumerate(learners):
+            opponents = None
+            if getattr(ln, "watches_opponents", False):
+                opponents = qg.kron(*(play[j] for j in others[i])).reshape(leads[i] + (n // dims[i],) * 2)
+            ln.observe(gains[i].reshape(leads[i] + gains[i].shape[1:]), opponents)
+    rows = {key: np.asarray(val) for key, val in rows.items()}
+    final = [np.reshape(ln.strategy, (B, d, d)) for ln, d in zip(learners, dims)]
+    return [
+        {
+            **{key: (val if key in ("checkpoints", "bound") else val[:, b]) for key, val in rows.items()},
+            **{f"bloch[{i}]": np.asarray(val)[:, b] for i, val in bloch.items()},
+            "joint_sum": joint[b],
+            **{f"marginal_sums[{i}]": msum[i][b] for i in range(k)},
+            **{f"cum_gain[{i}]": cum[i][b] for i in range(k)},
+            "realized": realized[b],
+            **{f"final_strategies[{i}]": s[b] for i, s in enumerate(play)},
+        }
+        for b in range(B)
+    ], final
+
+
+@st.composite
+def reference_runs(draw):
+    dims = draw(st.sampled_from([(2, 3, 2), (3, 2, 3, 2)]))
+    graph = draw(st.sampled_from(["dense", "path", "star"]))
+    B = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=len(dims), max_size=len(dims)))
+    odd = draw(st.sampled_from(["none", "constant", "scripted"])) if B == 1 else "none"
+    T = draw(st.integers(1, 16))
+    stride = draw(st.sampled_from([1, 7, T]))
+    return dims, graph, B, kinds, odd, T, stride, draw(st.sampled_from(["qcce", "qne"])), draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=40)
+@given(reference_runs())
+def test_stacked_round_matches_per_player_reference(run):
+    # mixed dims make several player groups and term groups; path and star graphs give
+    # players unequal numbers of terms; a Constant or scripted learner shares a group's stack
+    dims, graph, B, kinds, odd, T, stride, gap_mode, seed = run
+    if graph == "dense":
+        games = [qg.random_game(dims, seed + b) for b in range(B)]
+    else:
+        edges = qg.graph_edges("path", len(dims)) if graph == "path" else star_edges(len(dims))
+        games = [qg.random_polymatrix(dims, edges, seed + b) for b in range(B)]
+    rng = np.random.default_rng(seed)
+    profiles = [[qg.random_density(d, rng) for d in dims] for _ in range(2)]
+    deviator = qg.random_density(dims[-1], rng)
+
+    def team():
+        members = [KINDS[kind](d, B) for kind, d in zip(kinds, dims)]
+        if odd == "constant":
+            members[-1] = qg.Constant(deviator)
+        elif odd == "scripted":
+            members[0] = qg.scripted_team([0.5, 0.5], profiles)[0]
+        return members
+
+    stacked_team, reference_team = team(), team()
+    trajs = qg.run_game(games, stacked_team, T, stride=stride, gap_mode=gap_mode, bound_scale=len(dims))
+    expected, final = reference_run(games, reference_team, T, stride, gap_mode, len(dims))
+    for traj, want in zip(trajs, expected, strict=True):
+        got = {}
+        for f in dataclasses.fields(traj):
+            val = getattr(traj, f.name)
+            if isinstance(val, dict):
+                got.update({f"{f.name}[{i}]": x for i, x in val.items()})
+            elif isinstance(val, list):
+                got.update({f"{f.name}[{i}]": x for i, x in enumerate(val)})
+            elif isinstance(val, np.ndarray):
+                got[f.name] = val
+        assert sorted(got) == sorted(want)
+        for key, x in got.items():
+            y = want[key]
+            assert x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-12, equal_nan=True), key
+    # the learners end where the reference learners end
+    for ln, s in zip(stacked_team, final):
+        assert np.allclose(np.reshape(ln.strategy, s.shape), s, rtol=0, atol=1e-12)

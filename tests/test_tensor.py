@@ -10,7 +10,7 @@ from qgames.tensor import (
     PAULI_Z,
     dagger,
     exp_density_stack,
-    kron_eigvalsh,
+    kron_spectrum,
     maxabs,
     project_to_density_stack,
 )
@@ -194,12 +194,16 @@ def test_herm_eig_tie_convention_identity():
 # -- matrix exponential ---------------------------------------------------------
 
 
-def test_herm_exp_trivial():
-    assert maxabs(qg.herm_exp(np.zeros((3, 3))) - np.eye(3)) < 1e-12
-    assert maxabs(qg.herm_exp(np.diag([1.0, -2.0])) - np.diag([np.e, np.exp(-2)])) < 1e-12
+def test_exp_density_is_normalized_and_stable():
+    h = rand_herm(3, 60)
+    rho = qg.exp_density(1000.0 * h)  # would overflow without the shift
+    assert np.isfinite(rho).all()
+    qg.check_density(rho)
+    assert maxabs(qg.exp_density(np.zeros((3, 3))) - np.eye(3) / 3) < 1e-15
+    assert maxabs(qg.exp_density(np.diag([1.0, -2.0])) - np.diag([np.e, np.exp(-2)]) / (np.e + np.exp(-2))) < 1e-15
 
 
-def test_herm_exp_matches_taylor_series():
+def test_exp_density_matches_taylor_series_and_ignores_shifts():
     h = rand_herm(4, 40)
     h /= qg.spectral_norm(h)  # ||h|| = 1 keeps the series well-conditioned
     series = np.zeros_like(h)
@@ -207,25 +211,12 @@ def test_herm_exp_matches_taylor_series():
     for k in range(1, 21):
         series += term
         term = term @ h / k
-    assert maxabs(qg.herm_exp(h) - series) < 1e-8
-
-
-def test_herm_exp_positive_definite_and_shift():
+    assert maxabs(qg.exp_density(h) - series / np.trace(series).real) < 1e-12
     for seed in range(5):
         h = rand_herm(4, 50 + seed)
-        e = qg.herm_exp(h)
-        assert qg.lambda_min(e) > 0
-        c = 0.7
-        lhs = qg.herm_exp(h + c * np.eye(4))
-        rhs = np.exp(c) * e
-        assert maxabs(lhs - rhs) / maxabs(rhs) < 1e-9
-
-
-def test_exp_density_is_normalized_and_stable():
-    h = rand_herm(3, 60)
-    rho = qg.exp_density(1000.0 * h)  # would overflow without the shift
-    assert np.isfinite(rho).all()
-    qg.check_density(rho)
+        rho = qg.exp_density(h)
+        assert qg.lambda_min(rho) > 0
+        assert maxabs(qg.exp_density(h + 0.7 * np.eye(4)) - rho) < 1e-12
 
 
 # -- extreme eigenvalues ----------------------------------------------------------
@@ -390,7 +381,8 @@ def density_factor_stacks(draw):
 @settings(deadline=None)
 @given(density_factor_stacks())
 def test_kron_eigvalsh_matches_joint_eigvalsh(factors):
-    got = kron_eigvalsh(*factors)
+    got = kron_spectrum([np.linalg.eigvalsh(f) for f in factors])
     assert maxabs(got - np.linalg.eigvalsh(qg.kron(*factors))) <= 1e-12
     for b in range(got.shape[0] if got.ndim == 2 else 0):
-        assert np.array_equal(got[b], kron_eigvalsh(*(f[b] if f.ndim == 3 else f for f in factors)))
+        alone = [np.linalg.eigvalsh(f[b] if f.ndim == 3 else f) for f in factors]
+        assert np.array_equal(got[b], kron_spectrum(alone))
