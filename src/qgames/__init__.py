@@ -81,6 +81,7 @@ from .tensor import (
     exp_density,
     herm,
     herm_eig,
+    herm_exp,
     hs_inner,
     kron,
     lambda_max,

@@ -199,6 +199,17 @@ def spectral_norm(h: np.ndarray) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def herm_exp(h: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a Hermitian matrix via eigendecomposition.
+
+    Always Hermitian positive definite.  Callers that need ``exp(h)``
+    normalized to a density should use :func:`exp_density`, which subtracts
+    the top eigenvalue before exponentiating and therefore never overflows.
+    """
+    vals, vecs = herm_eig(h)
+    return herm((vecs * np.exp(vals)) @ dagger(vecs))
+
+
 def exp_density(h: np.ndarray) -> np.ndarray:
     """The Gibbs-like state exp(h) / Tr(exp(h)), computed shift-stably.
 

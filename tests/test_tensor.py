@@ -194,6 +194,33 @@ def test_herm_eig_tie_convention_identity():
 # -- matrix exponential ---------------------------------------------------------
 
 
+def test_herm_exp_trivial():
+    assert maxabs(qg.herm_exp(np.zeros((3, 3))) - np.eye(3)) < 1e-12
+    assert maxabs(qg.herm_exp(np.diag([1.0, -2.0])) - np.diag([np.e, np.exp(-2)])) < 1e-12
+
+
+def test_herm_exp_matches_taylor_series():
+    h = rand_herm(4, 40)
+    h /= qg.spectral_norm(h)  # ||h|| = 1 keeps the series well-conditioned
+    series = np.zeros_like(h)
+    term = np.eye(4, dtype=complex)
+    for k in range(1, 21):
+        series += term
+        term = term @ h / k
+    assert maxabs(qg.herm_exp(h) - series) < 1e-8
+
+
+def test_herm_exp_positive_definite_and_shift():
+    for seed in range(5):
+        h = rand_herm(4, 50 + seed)
+        e = qg.herm_exp(h)
+        assert qg.lambda_min(e) > 0
+        c = 0.7
+        lhs = qg.herm_exp(h + c * np.eye(4))
+        rhs = np.exp(c) * e
+        assert maxabs(lhs - rhs) / maxabs(rhs) < 1e-9
+
+
 def test_exp_density_is_normalized_and_stable():
     h = rand_herm(3, 60)
     rho = qg.exp_density(1000.0 * h)  # would overflow without the shift
