@@ -109,6 +109,8 @@ def _run_setup(game, args):
     else:
         horizon = args.T
         if args.schedule == "doubling":
+            if args.eta is not None:
+                raise ValueError("--eta sets a fixed stepsize; do not combine with --schedule doubling")
             schedule = doubling_schedule()
         else:
             if args.eta is None:

@@ -130,8 +130,15 @@ def _read_dims(obj: Any) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _field(obj: dict, key: str, what: str) -> Any:
+    """``obj[key]``, or a ValueError that names the missing field and what lacks it."""
+    if key not in obj:
+        raise ValueError(f'{what} has no "{key}" field')
+    return obj[key]
+
+
 def _read_list(obj: dict, key: str) -> list:
-    val = obj[key]
+    val = _field(obj, key, "game file")
     if not isinstance(val, list):
         raise ValueError(f"{key} must be a list, got {val!r}")
     return val
@@ -147,7 +154,7 @@ def _read_edge_ends(e: Any, k: int) -> tuple[int, int]:
 
 def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
     dims = _read_dims(obj)
-    kind = obj["kind"]
+    kind = _field(obj, "kind", "game file")
     if kind not in ("general", "zero_sum", "polymatrix"):
         raise ValueError(f"unknown game kind {kind!r}")
     if kind == "polymatrix":
@@ -158,8 +165,8 @@ def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             nij = dims[i] * dims[j]
             edges[(i, j)] = (
-                decode_matrix(e["r_ij"], nij, nij),
-                decode_matrix(e["r_ji"], nij, nij),
+                decode_matrix(_field(e, "r_ij", "game file edge"), nij, nij),
+                decode_matrix(_field(e, "r_ji", "game file edge"), nij, nij),
             )
         return PolymatrixGame(dims, edges)
     n = 1
@@ -193,7 +200,7 @@ def load_state(path) -> tuple[tuple[int, ...], np.ndarray]:
     n = 1
     for d in dims:
         n *= d
-    return dims, decode_matrix(obj["matrix"], n, n)
+    return dims, decode_matrix(_field(obj, "matrix", "state file"), n, n)
 
 
 # -- reports --------------------------------------------------------------

@@ -223,14 +223,34 @@ def exp_density_stack(h: np.ndarray) -> np.ndarray:
     """:func:`exp_density` of every matrix in a (..., d, d) stack, unvalidated.
 
     ``h`` must be exactly Hermitian (for example the output of :func:`herm`).
-    A plain ``eigh`` suffices: the map is a spectral function, so it does not
-    depend on the eigenvector gauge that :func:`herm_eig` fixes.  Each matrix
-    of a stack gives the same bits as a call on that matrix alone.
+    Qubits (d = 2) take a closed form: ``h`` has eigenvalues ``m +- r``, with
+    ``m = Tr(h) / 2`` and ``r = hypot((h00 - h11) / 2, |h01|)``, so the state is
+    ``I/2 + s (h - m I)`` with ``s = tanh(r) / (2r)``.  It runs elementwise
+    with no eigensolver, never reads ``m`` (so a large trace costs no
+    accuracy), and gives exactly ``I/2`` when ``h`` is a multiple of ``I``.
+    Other dimensions take a plain ``eigh``: the map is a spectral function,
+    so it does not depend on the eigenvector gauge that :func:`herm_eig`
+    fixes.  Either way each matrix of a stack gives the same bits as a call
+    on that matrix alone.
     """
+    if h.shape[-1] == 2:
+        return _exp_density_qubits(h)
     vals, vecs = np.linalg.eigh(h)
     w = np.exp(vals - vals[..., -1:])
     w /= w.sum(axis=-1, keepdims=True)
     return _reassemble(vecs, w)
+
+
+def _exp_density_qubits(h: np.ndarray) -> np.ndarray:
+    """The d = 2 closed form of :func:`exp_density_stack`, over a (..., 2, 2) stack."""
+    z = 0.5 * h[..., 0, 0].real - 0.5 * h[..., 1, 1].real  # halved first, so no overflow
+    r = np.hypot(z, np.abs(h[..., 0, 1]))
+    s = np.tanh(r) / np.where(r > 0, 2.0 * r, 1.0)  # at r = 0, z and h01 are 0 and s is moot
+    sz = s * z
+    out = s[..., None, None] * h
+    out[..., 0, 0] = 0.5 + sz
+    out[..., 1, 1] = 0.5 - sz
+    return out
 
 
 def _reassemble(vecs: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -336,6 +336,14 @@ def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):
         assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), name
 
 
+def test_verify_names_a_missing_state_field(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    ser.save_game(game, qg.random_game((2, 2), 1))
+    rc = main(["verify", "--game", str(game), "--state", str(game), "--kind", "qcce"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err == 'error: state file has no "matrix" field\n'
+
+
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-6"])
 @pytest.mark.parametrize("kind", ["qcce", "qne", "zs-value"])
 def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
@@ -357,8 +365,9 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
         ["--T", "5", "--eta", "0.1", "--learners", "mmwu"],
         ["--T", "5"],
         ["--T", "5", "--schedule", "doubling", "--learners", "ftrl,mmwu"],
+        ["--T", "5", "--schedule", "doubling", "--eta", "0.5"],
     ],
-    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling"],
+    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, runs):
     out = tmp_path / "o"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgames as qg
-from qgames.tensor import maxabs
+from qgames.tensor import dagger, maxabs
 
 
 def rand_profiles(m, dims, seed):
@@ -131,6 +131,23 @@ def test_gap_and_regret_stay_within_bound(run):
         for row, t in enumerate(traj.checkpoints):
             for i, ln in enumerate(learners):
                 assert traj.avg_regret[row, i] <= ln.average_regret_bound(int(t)) + 1e-9
+
+
+@pytest.mark.slow
+def test_long_horizon_drift_stays_in_the_1e6_tier():
+    # 1e6 rounds of MMWU on a 2x2 zero-sum game: the running sums gather 1e6 roundings, and the
+    # learners' eta * (sum of gains) reach eigenvalue gaps of hundreds, where tanh(r) saturates
+    T = 10**6
+    game = qg.random_game((2, 2), 9600, kind="zero_sum")
+    learners = [qg.MMWU(2, qg.fixed_schedule(float(np.sqrt(np.log(2) / T)))) for _ in range(2)]
+    traj = qg.run_game(game, learners, T, stride=T, gap_mode="qne", bound_scale=2.0)
+    avg = traj.joint_average()  # symmetrized, so the Hermiticity defect is read off the raw sum
+    assert abs(np.trace(avg).real - 1.0) <= 1e-6
+    assert maxabs(traj.joint_sum - dagger(traj.joint_sum)) / T <= 1e-6
+    assert qg.lambda_min(avg) >= -1e-6
+    assert np.all(traj.gaps[-1] <= traj.bound[-1] + 1e-9)
+    for rho in traj.final_strategies:
+        qg.check_density(rho)
 
 
 # -- horizon calculator --------------------------------------------------------------

@@ -91,6 +91,35 @@ def test_non_object_files_rejected_on_load(tmp_path):
             loader(path)
 
 
+@pytest.mark.parametrize(
+    "kind, path, message",
+    [
+        ("state", ("matrix",), 'state file has no "matrix" field'),
+        ("general", ("kind",), 'game file has no "kind" field'),
+        ("general", ("tensors",), 'game file has no "tensors" field'),
+        ("polymatrix", ("edges",), 'game file has no "edges" field'),
+        ("polymatrix", ("edges", 1, "r_ji"), 'game file edge has no "r_ji" field'),
+    ],
+)
+def test_missing_fields_are_named_on_load(tmp_path, kind, path, message):
+    file = tmp_path / "f.json"
+    if kind == "state":
+        ser.save_state(file, np.eye(4) / 4, (2, 2))
+    elif kind == "general":
+        ser.save_game(file, qg.random_game((2, 2), 3))
+    else:
+        ser.save_game(file, qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), 5))
+    obj = ser.read_json(file)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    ser.write_json(file, obj)
+    with pytest.raises(ValueError) as err:
+        (ser.load_state if kind == "state" else ser.load_game)(file)
+    assert str(err.value) == message
+
+
 def test_save_game_is_deterministic(tmp_path):
     g = qg.random_game((2, 2), 11)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

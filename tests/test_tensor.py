@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 import qgames as qg
 from qgames.tensor import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     dagger,
     exp_density_stack,
@@ -324,16 +325,21 @@ def _gibbs_weights(vals):
     return w / w.sum()
 
 
+# entry scales from 1e-9 up to 1e6, where late-run eta * (sum of gains) lies
+MAGNITUDES = st.floats(-9, 6).map(lambda e: 10.0**e)
+
+
 @st.composite
-def hermitian_stacks(draw):
+def hermitian_stacks(draw, magnitudes=MAGNITUDES):
     b, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     parts = draw(hnp.arrays(np.float64, (2, b, d, d), elements=st.floats(-10, 10)))
-    return qg.herm(parts[0] + 1j * parts[1])
+    return qg.herm(draw(magnitudes) * (parts[0] + 1j * parts[1]))
 
 
 @settings(deadline=None)
 @given(hermitian_stacks())
 def test_stacked_density_kernels_match_per_matrix_calls(h):
+    d = h.shape[-1]
     for stacked, single, weights in (
         (exp_density_stack, qg.exp_density, _gibbs_weights),
         (project_to_density_stack, qg.project_to_density, qg.simplex_projection),
@@ -342,7 +348,11 @@ def test_stacked_density_kernels_match_per_matrix_calls(h):
         assert out.shape == h.shape
         for b in range(h.shape[0]):
             assert np.array_equal(out[b], single(h[b]))
-            assert maxabs(out[b] - _gauge_fixed_route(h[b], weights)) <= 1e-12
+            # Both maps ignore a shift by c*I.  An eigh kernel shares the reference's eigh of h, whose
+            # error grows with Tr(h); the qubit closed form never reads Tr(h), so its reference runs
+            # on h - h_11 I, where the eigh error stays at the scale of the eigenvalue gap.
+            ref = h[b] - h[b, 1, 1] * np.eye(2) if d == 2 and stacked is exp_density_stack else h[b]
+            assert maxabs(out[b] - _gauge_fixed_route(ref, weights)) <= 1e-12
 
 
 @st.composite
@@ -350,7 +360,7 @@ def learner_stacks(draw):
     """An (m, B, d, d) stack: m learners' (B, d, d) states, the shape run_game hands the kernels."""
     m, b, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
     parts = draw(hnp.arrays(np.float64, (2, m, b, d, d), elements=st.floats(-10, 10)))
-    return qg.herm(parts[0] + 1j * parts[1])
+    return qg.herm(draw(MAGNITUDES) * (parts[0] + 1j * parts[1]))
 
 
 @settings(deadline=None)
@@ -366,10 +376,29 @@ def test_stacked_density_kernels_match_per_matrix_calls_on_4d_stacks(h):
 
 
 @settings(deadline=None)
-@given(hermitian_stacks(), st.floats(-10, 10))
+@given(hermitian_stacks(magnitudes=st.just(1.0)), st.floats(-10, 10))
 def test_exp_density_is_shift_invariant(h, c):
+    # m + c*I rounds each diagonal entry to the scale of |m| + |c|, which moves the state by as
+    # much; at unit magnitude that stays below 1e-12
     for m in h:
         assert maxabs(qg.exp_density(m + c * np.eye(len(m))) - qg.exp_density(m)) <= 1e-12
+
+
+def test_qubit_exp_density_closed_form_cases():
+    half = np.eye(2, dtype=complex) / 2
+    for c in (0.0, 1.0, -3.5, 1e6, -1e300):  # h = c*I, c = 0 included: the first round's play
+        assert exp_density_stack(np.diag([c, c]).astype(complex)).tobytes() == half.tobytes()
+    # off-diagonal only: h = a X + b Y has eigenvalues +-r and state (I + tanh(r) (a X + b Y) / r) / 2
+    a, b = 0.3, -0.4
+    h = a * PAULI_X + b * PAULI_Y
+    want = (np.eye(2) + np.tanh(0.5) * h / 0.5) / 2
+    for got in (qg.exp_density(h), exp_density_stack(np.stack([h, 2 * h, h]))[2]):
+        assert maxabs(got - want) <= 1e-15 and maxabs(got - dagger(got)) == 0
+    # a huge norm saturates to the top eigenprojector, a valid density with no overflow
+    h = 1e300 * rand_herm(2, 63)
+    rho = qg.check_density(qg.exp_density(h))
+    assert maxabs(rho @ rho - rho) <= 1e-15
+    assert maxabs(rho - _gauge_fixed_route(h, _gibbs_weights)) <= 1e-12
 
 
 @settings(deadline=None)
@@ -413,3 +442,58 @@ def test_kron_eigvalsh_matches_joint_eigvalsh(factors):
     for b in range(got.shape[0] if got.ndim == 2 else 0):
         alone = [np.linalg.eigvalsh(f[b] if f.ndim == 3 else f) for f in factors]
         assert np.array_equal(got[b], kron_spectrum(alone))
+
+
+# -- register identities on random layouts ---------------------------------------------
+
+
+@st.composite
+def layouts(draw):
+    """1-3 registers of dimension 1-3, one complex matrix per register, and their kron."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    factors = []
+    for d in dims:
+        parts = draw(hnp.arrays(np.float64, (2, d, d), elements=st.floats(-1, 1)))
+        factors.append(parts[0] + 1j * parts[1])
+    return dims, factors, qg.kron(*factors)
+
+
+@settings(deadline=None)
+@given(layouts(), st.data())
+def test_partial_trace_of_kron_keeps_factors_and_traces_the_rest(layout, data):
+    dims, factors, m = layout
+    keep = sorted(data.draw(st.sets(st.integers(0, len(dims) - 1))))
+    scale = np.prod([np.trace(f) for i, f in enumerate(factors) if i not in keep])
+    want = qg.kron(*(factors[i] for i in keep)) if keep else np.ones((1, 1))
+    assert maxabs(qg.partial_trace(m, dims, keep) - scale * want) <= 1e-12
+
+
+@settings(deadline=None)
+@given(layouts(), st.data())
+def test_permute_registers_composes_and_inverts(layout, data):
+    dims, factors, m = layout
+    k = len(dims)
+    p = data.draw(st.permutations(range(k)))
+    q = data.draw(st.permutations(range(k)))
+    once = qg.permute_registers(m, dims, p)
+    assert maxabs(once - qg.kron(*(factors[i] for i in p))) <= 1e-15  # products in another order
+    twice = qg.permute_registers(once, [dims[i] for i in p], q)
+    assert np.array_equal(twice, qg.permute_registers(m, dims, [p[s] for s in q]))
+    assert np.array_equal(qg.permute_registers(once, [dims[i] for i in p], np.argsort(p)), m)
+
+
+@settings(deadline=None)
+@given(layouts(), st.data())
+def test_partial_transpose_matches_index_oracle(layout, data):
+    dims, _, m = layout
+    factor = data.draw(st.integers(0, len(dims) - 1))
+    want = np.empty_like(m)
+    for row in np.ndindex(*dims):
+        for col in np.ndindex(*dims):
+            # swap the factor's row and column digits
+            r, c = list(row), list(col)
+            r[factor], c[factor] = col[factor], row[factor]
+            want[np.ravel_multi_index(r, dims), np.ravel_multi_index(c, dims)] = (
+                m[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)]
+            )
+    assert np.array_equal(qg.partial_transpose(m, dims, factor), want)
