@@ -135,8 +135,8 @@ def _check_gain(gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class MMWU:
     """Matrix multiplicative weights: play exp(eta * sum of gains), normalized.
 
-    The exponent is shift-stabilized (top eigenvalue subtracted before
-    exponentiating), so cumulative gains growing linearly in t never
+    The normalized exponential (:func:`~qgames.tensor.exp_density_stack`)
+    is shift-stable, so cumulative gains growing linearly in t never
     overflow.  Before any feedback the play is the maximally mixed state,
     and adding c*I to every gain leaves the iterates unchanged.  With
     ``batch=B`` the learner runs B independent copies on one schedule, and

@@ -203,8 +203,8 @@ def herm_exp(h: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via eigendecomposition.
 
     Always Hermitian positive definite.  Callers that need ``exp(h)``
-    normalized to a density should use :func:`exp_density`, which subtracts
-    the top eigenvalue before exponentiating and therefore never overflows.
+    normalized to a density should use :func:`exp_density`, which never
+    overflows.
     """
     vals, vecs = herm_eig(h)
     return herm((vecs * np.exp(vals)) @ dagger(vecs))
@@ -213,8 +213,10 @@ def herm_exp(h: np.ndarray) -> np.ndarray:
 def exp_density(h: np.ndarray) -> np.ndarray:
     """The Gibbs-like state exp(h) / Tr(exp(h)), computed shift-stably.
 
-    Implemented as ``exp(h - lambda_max(h) I)`` renormalized, which keeps all
-    intermediate entries in [0, 1] no matter how large ``||h||`` grows.
+    Qubits take a closed form in ``tanh``, which is bounded; other dimensions
+    renormalize ``exp(h - lambda_max(h) I)``, which keeps all intermediate
+    entries in [0, 1].  Either way nothing overflows however large ``||h||``
+    grows (see :func:`exp_density_stack`).
     """
     return exp_density_stack(_checked_herm(h))
 
@@ -245,7 +247,7 @@ def _exp_density_qubits(h: np.ndarray) -> np.ndarray:
     """The d = 2 closed form of :func:`exp_density_stack`, over a (..., 2, 2) stack."""
     z = 0.5 * h[..., 0, 0].real - 0.5 * h[..., 1, 1].real  # halved first, so no overflow
     r = np.hypot(z, np.abs(h[..., 0, 1]))
-    s = np.tanh(r) / np.where(r > 0, 2.0 * r, 1.0)  # at r = 0, z and h01 are 0 and s is moot
+    s = 0.5 * np.tanh(r) / np.where(r > 0, r, 1.0)  # at r = 0, z and h01 are 0 and s is moot
     sz = s * z
     out = s[..., None, None] * h
     out[..., 0, 0] = 0.5 + sz

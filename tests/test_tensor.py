@@ -394,6 +394,9 @@ def test_qubit_exp_density_closed_form_cases():
     want = (np.eye(2) + np.tanh(0.5) * h / 0.5) / 2
     for got in (qg.exp_density(h), exp_density_stack(np.stack([h, 2 * h, h]))[2]):
         assert maxabs(got - want) <= 1e-15 and maxabs(got - dagger(got)) == 0
+    # a large trace costs no accuracy; the eigh route on h itself is ~1e-10 off here
+    h = (1e6 + 0.1) * np.eye(2) + 0.3 * PAULI_X - 0.4 * PAULI_Y + 0.2 * PAULI_Z
+    assert maxabs(qg.exp_density(h) - _gauge_fixed_route(h - h[1, 1] * np.eye(2), _gibbs_weights)) <= 1e-15
     # a huge norm saturates to the top eigenprojector, a valid density with no overflow
     h = 1e300 * rand_herm(2, 63)
     rho = qg.check_density(qg.exp_density(h))
