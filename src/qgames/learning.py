@@ -30,7 +30,7 @@ from .games import Game, PolymatrixGame, QuantumGame, _others
 from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
     DEFAULT_HERM_TOL,
-    bloch_coords,
+    bloch_vectors,
     check_density,
     dagger,
     exp_density_stack,
@@ -439,6 +439,63 @@ def _kron_or_identity(factors: list[np.ndarray], lead: tuple[int, ...]) -> np.nd
     return kron(*factors) if factors else np.ones(lead + (1, 1), dtype=complex)
 
 
+def _player_groups(dims: Sequence[int]) -> tuple[list[int], list[list[int]], list[tuple[int, int]]]:
+    """The player groups of a register layout: the players of one register dim, ascending.
+
+    Returns ``(group_dims, members, where)``: group g holds players ``members[g]``,
+    all of dim ``group_dims[g]``, and player i sits in slot ``where[i][1]`` of group
+    ``where[i][0]``.
+    """
+    group_dims = sorted(set(dims))
+    members = [[i for i, d in enumerate(dims) if d == gd] for gd in group_dims]
+    where = [(group_dims.index(d), dims[:i].count(d)) for i, d in enumerate(dims)]
+    return group_dims, members, where
+
+
+def _per_player(rows: list[np.ndarray], members: list[list[int]]) -> np.ndarray:
+    """The (..., B, k) table of one (..., m_g, B) stack per player group."""
+    out = np.empty(rows[0].shape[:-2] + (rows[0].shape[-1], sum(map(len, members))))
+    for ids, r in zip(members, rows):
+        out[..., ids] = np.swapaxes(r, -1, -2)
+    return out
+
+
+def certify_checkpoints(
+    ts: np.ndarray,
+    dims: tuple[int, ...],
+    utils: list[np.ndarray],
+    realized: list[np.ndarray],
+    cum_gain: list[np.ndarray],
+    strategies: list[np.ndarray],
+    avg_spectra: np.ndarray,
+    qne_gaps: list[np.ndarray] | None,
+):
+    """Every checkpoint row of a run, built from its records in stacked passes.
+
+    :func:`run_game` records raw state at each of the C checkpoint rounds ``ts``:
+    per player group (see :func:`_player_groups`) one array with leading axes
+    (C, m_g, B) of the round's utilities, of the running sums of utilities and
+    gains, of the round's strategies and, in "qne" mode, of the deviation gaps
+    at the averaged marginals; and the (C, B, n) ascending spectra of the
+    running joint averages.  Each pass is the per-matrix LAPACK call or the
+    elementwise IEEE operation a checkpoint-by-checkpoint computation would
+    make, so the rows have its bits.
+
+    Returns the (C, B, ...) columns ``utils``, ``avg_regret``, ``gaps``,
+    ``joint_eigs`` and ``avg_joint_eigs`` (spectra descending), and the
+    (C, B, 3) Bloch vectors of each qubit player.
+    """
+    _, members, where = _player_groups(dims)
+    best_fixed = _per_player([np.linalg.eigvalsh(c)[..., -1] for c in cum_gain], members)
+    avg_regret = (best_fixed - _per_player(realized, members)) / ts[:, None, None]
+    # in qcce mode, by linearity, the deviation gap of the joint average is the average regret
+    gaps = np.maximum(avg_regret if qne_gaps is None else _per_player(qne_gaps, members), 0.0)
+    spectra = [np.linalg.eigvalsh(s) for s in strategies]
+    joint_eigs = np.flip(kron_spectrum([spectra[g][:, s] for g, s in where]), axis=-1)
+    bloch = {i: bloch_vectors(strategies[g][:, s]) for i, (g, s) in enumerate(where) if dims[i] == 2}
+    return _per_player(utils, members), avg_regret, gaps, joint_eigs, np.flip(avg_spectra, axis=-1), bloch
+
+
 def _gain_contraction(games: Sequence[Game], group_dims: list[int], where: list[tuple[int, int]]):
     """The stacked gain map of a batch of games over player groups.
 
@@ -523,8 +580,13 @@ def run_game(
     groups, one per shape ``(d_i, dims of regs)``; each round a term group
     gathers its source registers, forms their kron and applies all its
     operators in one matmul, and one scatter-add per player group sums each
-    player's terms in ``gain_terms`` order.  Utilities, running sums,
-    checkpoint spectra and the window then take one call per player group.
+    player's terms in ``gain_terms`` order.  Utilities, running sums and the
+    window then take one call per player group.  A checkpoint only records:
+    it folds the window, writes the spectrum of the joint average, and copies
+    each group's utilities, realized and gain sums and strategies (and, in
+    "qne" mode, the gaps at the averaged marginals) into preallocated
+    ``(C, m_g, B, ...)`` records; after the last round
+    :func:`certify_checkpoints` builds every row from them in stacked passes.
     Only the running joint average is joint-sized.
     No joint product state is formed per round: each round's strategies are
     copied into a window, and at every checkpoint (and whenever the window
@@ -581,23 +643,13 @@ def run_game(
         if lead != (B,) and not (lead == () and B == 1):
             raise ValueError(f"learner {i} plays a batch of shape {lead}, expected ({B},)")
 
-    # player group g: the players of register dim group_dims[g], ascending, as the slots of
-    # (m_g, B, d, d) stacks; player i sits in slot where[i][1] of group where[i][0]
-    group_dims = sorted(set(dims))
-    members = [[i for i, d in enumerate(dims) if d == gd] for gd in group_dims]
-    where = [(group_dims.index(d), dims[:i].count(d)) for i, d in enumerate(dims)]
+    # player groups, held as the slots of (m_g, B, d, d) stacks
+    group_dims, members, where = _player_groups(dims)
     shapes = [(len(ids), B, d, d) for ids, d in zip(members, group_dims)]
 
     def player(stacks: list[np.ndarray], i: int) -> np.ndarray:
         g, s = where[i]
         return stacks[g][s]
-
-    def per_player(rows: list[np.ndarray]) -> np.ndarray:
-        """The (B, k) table of one (m_g, B) row stack per player group."""
-        out = np.empty((B, k))
-        for ids, r in zip(members, rows):
-            out[:, ids] = r.T
-        return out
 
     contract = _gain_contraction(games, group_dims, where)
 
@@ -620,10 +672,20 @@ def run_game(
     cum_gain = [np.zeros(shape, dtype=complex) for shape in shapes]
     realized = [np.zeros((m, B)) for m, *_ in shapes]
 
-    check_ts, utils_rows, regret_rows, gap_rows, bound_rows = [], [], [], [], []
-    joint_eig_rows, avg_eig_rows = [], []
-    qubit_players = [i for i, d in enumerate(dims) if d == 2]
-    bloch_rows = {i: [] for i in qubit_players}
+    # the checkpoint rounds, and their raw state, certified after the loop by certify_checkpoints:
+    # one (C, m_g, B, ...) record per player group of the utilities, the realized and gain sums,
+    # the strategies and, in qne mode, the gaps at the averaged marginals
+    ts = np.arange(stride, T + 1, stride)
+    if T % stride:
+        ts = np.append(ts, T)
+    C = len(ts)
+    rec_utils = [np.empty((C, m, B)) for m, *_ in shapes]
+    rec_realized = [np.empty((C, m, B)) for m, *_ in shapes]
+    rec_cum = [np.empty((C,) + shape, dtype=complex) for shape in shapes]
+    rec_strategies = [np.empty((C,) + shape, dtype=complex) for shape in shapes]
+    rec_gaps = [np.empty((C, m, B)) for m, *_ in shapes] if gap_mode == "qne" else None
+    avg_spectra = np.empty((C, B, n))
+    bound = np.empty(C)
 
     # MMWU and FTRL learners of one kernel and state shape play one stacked kernel call, written
     # into their slots; the kernels are spectral maps, bit-identical per matrix to separate calls
@@ -654,12 +716,12 @@ def run_game(
         updates.append((ln, *where[i], leads[i] + (dims[i], dims[i]), watched))
 
     play()
-    filled = 0
+    filled = c = 0
     for t in range(1, T + 1):
         for buf, s in zip(window, strategies):
             buf[:, :, filled] = s
         filled += 1
-        checkpoint = t % stride == 0 or t == T
+        checkpoint = t == ts[c]    # the last checkpoint is round T, so c stays in range
         if checkpoint or filled == window[0].shape[2]:
             fold(filled)
             filled = 0
@@ -671,27 +733,19 @@ def run_game(
             r += u
 
         if checkpoint:
-            check_ts.append(t)
-            utils_rows.append(per_player(utils))
-            best_fixed = per_player([np.linalg.eigvalsh(c)[..., -1] for c in cum_gain])
-            avg_regret = (best_fixed - per_player(realized)) / t
-            regret_rows.append(avg_regret)
-            if gap_mode == "qcce":
-                # by linearity, the deviation gap of the joint average is the average regret
-                gap_rows.append(np.maximum(avg_regret, 0.0))
-            else:
+            avg_spectra[c] = np.linalg.eigvalsh(joint_sum / t)
+            for records, now in zip((rec_utils, rec_realized, rec_cum, rec_strategies),
+                                    (utils, realized, cum_gain, strategies)):
+                for rec, x in zip(records, now):
+                    rec[c] = x
+            if gap_mode == "qne":
                 # at a product state, player i's deviation gap is lambda_max(G_i) - Tr(rho_i G_i)
                 avg = [herm(m / t) for m in marginal_sums]
-                gaps = [np.linalg.eigvalsh(gain)[..., -1] - _pairing(a, gain) for a, gain in zip(avg, contract(avg))]
-                gap_rows.append(np.maximum(per_player(gaps), 0.0))
-            per_learner = [ln.average_regret_bound(t) for ln in learners]
-            finite = [b for b in per_learner if not np.isnan(b)]
-            bound_rows.append(bound_scale * max(finite) if finite else float("nan"))
-            spectra = [np.linalg.eigvalsh(s) for s in strategies]
-            joint_eig_rows.append(np.flip(kron_spectrum([player(spectra, i) for i in range(k)]), axis=-1))
-            avg_eig_rows.append(np.flip(np.linalg.eigvalsh(joint_sum / t), axis=-1))
-            for i in qubit_players:
-                bloch_rows[i].append([bloch_coords(s) for s in player(strategies, i)])
+                for rec, a, gain in zip(rec_gaps, avg, contract(avg)):
+                    rec[c] = np.linalg.eigvalsh(gain)[..., -1] - _pairing(a, gain)
+            finite = [b for b in (ln.average_regret_bound(t) for ln in learners) if not np.isnan(b)]
+            bound[c] = bound_scale * max(finite) if finite else float("nan")
+            c += 1
 
         for ln, g, s, shape, watched in updates:
             opponents = None
@@ -703,21 +757,21 @@ def run_game(
             play()
 
     # per-checkpoint rows are (C, B, ...); game b reads slice [:, b]
-    utils, avg_regret, gaps = np.asarray(utils_rows), np.asarray(regret_rows), np.asarray(gap_rows)
-    joint_eigs, avg_joint_eigs = np.asarray(joint_eig_rows), np.asarray(avg_eig_rows)
-    bloch = {i: np.asarray(rows) for i, rows in bloch_rows.items()}
-    realized = per_player(realized)
+    utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(
+        ts, dims, rec_utils, rec_realized, rec_cum, rec_strategies, avg_spectra, rec_gaps
+    )
+    realized = _per_player(realized, members)
     trajs = [
         Trajectory(
             dims=dims,
             T=T,
             gap_mode=gap_mode,
             bound_scale=bound_scale,
-            checkpoints=np.asarray(check_ts, dtype=int),
+            checkpoints=ts.copy(),
             utils=utils[:, b],
             avg_regret=avg_regret[:, b],
             gaps=gaps[:, b],
-            bound=np.asarray(bound_rows),
+            bound=bound.copy(),
             joint_eigs=joint_eigs[:, b],
             avg_joint_eigs=avg_joint_eigs[:, b],
             bloch={i: rows[:, b] for i, rows in bloch.items()},

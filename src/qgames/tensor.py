@@ -230,14 +230,16 @@ def exp_density_stack(h: np.ndarray) -> np.ndarray:
     ``I/2 + s (h - m I)`` with ``s = tanh(r) / (2r)``.  It runs elementwise
     with no eigensolver, never reads ``m`` (so a large trace costs no
     accuracy), and gives exactly ``I/2`` when ``h`` is a multiple of ``I``.
-    Other dimensions take a plain ``eigh``: the map is a spectral function,
-    so it does not depend on the eigenvector gauge that :func:`herm_eig`
+    Other dimensions take a plain ``eigh`` of ``h`` with its mean diagonal
+    subtracted (see :func:`_traceless`), so here too a large trace costs no
+    accuracy: the map is a spectral function, unchanged by adding a multiple
+    of ``I`` and independent of the eigenvector gauge that :func:`herm_eig`
     fixes.  Either way each matrix of a stack gives the same bits as a call
     on that matrix alone.
     """
     if h.shape[-1] == 2:
         return _exp_density_qubits(h)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_traceless(h))
     w = np.exp(vals - vals[..., -1:])
     w /= w.sum(axis=-1, keepdims=True)
     return _reassemble(vecs, w)
@@ -252,6 +254,20 @@ def _exp_density_qubits(h: np.ndarray) -> np.ndarray:
     out = s[..., None, None] * h
     out[..., 0, 0] = 0.5 + sz
     out[..., 1, 1] = 0.5 - sz
+    return out
+
+
+def _traceless(h: np.ndarray) -> np.ndarray:
+    """``h - (Tr h / d) I`` for each matrix of a stack, on a copy.
+
+    ``eigh``'s error grows with ``||h||``, so the spectral maps that ignore a
+    multiple of ``I`` diagonalize this instead: its error is then bounded by
+    the spread of the eigenvalues, however large the trace grows.
+    """
+    d = h.shape[-1]
+    out = h.copy()
+    diag = out.reshape(h.shape[:-2] + (d * d,))[..., :: d + 1]  # a view: the copy is C-contiguous
+    diag -= diag.real.sum(axis=-1, keepdims=True) / d
     return out
 
 
@@ -298,10 +314,15 @@ def project_to_density_stack(h: np.ndarray) -> np.ndarray:
     """:func:`project_to_density` of every matrix in a (..., d, d) stack, unvalidated.
 
     Same contract as :func:`exp_density_stack`: ``h`` exactly Hermitian, any
-    eigenvector gauge, and per-matrix bits independent of the stack.
+    eigenvector gauge, and per-matrix bits independent of the stack.  Shifting
+    ``h`` by ``c I`` shifts its eigenvalues by ``c`` and leaves their simplex
+    projection unchanged.  So this too diagonalizes :func:`_traceless` of
+    ``h``, and it projects the eigenvalues minus the largest one: the
+    threshold is then computed near 0, where the top eigenvalues lie, and the
+    weights sum to 1 up to unit-scale rounding however large the spread.
     """
-    vals, vecs = np.linalg.eigh(h)
-    return _reassemble(vecs, simplex_projection(vals))
+    vals, vecs = np.linalg.eigh(_traceless(h))
+    return _reassemble(vecs, simplex_projection(vals - vals[..., -1:]))
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> np.ndarray:
@@ -323,11 +344,22 @@ def bloch_coords(rho: np.ndarray) -> tuple[float, float, float]:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("Bloch coordinates are only defined for 2x2 densities")
-    return (
-        float(np.vdot(PAULI_X, rho).real),
-        float(np.vdot(PAULI_Y, rho).real),
-        float(np.vdot(PAULI_Z, rho).real),
-    )
+    x, y, z = bloch_vectors(rho).tolist()
+    return x, y, z
+
+
+def bloch_vectors(rho: np.ndarray) -> np.ndarray:
+    """The (..., 3) Bloch vectors of a (..., 2, 2) stack, unvalidated.
+
+    Each coordinate ``Re Tr(P rho)`` is the sum of the two entries the Pauli
+    matrix P picks, so it is exact up to that one rounding, and the ``+ 0.0``
+    turns a zero into +0.0 as a dot product started from 0 would: the bits
+    equal ``np.vdot(P, rho).real`` per matrix.
+    """
+    x = rho[..., 0, 1].real + rho[..., 1, 0].real
+    y = rho[..., 1, 0].imag - rho[..., 0, 1].imag
+    z = rho[..., 0, 0].real - rho[..., 1, 1].real
+    return np.stack([x, y, z], axis=-1) + 0.0
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ import dataclasses
 from math import prod
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgames as qg
@@ -141,6 +141,39 @@ def test_scripted_team_member_plays_alone_next_to_stacked_learners():
     traj = qg.run_game(g, stacked_team, 60, stride=10)
     assert stacked_team[0]._fallback is not None
     assert_same_bits(traj, qg.run_game(g, [OneAtATime(ln) for ln in team()], 60, stride=10))
+
+
+@st.composite
+def stride_runs(draw):
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=len(dims), max_size=len(dims)))
+    T = draw(st.integers(1, 16))
+    return dims, kinds, draw(st.integers(1, 3)), T, draw(st.integers(2, 7)), draw(st.sampled_from(["qcce", "qne"])), \
+        draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=40)
+@given(stride_runs())
+@example(((3,), ["ftrl"], 2, 9, 4, "qne", 5))
+@example(((2,), ["mmwu-doubling"], 1, 13, 3, "qcce", 6))
+def test_checkpoint_rows_do_not_depend_on_the_stride(run):
+    # the rows a checkpoint certifies come from that round's state alone, so a run checkpointing
+    # every round must repeat, bit for bit, each row of a strided run; only avg_joint_eigs may
+    # differ, as it is the spectrum of a joint sum folded over other windows
+    dims, kinds, B, T, stride, gap_mode, seed = run
+    games = [qg.random_game(dims, seed + b) for b in range(B)]
+
+    def play(every):
+        team = [KINDS[kind](d, B) for kind, d in zip(kinds, dims)]
+        return qg.run_game(games, team, T, stride=every, gap_mode=gap_mode, bound_scale=len(dims))
+
+    for dense, sparse in zip(play(1), play(stride), strict=True):
+        rows = np.searchsorted(dense.checkpoints, sparse.checkpoints)
+        assert np.array_equal(dense.checkpoints[rows], sparse.checkpoints)
+        for name in ("utils", "avg_regret", "gaps", "bound", "joint_eigs"):
+            assert bits(getattr(dense, name)[rows]) == bits(getattr(sparse, name)), name
+        assert bits({i: xyz[rows] for i, xyz in dense.bloch.items()}) == bits(sparse.bloch)
+        assert sorted(sparse.bloch) == [i for i, d in enumerate(dims) if d == 2]
 
 
 def star_edges(k):

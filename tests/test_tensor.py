@@ -9,6 +9,8 @@ from qgames.tensor import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _traceless,
+    bloch_vectors,
     dagger,
     exp_density_stack,
     kron_spectrum,
@@ -311,6 +313,21 @@ def test_bloch_coords_unit_ball():
     assert abs(z - 1.0) < 1e-12 and abs(x) < 1e-12 and abs(y) < 1e-12
 
 
+def test_bloch_vectors_match_pauli_dot_products_bit_for_bit():
+    rng = np.random.default_rng(64)
+    rhos = [qg.random_density(2, rng) for _ in range(201)]
+    rhos += [np.eye(2) / 2, np.diag([1.0, 0.0]), np.array([[0.5, 0.25 + 0.1j], [0.25 - 0.1j, 0.5]])]
+    # every pattern of signed zeros: the sum of two zeros must read +0.0, as a dot product's does
+    for bits in range(256):
+        z = [-0.0 if bits >> j & 1 else 0.0 for j in range(8)]
+        rhos.append(np.array([[complex(z[0], z[1]), complex(z[2], z[3])], [complex(z[4], z[5]), complex(z[6], z[7])]]))
+    stack = np.array(rhos, dtype=complex)
+    want = np.array([[np.vdot(p, rho).real for p in (PAULI_X, PAULI_Y, PAULI_Z)] for rho in rhos])
+    assert bloch_vectors(stack).tobytes() == want.tobytes()
+    assert bloch_vectors(stack.reshape(2, -1, 2, 2)).tobytes() == want.tobytes()
+    assert np.array([qg.bloch_coords(rho) for rho in rhos]).tobytes() == want.tobytes()
+
+
 # -- stacked density kernels ---------------------------------------------------------
 
 
@@ -323,6 +340,10 @@ def _gauge_fixed_route(h, weights):
 def _gibbs_weights(vals):
     w = np.exp(vals - vals.max())
     return w / w.sum()
+
+
+def _simplex_weights(vals):
+    return qg.simplex_projection(vals - vals.max())
 
 
 # entry scales from 1e-9 up to 1e6, where late-run eta * (sum of gains) lies
@@ -342,17 +363,33 @@ def test_stacked_density_kernels_match_per_matrix_calls(h):
     d = h.shape[-1]
     for stacked, single, weights in (
         (exp_density_stack, qg.exp_density, _gibbs_weights),
-        (project_to_density_stack, qg.project_to_density, qg.simplex_projection),
+        (project_to_density_stack, qg.project_to_density, _simplex_weights),
     ):
         out = stacked(h)
         assert out.shape == h.shape
         for b in range(h.shape[0]):
             assert np.array_equal(out[b], single(h[b]))
-            # Both maps ignore a shift by c*I.  An eigh kernel shares the reference's eigh of h, whose
-            # error grows with Tr(h); the qubit closed form never reads Tr(h), so its reference runs
-            # on h - h_11 I, where the eigh error stays at the scale of the eigenvalue gap.
-            ref = h[b] - h[b, 1, 1] * np.eye(2) if d == 2 and stacked is exp_density_stack else h[b]
+            # Both maps ignore a shift by c*I.  An eigh kernel diagonalizes h minus its mean diagonal,
+            # and the reference shares that eigh, whose error grows with the eigenvalue spread; the
+            # qubit closed form never reads Tr(h), so its reference runs on h - h_11 I, where the eigh
+            # error stays at the scale of the eigenvalue gap.
+            ref = h[b] - h[b, 1, 1] * np.eye(2) if d == 2 and stacked is exp_density_stack else _traceless(h[b])
             assert maxabs(out[b] - _gauge_fixed_route(ref, weights)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_eigh_kernels_keep_their_accuracy_at_a_large_trace(d):
+    # dyadic diagonals and c = 2**23 make h + c*I exact, so any move is the kernel's own error;
+    # an eigh of h + c*I itself is ~1e-9 off here
+    rng = np.random.default_rng(70 + d)
+    h = qg.herm(rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d)))
+    i = np.arange(d)
+    h[..., i, i] = np.round(64 * h[..., i, i].real) / 64
+    shifted = h.copy()
+    shifted[..., i, i] += 2.0**23
+    assert np.array_equal(shifted[..., i, i] - 2.0**23, h[..., i, i])
+    for kernel in (exp_density_stack, project_to_density_stack):
+        assert maxabs(kernel(shifted) - kernel(h)) <= 1e-13
 
 
 @st.composite
