@@ -41,7 +41,6 @@ from .serialize import (
     dumps_canonical,
     load_game,
     load_state,
-    manifest_obj,
     report_to_obj,
     save_game,
     sha256_file,
@@ -92,7 +91,8 @@ def cmd_gen(args) -> int:
 
 def _run_setup(game, args):
     """Resolve (gap mode, bound scale, schedule, T) from the game and the flags."""
-    if isinstance(game, PolymatrixGame):
+    # the QNE results cover zero-sum games only: pairwise zero-sum polymatrix and two-player zero-sum
+    if isinstance(game, PolymatrixGame) and game.zero_sum:
         gap_mode, bound_scale, setting = "qne", float(game.n_players), "polymatrix"
     elif game.zero_sum and game.n_players == 2:
         gap_mode, bound_scale, setting = "qne", 2.0, "zero_sum"
@@ -166,17 +166,17 @@ def cmd_run(args) -> int:
             game_path = outdir / "game.json"
             save_game(game_path, game, seed=seed)
         write_trajectory_csv(outdir / "trajectory.csv", traj)
-        manifest = manifest_obj(
-            game_hash=sha256_file(game_path),
-            seeds={"game": seed, "run": seed},
-            learner_kinds=names,
-            schedule=schedule_obj,
-            T=horizon,
-            stride=stride,
-            gap_mode=gap_mode,
-            bound_scale=bound_scale,
-            tool_version=__version__,
-        )
+        manifest = {
+            "game_hash": sha256_file(game_path),
+            "seeds": {"game": seed, "run": seed},
+            "learner_kinds": names,
+            "schedule": schedule_obj,
+            "T": horizon,
+            "stride": stride,
+            "gap_mode": gap_mode,
+            "bound_scale": bound_scale,
+            "tool_version": __version__,
+        }
         write_json(outdir / "manifest.json", manifest)
     return 0
 

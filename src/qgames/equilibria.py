@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
-from .games import Game, PolymatrixGame, QuantumGame, TwoPlayerZeroSum, _others, gain_matrix, polymatrix_to_qg, utility
+from .games import Game, PolymatrixGame, TwoPlayerZeroSum, _others, gain_matrix, polymatrix_to_qg, utility
 from .tensor import (
     herm,
     herm_eig,

@@ -253,6 +253,14 @@ class PolymatrixGame:
         return sorted(out)
 
     @cached_property
+    def zero_sum(self) -> bool:
+        """Pairwise zero-sum: every edge has R_ji = -swap(R_ij) within ZERO_SUM_TOL; checked on first use."""
+        return all(
+            maxabs(r_ji + permute_registers(r_ij, (self.dims[i], self.dims[j]), (1, 0))) <= ZERO_SUM_TOL
+            for (i, j), (r_ij, r_ji) in self.edges.items()
+        )
+
+    @cached_property
     def gain_terms(self) -> tuple[tuple[GainTerm, ...], ...]:
         """Per player, one term per incident edge, ordered by neighbor, compiled on first use."""
         terms = [[] for _ in self.dims]

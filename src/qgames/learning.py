@@ -12,9 +12,12 @@ advances, matching full-information simultaneous play.
 Feedback is the exact gain matrix of each player (full-information online
 linear optimization), never a sampled payoff.
 
-MMWU and FTRL learners built with ``batch=B`` hold B independent states in a
-(B, d, d) stack, and :func:`run_game` plays B games of one shape in lockstep
-with them; a single game is its batch of one.
+Frobenius FTRL is MMWU's follow-the-regularized-leader loop with the
+projection onto the density set as its kernel, one subclass.  Strategies
+are not cached: ``strategy`` maps the scaled gain sum on every read.
+Learners built with ``batch=B`` hold B independent states in a (B, d, d)
+stack, and :func:`run_game` plays B games of one gain-term layout in
+lockstep with them; a single game is its batch of one.
 """
 
 from __future__ import annotations
@@ -140,10 +143,11 @@ class MMWU:
     overflow.  Before any feedback the play is the maximally mixed state,
     and adding c*I to every gain leaves the iterates unchanged.  With
     ``batch=B`` the learner runs B independent copies on one schedule, and
-    ``strategy`` and ``observe`` take (B, d, d) stacks.
+    ``strategy`` and ``observe`` take (B, d, d) stacks.  ``strategy`` is
+    ``kernel(_scaled_sum())``, recomputed on every read; a subclass changes
+    the regularizer through ``kernel`` (:class:`FrobeniusFTRL`) or the
+    played matrix through ``_scaled_sum``.
     """
-
-    kind = "mmwu"
 
     def __init__(self, dim: int, schedule: Schedule, batch: int | None = None):
         self.dim = int(dim)
@@ -151,7 +155,6 @@ class MMWU:
         self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
         self._epoch = 0
         self._in_epoch = 0
-        self._cached = None
 
     @property
     def _eta(self) -> float:
@@ -167,9 +170,7 @@ class MMWU:
 
     @property
     def strategy(self) -> np.ndarray:
-        if self._cached is None:
-            self._cached = self.kernel(self._scaled_sum())
-        return self._cached
+        return self.kernel(self._scaled_sum())
 
     def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
         self._update(_check_gain(gain, self._sum.shape))
@@ -184,46 +185,24 @@ class MMWU:
             self._epoch += 1
             self._in_epoch = 0
             self._sum = np.zeros_like(self._sum)
-        self._cached = None
 
     def average_regret_bound(self, t: int) -> float:
         return self.schedule.average_bound(t, self.dim)
 
 
-class FrobeniusFTRL:
+class FrobeniusFTRL(MMWU):
     """Follow-the-regularized-leader with the squared-Frobenius regularizer.
 
-    Plays the Euclidean projection of ``eta * sum of gains`` onto the density
-    set; the projection of the zero matrix is the maximally mixed state.
-    ``batch`` stacks independent copies as in :class:`MMWU`.
+    MMWU's loop on a fixed stepsize with the Euclidean projection onto the
+    density set as its kernel: it plays the projection of
+    ``eta * sum of gains``, and the projection of the zero matrix is the
+    maximally mixed state.  Its average regret carries no stated bound.
     """
-
-    kind = "ftrl_frobenius"
-
-    def __init__(self, dim: int, eta: float, batch: int | None = None):
-        _check_stepsize(eta)
-        self.dim = int(dim)
-        self.eta = float(eta)
-        self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
-        self._cached = None
 
     kernel = staticmethod(project_to_density_stack)
 
-    def _scaled_sum(self) -> np.ndarray:
-        return self.eta * self._sum
-
-    @property
-    def strategy(self) -> np.ndarray:
-        if self._cached is None:
-            self._cached = self.kernel(self._scaled_sum())
-        return self._cached
-
-    def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
-        self._update(_check_gain(gain, self._sum.shape))
-
-    def _update(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
-        self._sum = self._sum + gain
-        self._cached = None
+    def __init__(self, dim: int, eta: float, batch: int | None = None):
+        super().__init__(dim, fixed_schedule(eta), batch)
 
     def average_regret_bound(self, t: int) -> float:
         return float("nan")
@@ -231,8 +210,6 @@ class FrobeniusFTRL:
 
 class Constant:
     """Plays one fixed density forever (useful as an adversarial deviator)."""
-
-    kind = "constant"
 
     def __init__(self, rho: np.ndarray):
         rho = check_density(np.asarray(rho, dtype=complex))
@@ -262,7 +239,6 @@ class ScriptedNoRegret:
     deviation round (the deviation round's gain is the first one fed to it).
     """
 
-    kind = "scripted"
     watches_opponents = True
 
     def __init__(
@@ -270,7 +246,6 @@ class ScriptedNoRegret:
         player: int,
         weights: Sequence[float],
         profiles: Sequence[Sequence[np.ndarray]],
-        fallback_base_epoch: int = 8,
     ):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
@@ -281,7 +256,6 @@ class ScriptedNoRegret:
         self.weights = weights
         self.profiles = [[check_density(np.asarray(r, dtype=complex)) for r in prof] for prof in profiles]
         self.dim = self.profiles[0][self.player].shape[0]
-        self.fallback_base_epoch = int(fallback_base_epoch)
         self._counts = np.zeros(len(weights))
         self._t = 0
         self._fallback: MMWU | None = None
@@ -310,47 +284,36 @@ class ScriptedNoRegret:
         self._counts[j] += 1
         self._t += 1
         if deviated:
-            self._fallback = MMWU(self.dim, doubling_schedule(self.fallback_base_epoch))
+            self._fallback = MMWU(self.dim, doubling_schedule())
             self._fallback._update(gain)
 
     def average_regret_bound(self, t: int) -> float:
         return float("nan")
 
 
-def scripted_team(
-    weights: Sequence[float],
-    profiles: Sequence[Sequence[np.ndarray]],
-    fallback_base_epoch: int = 8,
-) -> list[ScriptedNoRegret]:
+def scripted_team(weights: Sequence[float], profiles: Sequence[Sequence[np.ndarray]]) -> list[ScriptedNoRegret]:
     """One scripted learner per player, all sharing the same decomposition."""
-    k = len(profiles[0])
-    return [ScriptedNoRegret(i, weights, profiles, fallback_base_epoch) for i in range(k)]
+    return [ScriptedNoRegret(i, weights, profiles) for i in range(len(profiles[0]))]
 
 
 def horizon_for_epsilon(setting: str, dim: int, epsilon: float, k: int | None = None) -> tuple[float, int]:
     """Stepsize and horizon guaranteeing an epsilon-certificate by time T.
 
-    general:    eta = eps/2,     T = ceil(4 ln d / eps^2),      eps <= 2
-    zero_sum:   eta = eps/4,     T = ceil(16 ln d / eps^2),     eps <= 4
-    polymatrix: eta = eps/(2k),  T = ceil(4 k^2 ln d / eps^2),  eps <= 2k
+    Each setting scales the learners' regret bound by s in its certificate:
+    s = 1 for "general" games, 2 for two-player "zero_sum" games and the
+    player count k for "polymatrix" games.  Then eta = eps/(2s) and
+    T = ceil(4 s^2 ln d / eps^2), for 0 < eps <= 2s.
     """
     if dim < 2:
         raise ValueError("register dimension must be >= 2")
-    if setting == "general":
-        if not 0 < epsilon <= 2:
-            raise ValueError("epsilon must be in (0, 2] for general games")
-        return epsilon / 2.0, ceil(4.0 * log(dim) / epsilon**2)
-    if setting == "zero_sum":
-        if not 0 < epsilon <= 4:
-            raise ValueError("epsilon must be in (0, 4] for zero-sum games")
-        return epsilon / 4.0, ceil(16.0 * log(dim) / epsilon**2)
-    if setting == "polymatrix":
-        if k is None or k < 2:
-            raise ValueError("polymatrix setting needs the player count k")
-        if not 0 < epsilon <= 2 * k:
-            raise ValueError("epsilon must be in (0, 2k] for polymatrix games")
-        return epsilon / (2.0 * k), ceil(4.0 * k**2 * log(dim) / epsilon**2)
-    raise ValueError(f"unknown setting {setting!r}")
+    if setting == "polymatrix" and (k is None or k < 2):
+        raise ValueError("polymatrix setting needs the player count k")
+    scale = {"general": 1, "zero_sum": 2, "polymatrix": k}.get(setting)
+    if scale is None:
+        raise ValueError(f"unknown setting {setting!r}")
+    if not 0 < epsilon <= 2 * scale:
+        raise ValueError(f"epsilon must be in (0, {2 * scale}] for {setting} games")
+    return epsilon / (2.0 * scale), ceil(4.0 * scale**2 * log(dim) / epsilon**2)
 
 
 @dataclass
@@ -401,14 +364,13 @@ class Trajectory:
         return kron(*(self.marginal_average(i) for i in range(self.n_players)))
 
 
-def external_regret(traj: Trajectory, i: int, average: bool = True) -> float:
-    """Regret against the best fixed density in hindsight.
+def external_regret(traj: Trajectory, i: int) -> float:
+    """Average regret against the best fixed density in hindsight.
 
     The best fixed strategy for a cumulative gain matrix is its top
     eigenprojector, so the benchmark term is ``lambda_max(sum_t G_t)``.
     """
-    reg = lambda_max(traj.cum_gain[i]) - traj.realized[i]
-    return reg / traj.T if average else reg
+    return (lambda_max(traj.cum_gain[i]) - traj.realized[i]) / traj.T
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -494,6 +456,11 @@ def certify_checkpoints(
     joint_eigs = np.flip(kron_spectrum([spectra[g][:, s] for g, s in where]), axis=-1)
     bloch = {i: bloch_vectors(strategies[g][:, s]) for i, (g, s) in enumerate(where) if dims[i] == 2}
     return _per_player(utils, members), avg_regret, gaps, joint_eigs, np.flip(avg_spectra, axis=-1), bloch
+
+
+def _term_layout(game: Game) -> list[list[tuple[int, ...]]]:
+    """The registers of each player's gain terms: what a stacked contraction needs games to share."""
+    return [[t.regs for t in terms] for terms in game.gain_terms]
 
 
 def _gain_contraction(games: Sequence[Game], group_dims: list[int], where: list[tuple[int, int]]):
@@ -595,14 +562,16 @@ def run_game(
     a balanced cut.  The window's cap keeps it within the size of
     ``joint_sum`` (or a small fixed floor), whatever T and ``stride`` are.
 
-    :class:`MMWU` and :class:`FrobeniusFTRL` learners (subclasses included)
-    of one kernel and state shape compute each round's strategies in one
-    stacked kernel call, written straight into their group's stack and
-    bit-identical per matrix to their own ``strategy``; any other learner is
-    asked for its ``strategy`` alone.
+    :class:`MMWU` learners (subclasses such as :class:`FrobeniusFTRL`
+    included) of one kernel and state shape compute each round's strategies
+    in one stacked kernel call, written straight into their group's stack
+    and bit-identical per matrix to their own ``strategy``; any other
+    learner is asked for its ``strategy`` alone.
 
-    ``g`` may also be a sequence of B games of one kind with one register
-    layout (and, for polymatrix games, one edge set).  They are played in
+    ``g`` may also be a sequence of B games that share register dims and
+    gain-term layout (each player's terms read the same registers, so a
+    dense two-player game batches with a one-edge polymatrix game, but not a
+    polymatrix game with its dense lift).  They are played in
     lockstep, every array of the round loop carrying a batch axis, by
     learners built with ``batch=B`` (``learners[i]`` plays register i of
     every game), and the result is one trajectory per game.  Each is
@@ -613,13 +582,9 @@ def run_game(
     games = [g] if single else list(g)
     if not games:
         raise ValueError("a batch needs at least one game")
-    dims = games[0].dims
-    if any(game.dims != dims for game in games):
-        raise ValueError("games in a batch must share register dims")
-    if any(type(game) is not type(games[0]) for game in games):
-        raise ValueError("games in a batch must be of one kind")
-    if isinstance(games[0], PolymatrixGame) and any(game.edges.keys() != games[0].edges.keys() for game in games):
-        raise ValueError("polymatrix games in a batch must share one edge set")
+    dims, layout = games[0].dims, _term_layout(games[0])
+    if any(game.dims != dims or _term_layout(game) != layout for game in games):
+        raise ValueError("games in a batch must share register dims and gain-term layout")
     B, k = len(games), len(dims)
     if len(learners) != k:
         raise ValueError("one learner per player required")
@@ -636,9 +601,8 @@ def run_game(
         raise ValueError("checkpoint stride must be >= 1")
 
     # a learner's own batch shape: () for a single learner, (B,) for a batch; a spectral
-    # learner's strategy has the shape of its sum, so only the others are asked to play
-    spectral = (MMWU, FrobeniusFTRL)
-    leads = [np.shape(ln._sum if isinstance(ln, spectral) else ln.strategy)[:-2] for ln in learners]
+    # (MMWU-family) learner's strategy has the shape of its sum, so only the others are asked to play
+    leads = [np.shape(ln._sum if isinstance(ln, MMWU) else ln.strategy)[:-2] for ln in learners]
     for i, lead in enumerate(leads):
         if lead != (B,) and not (lead == () and B == 1):
             raise ValueError(f"learner {i} plays a batch of shape {lead}, expected ({B},)")
@@ -687,18 +651,18 @@ def run_game(
     avg_spectra = np.empty((C, B, n))
     bound = np.empty(C)
 
-    # MMWU and FTRL learners of one kernel and state shape play one stacked kernel call, written
+    # MMWU-family learners of one kernel and state shape play one stacked kernel call, written
     # into their slots; the kernels are spectral maps, bit-identical per matrix to separate calls
     by_kernel = {}
     for i, ln in enumerate(learners):
-        if isinstance(ln, spectral):
+        if isinstance(ln, MMWU):
             by_kernel.setdefault((ln.kernel, ln._sum.shape), []).append(i)
     stacked = []
     for (kernel, _), ids in by_kernel.items():
         g = where[ids[0]][0]
         slots = np.array([where[i][1] for i in ids])
         stacked.append((kernel, [learners[i] for i in ids], g, slots, (len(ids),) + shapes[g][1:]))
-    alone = [(ln, *where[i]) for i, ln in enumerate(learners) if not isinstance(ln, spectral)]
+    alone = [(ln, *where[i]) for i, ln in enumerate(learners) if not isinstance(ln, MMWU)]
     strategies = [np.empty(shape, dtype=complex) for shape in shapes]
 
     def play() -> None:

@@ -261,27 +261,3 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         lines.append(",".join([str(int(t)), *map(repr, row)]))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def manifest_obj(
-    game_hash: str,
-    seeds: dict,
-    learner_kinds: list[str],
-    schedule: dict,
-    T: int,
-    stride: int,
-    gap_mode: str,
-    bound_scale: float,
-    tool_version: str,
-) -> dict:
-    return {
-        "game_hash": game_hash,
-        "seeds": seeds,
-        "learner_kinds": learner_kinds,
-        "schedule": schedule,
-        "T": T,
-        "stride": stride,
-        "gap_mode": gap_mode,
-        "bound_scale": bound_scale,
-        "tool_version": tool_version,
-    }

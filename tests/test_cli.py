@@ -133,6 +133,31 @@ def test_run_polymatrix_game(tmp_path):
     assert manifest["T"] == 278
 
 
+def test_general_sum_polymatrix_file_gets_the_general_certificate(tmp_path):
+    # Shapley's cyclic 3x3 game with noise on one edge: a QNE bound at scale k does not hold for it
+    rng = np.random.default_rng(0)
+    a = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) + 0.3 * rng.random((3, 3))
+    b = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) + 0.3 * rng.random((3, 3))
+    a, b = a / a.max(), b / b.max()
+    pg = qg.PolymatrixGame((3, 3), {(0, 1): (np.diag(a.ravel()), np.diag(b.T.ravel()))})
+    assert not pg.zero_sum
+    game, out = tmp_path / "shapley.json", tmp_path / "run"
+    ser.save_game(game, pg)
+    assert main(["run", "--game", str(game), "--epsilon", "0.05", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["gap_mode"], manifest["bound_scale"], manifest["T"]) == ("qcce", 1.0, 1758)
+    _, rows = read_csv(out / "trajectory.csv")
+    assert all(float(row[f"gap_{i}"]) <= float(row["bound"]) + 1e-9 for row in rows for i in range(2))
+
+
+def test_inline_general_sum_polymatrix_runs_in_qcce_mode(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--kind", "polymatrix", "--dims", "2,2,2", "--no-pairwise-zero-sum",
+                 "--epsilon", "0.5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["gap_mode"] == "qcce" and manifest["bound_scale"] == 1.0
+
+
 def test_run_batch_inline(tmp_path):
     out = tmp_path / "batch"
     assert main(["run", "--kind", "general", "--dims", "2,2", "--epsilon", "0.4",

@@ -177,6 +177,16 @@ def test_pairwise_zero_sum_edges_cancel_globally():
     assert lifted.zero_sum
 
 
+def test_polymatrix_zero_sum_is_pairwise():
+    edges = qg.graph_edges("cycle", 3)
+    assert qg.random_polymatrix((2, 3, 2), edges, seed=13).zero_sum
+    assert not qg.random_polymatrix((2, 3, 2), edges, seed=13, pairwise_zero_sum=False).zero_sum
+    r = qg.random_hermitian(6, np.random.default_rng(3))
+    swapped = qg.permute_registers(r, (2, 3), (1, 0))
+    assert qg.PolymatrixGame((2, 3), {(0, 1): (r, -swapped + 1e-10 * np.eye(6))}).zero_sum
+    assert not qg.PolymatrixGame((2, 3), {(0, 1): (r, -swapped + 1e-8 * np.eye(6))}).zero_sum
+
+
 def test_random_game_normalization_and_determinism():
     g = qg.random_game((2, 2), 42)
     rng = np.random.default_rng(14)

@@ -149,6 +149,17 @@ def test_run_game_rejects_mixed_batches():
             qg.run_game(games, mmwu_team((2, 2, 2), batch=2), 3)
 
 
+@pytest.mark.parametrize("gap_mode", ["qne", "qcce"])
+def test_dense_and_polymatrix_games_of_one_term_layout_batch_together(gap_mode):
+    # two players: a dense game and a one-edge polymatrix game both give each player one term on the other
+    games = [qg.random_game((2, 3), 5, "zero_sum"), qg.random_polymatrix((2, 3), [(0, 1)], seed=6)]
+    assert [[t.regs for t in terms] for terms in games[0].gain_terms] == [[(1,)], [(0,)]]
+    assert [[t.regs for t in terms] for terms in games[1].gain_terms] == [[(1,)], [(0,)]]
+    batch = qg.run_game(games, mmwu_team((2, 3), batch=2), 9, stride=4, gap_mode=gap_mode)
+    for game, traj in zip(games, batch):
+        assert_trajectories_match(traj, qg.run_game(game, mmwu_team((2, 3)), 9, stride=4, gap_mode=gap_mode), 0)
+
+
 def test_gain_terms_are_edgewise():
     pg = qg.random_polymatrix((2, 3, 2, 3), qg.graph_edges("cycle", 4), seed=3)
     for i, terms in enumerate(pg.gain_terms):

@@ -224,8 +224,9 @@ def test_file_objects_dump_like_json_dumps(game_seed, bound_scale):
     objs = [
         ser.game_to_obj(game, seed=seed),
         {"dims": list(game.dims), "matrix": ser.encode_matrix(rho)},
-        ser.manifest_obj("ab" * 32, {"game": seed, "run": seed}, ["mmwu"] * game.n_players,
-                         {"kind": "fixed", "eta": 0.1, "base_epoch": 8}, 10, 1, "qcce", bound_scale, "0.1.0"),
+        {"game_hash": "ab" * 32, "seeds": {"game": seed, "run": seed}, "learner_kinds": ["mmwu"] * game.n_players,
+         "schedule": {"kind": "fixed", "eta": 0.1, "base_epoch": 8}, "T": 10, "stride": 1, "gap_mode": "qcce",
+         "bound_scale": bound_scale, "tool_version": "0.1.0"},
         ser.report_to_obj(qg.is_qne(game, rho)),
     ]
     for obj in objs:
