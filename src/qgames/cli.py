@@ -73,6 +73,8 @@ def _parse_payoff(text: str) -> np.ndarray:
 
 
 def _generate(kind: str, dims: tuple[int, ...], seed: int, graph: str | None, pairwise_zero_sum: bool):
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if kind == "general":
         return random_game(dims, seed, "general")
     if kind == "zero-sum":
@@ -160,14 +162,10 @@ def cmd_run(args) -> int:
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
     for outdir, seed, game, traj in zip(outdirs, seeds, games, trajs):
         outdir.mkdir(parents=True, exist_ok=True)
-        if args.game is not None:
-            game_path = Path(args.game)
-        else:
-            game_path = outdir / "game.json"
-            save_game(game_path, game, seed=seed)
+        game_hash = sha256_file(args.game) if args.game is not None else save_game(outdir / "game.json", game, seed=seed)
         write_trajectory_csv(outdir / "trajectory.csv", traj)
         manifest = {
-            "game_hash": sha256_file(game_path),
+            "game_hash": game_hash,
             "seeds": {"game": seed, "run": seed},
             "learner_kinds": names,
             "schedule": schedule_obj,

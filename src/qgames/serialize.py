@@ -4,14 +4,17 @@ Complex matrices are stored as flat row-major lists of ``[re, im]`` pairs.
 Floats are written in Python's shortest round-trip decimal form (at most 17
 significant digits), so every value parses back to the identical double and
 identical inputs always produce byte-identical files.  CSV output is UTF-8
-with LF line endings and a fixed, documented header row.
+with LF line endings and a fixed, documented header row.  Writers stream their
+files, JSON 512 pairs and CSV one row at a time, so their memory does not grow
+with the file, and ``write_json`` returns the SHA-256 of the bytes it wrote.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from itertools import chain
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -44,37 +47,49 @@ def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarra
     return flat.reshape(rows, cols)
 
 
-def _render(obj: Any, indent: str) -> str:
-    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it at nesting ``indent``.
+def _blocks(obj: Any, indent: str = "") -> Iterator[str]:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it at nesting ``indent``, block by block.
 
     Dict keys must be strings.  Lists of ``[re, im]`` float pairs, the bulk of
-    game and state files, are formatted in one pass instead of going through
-    json's pure-Python indenting encoder.
+    game and state files, are formatted 512 pairs to a block instead of going
+    through json's pure-Python indenting encoder, so a block stays near 40 kB.
     """
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
-        items = [f"{inner}{json.dumps(key)}: {_render(val, inner)}" for key, val in sorted(obj.items())]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)) and obj:
+        for n, (key, val) in enumerate(sorted(obj.items())):
+            yield f"{',' if n else '{'}\n{inner}{json.dumps(key)}: "
+            yield from _blocks(val, inner)
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
         if all(type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float for p in obj):
             row = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
-            body = ",\n".join([row % (re, im) for re, im in obj])
-            if "n" in body:  # json spells the reprs nan and (-)inf as NaN and (-)Infinity
-                body = body.replace("nan", "NaN").replace("inf", "Infinity")
+            for start in range(0, len(obj), 512):
+                body = ",\n".join([row % (re, im) for re, im in obj[start : start + 512]])
+                if "n" in body:  # json spells the reprs nan and (-)inf as NaN and (-)Infinity
+                    body = body.replace("nan", "NaN").replace("inf", "Infinity")
+                yield f"{',' if start else '['}\n{body}"
         else:
-            body = ",\n".join([inner + _render(val, inner) for val in obj])
-        return "[\n" + body + "\n" + indent + "]"
-    return json.dumps(obj)
+            for n, val in enumerate(obj):
+                yield f"{',' if n else '['}\n{inner}"
+                yield from _blocks(val, inner)
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(obj)
 
 
 def dumps_canonical(obj: Any) -> str:
     """The canonical text of a JSON object: byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``."""
-    return _render(obj, "") + "\n"
+    return "".join(_blocks(obj)) + "\n"
 
 
-def write_json(path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps_canonical(obj))
+def write_json(path, obj: Any) -> str:
+    """Write ``dumps_canonical(obj)`` to path one block at a time; return the SHA-256 hex digest of the bytes."""
+    h = hashlib.sha256()
+    with open(path, "wb") as f:
+        for data in map(str.encode, chain(_blocks(obj), ["\n"])):
+            f.write(data)
+            h.update(data)
+    return h.hexdigest()
 
 
 def read_json(path) -> Any:
@@ -88,7 +103,8 @@ def read_json(path) -> Any:
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        h.update(f.read())
+        while block := f.read(1 << 20):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -176,8 +192,8 @@ def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
     return QuantumGame(dims, tensors, zero_sum=(kind == "zero_sum"))
 
 
-def save_game(path, game, seed: int | None = None) -> None:
-    write_json(path, game_to_obj(game, seed))
+def save_game(path, game, seed: int | None = None) -> str:
+    return write_json(path, game_to_obj(game, seed))
 
 
 def load_game(path) -> tuple[str, QuantumGame | PolymatrixGame]:
@@ -253,11 +269,9 @@ def trajectory_header(dims) -> list[str]:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    qubit_players = [i for i, d in enumerate(traj.dims) if d == 2]
     columns = [traj.utils, traj.avg_regret, traj.gaps, traj.bound[:, None], traj.joint_eigs, traj.avg_joint_eigs]
-    table = np.concatenate(columns + [traj.bloch[i] for i in qubit_players], axis=1, dtype=float)
-    lines = [",".join(trajectory_header(traj.dims))]
-    for t, row in zip(traj.checkpoints.tolist(), table.tolist()):
-        lines.append(",".join([str(int(t)), *map(repr, row)]))
+    columns += [traj.bloch[i] for i, d in enumerate(traj.dims) if d == 2]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(trajectory_header(traj.dims)) + "\n")
+        for t, *parts in zip(traj.checkpoints.tolist(), *columns):
+            f.write(",".join([str(int(t)), *map(repr, np.concatenate(parts, dtype=float).tolist())]) + "\n")

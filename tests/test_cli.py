@@ -39,6 +39,9 @@ def test_gen_invalid_spec_exits_1(tmp_path, capsys):
     assert main(["gen", "--kind", "polymatrix", "--dims", "2,2", "--graph", "star2",
                  "--out", str(tmp_path / "x.json")]) == 1
     assert "error" in capsys.readouterr().err
+    assert main(["gen", "--kind", "general", "--dims", "2,2", "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_unwritable_path_exits_2(tmp_path):
@@ -167,6 +170,10 @@ def test_run_batch_inline(tmp_path):
     g0 = (out / "run_000" / "game.json").read_bytes()
     g1 = (out / "run_001" / "game.json").read_bytes()
     assert g0 != g1
+    # an inline run's game_hash is the hash of the game file as written
+    for rid in range(3):
+        manifest = json.loads((out / f"run_{rid:03d}" / "manifest.json").read_text())
+        assert manifest["game_hash"] == ser.sha256_file(out / f"run_{rid:03d}" / "game.json")
     # batch against a fixed game file is refused, and so is an empty batch
     game = tmp_path / "g.json"
     main(["gen", "--kind", "general", "--dims", "2,2", "--seed", "2", "--out", str(game)])
@@ -383,22 +390,23 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
 
 @pytest.mark.parametrize("runs", [1, 3])
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ["--T", "5", "--eta", "0.1", "--stride", "0"],
-        ["--T", "0", "--eta", "0.1"],
-        ["--T", "5", "--eta", "0.1", "--learners", "mmwu"],
-        ["--T", "5"],
-        ["--T", "5", "--schedule", "doubling", "--learners", "ftrl,mmwu"],
-        ["--T", "5", "--schedule", "doubling", "--eta", "0.5"],
+        (["--T", "5", "--eta", "0.1", "--stride", "0"], "checkpoint stride must be >= 1"),
+        (["--T", "0", "--eta", "0.1"], "horizon must be >= 1"),
+        (["--T", "5", "--eta", "0.1", "--learners", "mmwu"], "need 2 learner kinds, got 1"),
+        (["--T", "5"], "--T needs --eta"),
+        (["--T", "5", "--schedule", "doubling", "--learners", "ftrl,mmwu"], "ftrl supports only fixed stepsizes"),
+        (["--T", "5", "--schedule", "doubling", "--eta", "0.5"], "--eta sets a fixed stepsize"),
+        (["--T", "5", "--eta", "0.1", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
-    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling"],
+    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative"],
 )
-def test_rejected_run_writes_nothing(tmp_path, capsys, flags, runs):
+def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"
     rc = main(["run", "--kind", "general", "--dims", "2,2", *flags, "--runs", str(runs), "--out", str(out)])
     err = capsys.readouterr().err
-    assert rc == 1 and err.startswith("error:") and "Traceback" not in err
+    assert rc == 1 and err.startswith(f"error: {message}") and "Traceback" not in err, err
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import tracemalloc
+from math import inf, nan
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgames as qg
@@ -179,6 +182,10 @@ def test_sha256_file(tmp_path):
     p = tmp_path / "x"
     p.write_bytes(b"abc")
     assert ser.sha256_file(p) == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    # a file of several 1 MiB blocks and a partial one hashes like its bytes in one piece
+    data = np.random.default_rng(1).bytes(3 * 2**20 + 1)
+    p.write_bytes(data)
+    assert ser.sha256_file(p) == hashlib.sha256(data).hexdigest()
 
 
 # -- byte-identical fast writers ----------------------------------------------------
@@ -197,10 +204,27 @@ json_values = st.recursive(
 )
 
 
+def pairs_across_blocks():
+    """1100 [re, im] pairs, three write blocks, with nan and infinities on both sides of each block edge."""
+    pairs = [[0.5 * i, -1.0 / (i + 1)] for i in range(1100)]
+    for i, x in ((0, nan), (511, inf), (512, -inf), (1023, nan), (1024, inf), (1099, -inf)):
+        pairs[i][i % 2] = x
+    return {"matrix": pairs, "tail": [pairs[:3], 1]}
+
+
+def assert_writes_canonical(obj, path):
+    """write_json writes the bytes of json.dumps and returns their SHA-256."""
+    digest = ser.write_json(path, obj)
+    assert path.read_bytes() == reference_dumps(obj).encode()
+    assert digest == ser.sha256_file(path)
+
+
 @settings(deadline=None)
 @given(json_values)
-def test_dumps_canonical_matches_json_dumps(obj):
+@example(pairs_across_blocks())
+def test_dumps_canonical_matches_json_dumps(tmp_path_factory, obj):
     assert ser.dumps_canonical(obj) == reference_dumps(obj)
+    assert_writes_canonical(obj, tmp_path_factory.getbasetemp() / "canonical.json")
 
 
 @st.composite
@@ -218,7 +242,7 @@ def games(draw):
 
 @settings(deadline=None, max_examples=30)
 @given(games(), any_float)
-def test_file_objects_dump_like_json_dumps(game_seed, bound_scale):
+def test_file_objects_dump_like_json_dumps(tmp_path_factory, game_seed, bound_scale):
     game, seed = game_seed
     rho = qg.random_density(game.joint_dim, np.random.default_rng(seed))
     objs = [
@@ -231,6 +255,7 @@ def test_file_objects_dump_like_json_dumps(game_seed, bound_scale):
     ]
     for obj in objs:
         assert ser.dumps_canonical(obj) == reference_dumps(obj)
+        assert_writes_canonical(obj, tmp_path_factory.getbasetemp() / "file_object.json")
 
 
 def reference_csv(traj):
@@ -250,18 +275,45 @@ def reference_csv(traj):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("dims,learners", [
-    ((2, 2), "mmwu"),
-    ((2, 3, 2), "mmwu"),
-    ((3, 3), "ftrl"),   # FTRL has no regret bound: the bound column is nan
-])
-def test_trajectory_csv_matches_per_cell_repr(tmp_path, dims, learners):
+@pytest.mark.parametrize("dims,learners,T", [
+    ((2, 2), "mmwu", 30),
+    ((2, 3, 2), "mmwu", 30),
+    ((3, 3), "ftrl", 30),   # FTRL has no regret bound: the bound column is nan
+    ((2, 2), "mmwu", 4205),   # 601 rows, the last one off the stride
+], ids=["dims0-mmwu", "dims1-mmwu", "dims2-ftrl", "601-rows"])
+def test_trajectory_csv_matches_per_cell_repr(tmp_path, dims, learners, T):
     g = qg.random_game(dims, 23)
     if learners == "mmwu":
         team = [qg.MMWU(d, qg.doubling_schedule()) for d in dims]
     else:
         team = [qg.FrobeniusFTRL(d, 0.2) for d in dims]
-    traj = qg.run_game(g, team, 30, stride=7)
+    traj = qg.run_game(g, team, T, stride=7)
     path = tmp_path / "t.csv"
     ser.write_trajectory_csv(path, traj)
     assert path.read_bytes() == reference_csv(traj)
+
+
+# -- writer memory --------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def game444_files():
+    """The (4,4,4) general game's file object and its epsilon = 0.1 trajectory at stride 1 (555 rows)."""
+    game = qg.random_game((4, 4, 4), 2310)
+    eta, horizon = qg.horizon_for_epsilon("general", 4, 0.1, k=3)
+    traj = qg.run_game(game, [qg.MMWU(4, qg.fixed_schedule(eta)) for _ in range(3)], horizon, stride=1)
+    return ser.game_to_obj(game, seed=2310), traj
+
+
+@pytest.mark.parametrize("kind", ["json", "csv"])
+def test_writers_hold_a_block_not_the_file(tmp_path, game444_files, kind):
+    obj, traj = game444_files
+    write, arg = (ser.write_json, obj) if kind == "json" else (ser.write_trajectory_csv, traj)
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        write(path, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * path.stat().st_size, (peak, path.stat().st_size)
