@@ -40,7 +40,6 @@ class ChoiMatrix:
     matrix: np.ndarray
     out_dim: int
     in_dim: int
-    kind: str = "general"
 
     def __post_init__(self):
         n = self.out_dim * self.in_dim
@@ -77,14 +76,14 @@ def choi_of_identity(dim: int) -> ChoiMatrix:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     u = np.eye(dim, dtype=complex).reshape(-1)
-    return ChoiMatrix(np.outer(u, u.conj()), dim, dim, kind="identity")
+    return ChoiMatrix(np.outer(u, u.conj()), dim, dim)
 
 
 def replacement_channel(target: np.ndarray) -> ChoiMatrix:
     """The constant map X -> Tr(X) * target; Choi matrix target (x) I."""
     target = check_density(np.asarray(target, dtype=complex))
     d = target.shape[0]
-    return ChoiMatrix(kron(target, np.eye(d, dtype=complex)), d, d, kind="replacement")
+    return ChoiMatrix(kron(target, np.eye(d, dtype=complex)), d, d)
 
 
 def unitary_channel(u: np.ndarray) -> ChoiMatrix:
@@ -93,7 +92,7 @@ def unitary_channel(u: np.ndarray) -> ChoiMatrix:
     d = u.shape[0]
     if u.shape != (d, d) or maxabs(dagger(u) @ u - np.eye(d)) > 1e-9:
         raise ValueError("matrix is not unitary within 1e-9")
-    return ChoiMatrix(choi_of_map(lambda x: u @ x @ dagger(u), d), d, d, kind="unitary")
+    return ChoiMatrix(choi_of_map(lambda x: u @ x @ dagger(u), d), d, d)
 
 
 def apply_superop(c: ChoiMatrix, x: np.ndarray) -> np.ndarray:

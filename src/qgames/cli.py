@@ -72,7 +72,19 @@ def _parse_payoff(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _generate(kind: str, dims: tuple[int, ...], seed: int, graph: str | None, pairwise_zero_sum: bool):
+def _check_game_flags(args) -> None:
+    """Reject game flags that the game the other flags choose would ignore."""
+    if getattr(args, "game", None) is not None:
+        for flag, val in (("--kind", args.kind), ("--dims", args.dims), ("--graph", args.graph)):
+            if val is not None:
+                raise ValueError(f"{flag} does not combine with --game")
+    pzs = "--pairwise-zero-sum" if args.pairwise_zero_sum else "--no-pairwise-zero-sum"
+    for flag, val in (("--graph", args.graph), (pzs, args.pairwise_zero_sum)):
+        if val is not None and args.kind != "polymatrix":
+            raise ValueError(f"{flag} applies only to --kind polymatrix")
+
+
+def _generate(kind: str, dims: tuple[int, ...], seed: int, graph: str | None, pairwise_zero_sum: bool | None):
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
     if kind == "general":
@@ -81,11 +93,12 @@ def _generate(kind: str, dims: tuple[int, ...], seed: int, graph: str | None, pa
         return random_game(dims, seed, "zero_sum")
     if kind == "polymatrix":
         edges = _parse_graph(graph or "cycle", len(dims))
-        return random_polymatrix(dims, edges, seed, pairwise_zero_sum)
+        return random_polymatrix(dims, edges, seed, pairwise_zero_sum is not False)
     raise ValueError(f"unknown game kind {kind!r}")
 
 
 def cmd_gen(args) -> int:
+    _check_game_flags(args)
     game = _generate(args.kind, _parse_dims(args.dims), args.seed, args.graph, args.pairwise_zero_sum)
     save_game(args.out, game, seed=args.seed)
     return 0
@@ -141,6 +154,7 @@ def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, batc
 def cmd_run(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
+    _check_game_flags(args)
     if args.runs > 1 and args.game is not None:
         raise ValueError("--runs > 1 requires an inline game spec so each run draws a fresh seed")
     out = Path(args.out)
@@ -152,7 +166,7 @@ def cmd_run(args) -> int:
     elif args.kind is None:
         raise ValueError("either --game or an inline --kind spec is required")
     else:
-        dims = _parse_dims(args.dims)
+        dims = _parse_dims(args.dims or "2,2")
         games = [_generate(args.kind, dims, seed, args.graph, args.pairwise_zero_sum) for seed in seeds]
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
     gap_mode, bound_scale, schedule, horizon = _run_setup(games[0], args)
@@ -187,12 +201,8 @@ def cmd_verify(args) -> int:
     if dims != game.dims:
         raise ValueError(f"state dims {list(dims)} do not match game dims {list(game.dims)}")
     check_density(rho)
-    if args.kind == "qcce":
-        rep = is_qcce(game, rho, tol=args.tol)
-        print(dumps_canonical(report_to_obj(rep)), end="")
-        return 0 if rep.verdict else 1
-    if args.kind == "qne":
-        rep = is_qne(game, rho, tol=args.tol)
+    if args.kind in ("qcce", "qne"):
+        rep = (is_qcce if args.kind == "qcce" else is_qne)(game, rho, tol=args.tol)
         print(dumps_canonical(report_to_obj(rep)), end="")
         return 0 if rep.verdict else 1
     if args.kind == "zs-value":
@@ -240,16 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dims", required=True, help="comma-separated register dimensions, e.g. 2,2")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--graph", default=None, help="polymatrix graph: cycle, path, complete (optionally sized, e.g. cycle3)")
-    gen.add_argument("--pairwise-zero-sum", action=argparse.BooleanOptionalAction, default=True)
+    gen.add_argument("--pairwise-zero-sum", action=argparse.BooleanOptionalAction, default=None)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run learning dynamics and emit a trajectory CSV")
     run.add_argument("--game", default=None, help="path to a game file (or use the inline gen flags)")
     run.add_argument("--kind", default=None, choices=["general", "zero-sum", "polymatrix"])
-    run.add_argument("--dims", default="2,2")
+    run.add_argument("--dims", default=None, help="inline game: comma-separated register dimensions (default 2,2)")
     run.add_argument("--graph", default=None)
-    run.add_argument("--pairwise-zero-sum", action=argparse.BooleanOptionalAction, default=True)
+    run.add_argument("--pairwise-zero-sum", action=argparse.BooleanOptionalAction, default=None)
     run.add_argument("--learners", default=None, help="comma-separated per-player kinds: mmwu, ftrl")
     run.add_argument("--eta", type=float, default=None)
     run.add_argument("--epsilon", type=float, default=None, help="target accuracy; derives eta and T")

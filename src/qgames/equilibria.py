@@ -39,7 +39,6 @@ from .tensor import (
 )
 
 LEARNED_TOL = 1e-6
-ANALYTIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)

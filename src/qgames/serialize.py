@@ -1,12 +1,13 @@
 """File formats: game JSON, state JSON, report JSON, trajectory CSV, manifests.
 
-Complex matrices are stored as flat row-major lists of ``[re, im]`` pairs.
-Floats are written in Python's shortest round-trip decimal form (at most 17
-significant digits), so every value parses back to the identical double and
-identical inputs always produce byte-identical files.  CSV output is UTF-8
-with LF line endings and a fixed, documented header row.  Writers stream their
-files, JSON 512 pairs and CSV one row at a time, so their memory does not grow
-with the file, and ``write_json`` returns the SHA-256 of the bytes it wrote.
+Complex matrices are stored as flat row-major lists of ``[re, im]`` pairs,
+which writers format straight from numpy arrays.  Floats are written in
+Python's shortest round-trip decimal form, so every value parses back to the
+identical double and identical inputs always produce byte-identical files.
+CSV output is UTF-8 with LF line endings and a fixed, documented header row.
+Writers stream their files, JSON 128 pairs and CSV one row at a time, so their
+memory does not grow with the file, and ``write_json`` returns the SHA-256 of
+the bytes it wrote.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import chain
+from math import prod
 from typing import Any, Iterator
 
 import numpy as np
@@ -22,10 +24,6 @@ from .equilibria import EquilibriumReport, ValueCertificate
 from .games import PolymatrixGame, QuantumGame
 from .learning import Trajectory
 from .tensor import spectral_norm
-
-
-def encode_matrix(m: np.ndarray) -> list[list[float]]:
-    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarray:
@@ -50,9 +48,9 @@ def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarra
 def _blocks(obj: Any, indent: str = "") -> Iterator[str]:
     """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it at nesting ``indent``, block by block.
 
-    Dict keys must be strings.  Lists of ``[re, im]`` float pairs, the bulk of
-    game and state files, are formatted 512 pairs to a block instead of going
-    through json's pure-Python indenting encoder, so a block stays near 40 kB.
+    Dict keys must be strings.  A numpy array, the bulk of game and state
+    files, renders as its complex entries' row-major ``[re, im]`` pairs, 128
+    pairs of its float view to a block in one ``%`` format.
     """
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
@@ -60,25 +58,27 @@ def _blocks(obj: Any, indent: str = "") -> Iterator[str]:
             yield f"{',' if n else '{'}\n{inner}{json.dumps(key)}: "
             yield from _blocks(val, inner)
         yield "\n" + indent + "}"
+    elif isinstance(obj, np.ndarray):
+        flat = np.ascontiguousarray(obj, dtype=complex).view(float).ravel()
+        row = f"\n{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+        for start in range(0, len(flat), 256):
+            block = flat[start : start + 256]
+            text = ",".join([row] * (len(block) // 2)) % tuple(block.tolist())
+            if "n" in text:  # json spells the reprs nan and (-)inf as NaN and (-)Infinity
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield ("," if start else "[") + text
+        yield "\n" + indent + "]" if len(flat) else "[]"
     elif isinstance(obj, (list, tuple)) and obj:
-        if all(type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float for p in obj):
-            row = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
-            for start in range(0, len(obj), 512):
-                body = ",\n".join([row % (re, im) for re, im in obj[start : start + 512]])
-                if "n" in body:  # json spells the reprs nan and (-)inf as NaN and (-)Infinity
-                    body = body.replace("nan", "NaN").replace("inf", "Infinity")
-                yield f"{',' if start else '['}\n{body}"
-        else:
-            for n, val in enumerate(obj):
-                yield f"{',' if n else '['}\n{inner}"
-                yield from _blocks(val, inner)
+        for n, val in enumerate(obj):
+            yield f"{',' if n else '['}\n{inner}"
+            yield from _blocks(val, inner)
         yield "\n" + indent + "]"
     else:
         yield json.dumps(obj)
 
 
 def dumps_canonical(obj: Any) -> str:
-    """The canonical text of a JSON object: byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``."""
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, each array read as its ``[re, im]`` pairs."""
     return "".join(_blocks(obj)) + "\n"
 
 
@@ -113,24 +113,15 @@ def sha256_file(path) -> str:
 
 def game_to_obj(game: QuantumGame | PolymatrixGame, seed: int | None = None) -> dict:
     if isinstance(game, PolymatrixGame):
-        edges = []
-        norms = []
-        for (i, j), (r_ij, r_ji) in sorted(game.edges.items()):
-            edges.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "r_ij": encode_matrix(r_ij),
-                    "r_ji": encode_matrix(r_ji),
-                }
-            )
-            norms += [spectral_norm(r_ij), spectral_norm(r_ji)]
+        items = sorted(game.edges.items())
+        edges = [{"i": i, "j": j, "r_ij": r_ij, "r_ji": r_ji} for (i, j), (r_ij, r_ji) in items]
+        norms = [spectral_norm(r) for _, pair in items for r in pair]
         obj = {"kind": "polymatrix", "dims": list(game.dims), "edges": edges, "spectral_norms": norms}
     else:
         obj = {
             "kind": "zero_sum" if game.zero_sum else "general",
             "dims": list(game.dims),
-            "tensors": [encode_matrix(r) for r in game.tensors],
+            "tensors": list(game.tensors),
             "spectral_norms": [spectral_norm(r) for r in game.tensors],
         }
     if seed is not None:
@@ -185,9 +176,7 @@ def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
                 decode_matrix(_field(e, "r_ji", "game file edge"), nij, nij),
             )
         return PolymatrixGame(dims, edges)
-    n = 1
-    for d in dims:
-        n *= d
+    n = prod(dims)
     tensors = tuple(decode_matrix(t, n, n) for t in _read_list(obj, "tensors"))
     return QuantumGame(dims, tensors, zero_sum=(kind == "zero_sum"))
 
@@ -206,16 +195,13 @@ def load_game(path) -> tuple[str, QuantumGame | PolymatrixGame]:
 
 
 def save_state(path, rho: np.ndarray, dims) -> None:
-    rho = np.asarray(rho, dtype=complex)
-    write_json(path, {"dims": [int(d) for d in dims], "matrix": encode_matrix(rho)})
+    write_json(path, {"dims": [int(d) for d in dims], "matrix": np.asarray(rho, dtype=complex)})
 
 
 def load_state(path) -> tuple[tuple[int, ...], np.ndarray]:
     obj = read_json(path)
     dims = _read_dims(obj)
-    n = 1
-    for d in dims:
-        n *= d
+    n = prod(dims)
     return dims, decode_matrix(_field(obj, "matrix", "state file"), n, n)
 
 
@@ -252,9 +238,7 @@ def certificate_to_obj(cert: ValueCertificate, tol: float) -> dict:
 
 def trajectory_header(dims) -> list[str]:
     k = len(dims)
-    n = 1
-    for d in dims:
-        n *= d
+    n = prod(dims)
     cols = ["t"]
     cols += [f"u_{i}" for i in range(k)]
     cols += [f"avg_regret_{i}" for i in range(k)]

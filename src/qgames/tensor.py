@@ -320,9 +320,16 @@ def project_to_density_stack(h: np.ndarray) -> np.ndarray:
     ``h``, and it projects the eigenvalues minus the largest one: the
     threshold is then computed near 0, where the top eigenvalues lie, and the
     weights sum to 1 up to unit-scale rounding however large the spread.
+
+    The threshold lies in [-1, 0), so clamping the shifted eigenvalues at -1
+    moves no bit; a matrix with entries of 2^1000 or more is then scaled down
+    by a power of two, exactly undone on the clamped spectrum, so
+    :func:`_traceless` cannot overflow.
     """
-    vals, vecs = np.linalg.eigh(_traceless(h))
-    return _reassemble(vecs, simplex_projection(vals - vals[..., -1:]))
+    big = np.maximum(np.abs(h.real).max(axis=(-2, -1)), np.abs(h.imag).max(axis=(-2, -1)))
+    scale = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1000, 0))[..., None]
+    vals, vecs = np.linalg.eigh(_traceless(h / scale[..., None]))
+    return _reassemble(vecs, simplex_projection(np.maximum(vals - vals[..., -1:], -1.0 / scale) * scale))
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> np.ndarray:

@@ -41,6 +41,12 @@ def test_gen_invalid_spec_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["gen", "--kind", "general", "--dims", "2,2", "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    # --graph and --[no-]pairwise-zero-sum shape polymatrix games only
+    for flags, message in ((["--kind", "general", "--graph", "cycle"], "--graph"),
+                           (["--kind", "zero-sum", "--pairwise-zero-sum"], "--pairwise-zero-sum"),
+                           (["--kind", "general", "--no-pairwise-zero-sum"], "--no-pairwise-zero-sum")):
+        assert main(["gen", *flags, "--dims", "2,2", "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message} applies only to --kind polymatrix\n"
     assert not (tmp_path / "x.json").exists()
 
 
@@ -399,12 +405,27 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
         (["--T", "5", "--schedule", "doubling", "--learners", "ftrl,mmwu"], "ftrl supports only fixed stepsizes"),
         (["--T", "5", "--schedule", "doubling", "--eta", "0.5"], "--eta sets a fixed stepsize"),
         (["--T", "5", "--eta", "0.1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--game", "GAME", "--kind", "general", "--dims", "3,3", "--T", "10", "--eta", "0.1"],
+         "--kind does not combine with --game"),
+        (["--game", "GAME", "--dims", "3,3", "--T", "10", "--eta", "0.1"], "--dims does not combine with --game"),
+        (["--game", "GAME", "--graph", "cycle", "--T", "10", "--eta", "0.1"], "--graph does not combine with --game"),
+        (["--kind", "zero-sum", "--graph", "path", "--T", "5", "--eta", "0.1"],
+         "--graph applies only to --kind polymatrix"),
+        (["--no-pairwise-zero-sum", "--T", "5", "--eta", "0.1"],
+         "--no-pairwise-zero-sum applies only to --kind polymatrix"),
     ],
-    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative"],
+    ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative",
+         "game-with-kind", "game-with-dims", "game-with-graph", "graph-without-polymatrix",
+         "pairwise-without-polymatrix"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"
-    rc = main(["run", "--kind", "general", "--dims", "2,2", *flags, "--runs", str(runs), "--out", str(out)])
+    if "--game" in flags:   # a saved 2x2 game; the inline spec flags then come only from the case
+        ser.save_game(tmp_path / "g.json", qg.random_game((2, 2), 1))
+        spec = [str(tmp_path / "g.json") if flag == "GAME" else flag for flag in flags]
+    else:
+        spec = ["--kind", "general", "--dims", "2,2", *flags]
+    rc = main(["run", *spec, "--runs", str(runs), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith(f"error: {message}") and "Traceback" not in err, err
     assert not out.exists()
@@ -455,3 +476,15 @@ def test_maxent_constant_payoff_boundary(capsys):
 def test_maxent_bad_shape_exits_1(capsys):
     assert main(["maxent", "--a", "1,0,0;0,0,0"]) == 1
     capsys.readouterr()
+
+
+def test_ftrl_run_at_a_near_maximal_stepsize_stays_finite(tmp_path):
+    # eta * (sum of gains) reaches ~7.8e307 here: finite, so the projection must stay finite too
+    out = tmp_path / "run"
+    assert main(["run", "--kind", "general", "--dims", "3,3", "--learners", "ftrl,ftrl", "--eta", "1e307",
+                 "--T", "20", "--stride", "5", "--seed", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out / "trajectory.csv")
+    assert len(rows) == 4
+    for row in rows:
+        assert row["bound"] == "nan"   # FTRL states no regret bound
+        assert all(np.isfinite(float(row[c])) for c in header if c != "bound")

@@ -266,6 +266,21 @@ def test_run_batch_equals_single_runs_row_for_row():
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("kind", [qg.MMWU, qg.FrobeniusFTRL])
+def test_learners_end_a_run_holding_the_next_play(kind, batch):
+    # after round T a learner has observed round T's gain, so its strategy is the play of round T + 1:
+    # its kernel at eta times the whole cumulative gain, not the trajectory's final strategy
+    dims, eta = (2, 3), 0.2
+    games = [qg.random_game(dims, 5 + b) for b in range(batch or 1)]
+    learners = [kind(d, eta if kind is qg.FrobeniusFTRL else qg.fixed_schedule(eta), batch=batch) for d in dims]
+    trajs = qg.run_game(games if batch else games[0], learners, 30, stride=7)
+    trajs = trajs if batch else [trajs]
+    for i, ln in enumerate(learners):
+        cum_gain = np.stack([traj.cum_gain[i] for traj in trajs]) if batch else trajs[0].cum_gain[i]
+        assert np.array_equal(ln.strategy, kind.kernel(eta * cum_gain))
+
+
 def test_batched_learner_observes_stacks():
     m = qg.MMWU(2, qg.fixed_schedule(1.0), batch=3)
     assert m.strategy.shape == (3, 2, 2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qgames as qg
 from qgames import serialize as ser
@@ -16,7 +17,7 @@ from qgames.tensor import maxabs
 def test_matrix_roundtrip_is_bit_exact():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    text = json.dumps(ser.encode_matrix(m))
+    text = ser.dumps_canonical(m)
     back = ser.decode_matrix(json.loads(text), 3, 3)
     assert np.array_equal(back, m)
 
@@ -191,25 +192,40 @@ def test_sha256_file(tmp_path):
 # -- byte-identical fast writers ----------------------------------------------------
 
 
+def as_pairs(obj):
+    """``obj`` with each numpy array replaced by the row-major list of its entries' [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        return [[z.real, z.imag] for z in obj.astype(complex).ravel().tolist()]
+    if isinstance(obj, dict):
+        return {key: as_pairs(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_pairs(val) for val in obj]
+    return obj
+
+
 def reference_dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(as_pairs(obj), sort_keys=True, indent=2) + "\n"
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 pair_lists = st.lists(st.lists(any_float, min_size=2, max_size=2), max_size=6)
+complex_arrays = hnp.arrays(
+    st.sampled_from([complex, float]), hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=any_float,
+)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | any_float | st.text(max_size=5) | pair_lists,
+    st.none() | st.booleans() | st.integers() | any_float | st.text(max_size=5) | pair_lists | complex_arrays,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
     max_leaves=20,
 )
 
 
 def pairs_across_blocks():
-    """1100 [re, im] pairs, three write blocks, with nan and infinities on both sides of each block edge."""
+    """A 20x55 complex array, nine write blocks, with nan and infinities on both sides of some block edges."""
     pairs = [[0.5 * i, -1.0 / (i + 1)] for i in range(1100)]
     for i, x in ((0, nan), (511, inf), (512, -inf), (1023, nan), (1024, inf), (1099, -inf)):
         pairs[i][i % 2] = x
-    return {"matrix": pairs, "tail": [pairs[:3], 1]}
+    return {"matrix": np.array([complex(*p) for p in pairs]).reshape(20, 55), "tail": [pairs[:3], 1]}
 
 
 def assert_writes_canonical(obj, path):
@@ -247,7 +263,7 @@ def test_file_objects_dump_like_json_dumps(tmp_path_factory, game_seed, bound_sc
     rho = qg.random_density(game.joint_dim, np.random.default_rng(seed))
     objs = [
         ser.game_to_obj(game, seed=seed),
-        {"dims": list(game.dims), "matrix": ser.encode_matrix(rho)},
+        {"dims": list(game.dims), "matrix": rho},
         {"game_hash": "ab" * 32, "seeds": {"game": seed, "run": seed}, "learner_kinds": ["mmwu"] * game.n_players,
          "schedule": {"kind": "fixed", "eta": 0.1, "base_epoch": 8}, "T": 10, "stride": 1, "gap_mode": "qcce",
          "bound_scale": bound_scale, "tool_version": "0.1.0"},
@@ -317,3 +333,22 @@ def test_writers_hold_a_block_not_the_file(tmp_path, game444_files, kind):
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+@pytest.mark.parametrize("kind", ["game", "state"])
+def test_save_writers_format_matrices_in_place(tmp_path, kind):
+    """save_game and save_state format each matrix block by block from its array: no copy of the file as lists."""
+    if kind == "game":
+        game = qg.random_game((4, 4, 4), 2310)
+        write = lambda path: ser.save_game(path, game, seed=2310)
+    else:
+        rho = qg.random_density(64, np.random.default_rng(3))
+        write = lambda path: ser.save_state(path, rho, (4, 4, 4))
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        write(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * path.stat().st_size, (peak, path.stat().st_size)

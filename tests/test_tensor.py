@@ -9,6 +9,7 @@ from qgames.tensor import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _reassemble,
     _traceless,
     bloch_vectors,
     dagger,
@@ -390,6 +391,26 @@ def test_eigh_kernels_keep_their_accuracy_at_a_large_trace(d):
     assert np.array_equal(shifted[..., i, i] - 2.0**23, h[..., i, i])
     for kernel in (exp_density_stack, project_to_density_stack):
         assert maxabs(kernel(shifted) - kernel(h)) <= 1e-13
+
+
+@settings(deadline=None)
+@given(hermitian_stacks())
+def test_projection_clamp_and_prescale_change_no_bit(h):
+    # below 2**1000 the projection equals the plain route: simplex weights of the unclamped shifted spectrum
+    vals, vecs = np.linalg.eigh(_traceless(h))
+    assert np.array_equal(project_to_density_stack(h), _reassemble(vecs, qg.simplex_projection(vals - vals[..., -1:])))
+
+
+@pytest.mark.parametrize("scale", [1e308, 1.5e308])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_projection_stays_finite_near_the_float_maximum(d, scale):
+    h = scale * qg.random_hermitian(d, np.random.default_rng(d), norm=1)
+    rho = project_to_density_stack(h)   # an overflow warning fails the test
+    assert np.isfinite(rho).all()
+    assert abs(np.trace(rho).real - 1) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    # the eigenvalue gaps dwarf 1 either way, so both projections are the top eigenprojector
+    assert maxabs(rho - project_to_density_stack(h * 2.0**-30)) <= 1e-12
 
 
 @st.composite
