@@ -67,8 +67,10 @@ def _parse_graph(text: str, k: int) -> list[tuple[int, int]]:
     return graph_edges(name, k)
 
 
-def _parse_payoff(text: str) -> np.ndarray:
+def _parse_payoff(flag: str, text: str) -> np.ndarray:
     rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
+    if len(set(map(len, rows))) > 1 or not np.isfinite(rows).all():
+        raise ValueError(f"{flag} must be rows of finite numbers, all of one length; got {text!r}")
     return np.asarray(rows, dtype=float)
 
 
@@ -216,8 +218,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_maxent(args) -> int:
-    a = _parse_payoff(args.a)
-    b = _parse_payoff(args.b) if args.b is not None else a
+    a = _parse_payoff("--a", args.a)
+    b = _parse_payoff("--b", args.b) if args.b is not None else a
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("Bell-basis demo needs 2x2 payoff matrices")
     game = maxent_game(a, b)

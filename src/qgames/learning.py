@@ -2,12 +2,13 @@
 
 Learners implement a two-method protocol: ``strategy`` is the density played
 this round (the maximally mixed state before any feedback), and
-``observe(gain, opponents)`` absorbs the round's gain matrix.  The runner
-passes the opponents' joint state only to learners that set
-``watches_opponents`` (the scripted learner, which checks it against its
-script), and ``None`` to the others.  The runner is round-synchronous: all
-gains for round t are computed from round-t strategies before any learner
-advances, matching full-information simultaneous play.
+``observe(gain, profile)`` absorbs the round's gain matrix.  :func:`run_game`
+plays like :class:`MMWU`-family learners as one batched team, and every other
+learner as a soloist that gets the round's states as ``profile``, one entry
+per register (the scripted learner checks its opponents' entries).  The
+runner is round-synchronous: all gains for round t are computed from round-t
+strategies before any learner advances, matching full-information
+simultaneous play.
 
 Feedback is the exact gain matrix of each player (full-information online
 linear optimization), never a sampled payoff.
@@ -22,6 +23,7 @@ lockstep with them; a single game is its batch of one.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from math import ceil, isfinite, log, prod, sqrt
 from typing import Sequence
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .equilibria import exploitability  # noqa: F401  (bench/tracer.py times the name learning.exploitability)
-from .games import Game, PolymatrixGame, QuantumGame, _others
+from .games import Game, PolymatrixGame, QuantumGame
 from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
     DEFAULT_HERM_TOL,
@@ -65,8 +67,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "doubling"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "fixed":
-            _check_stepsize(self.eta)
+        if self.kind == "fixed" and not (isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"stepsize must be positive and finite, got {self.eta}")
         if self.base_epoch < 1:
             raise ValueError("base epoch length must be >= 1")
 
@@ -111,11 +113,6 @@ def doubling_schedule(base_epoch: int = 8) -> Schedule:
     return Schedule("doubling", base_epoch=base_epoch)
 
 
-def _check_stepsize(eta: float) -> None:
-    if not (isfinite(eta) and eta > 0):
-        raise ValueError(f"stepsize must be positive and finite, got {eta}")
-
-
 def _state_shape(dim: int, batch: int | None) -> tuple[int, ...]:
     """(d, d) for a single learner, (B, d, d) for a batch of B independent ones."""
     if batch is None:
@@ -144,9 +141,10 @@ class MMWU:
     and adding c*I to every gain leaves the iterates unchanged.  With
     ``batch=B`` the learner runs B independent copies on one schedule, and
     ``strategy`` and ``observe`` take (B, d, d) stacks.  ``strategy`` is
-    ``kernel(_scaled_sum())``, recomputed on every read; a subclass changes
-    the regularizer through ``kernel`` (:class:`FrobeniusFTRL`) or the
-    played matrix through ``_scaled_sum``.
+    ``kernel(eta * sum)``, recomputed on every read.  A subclass changes the
+    regularizer through ``kernel`` (:class:`FrobeniusFTRL`) and play through
+    ``strategy`` and ``_update``, which :func:`run_game` calls on a team whose
+    ``_sum`` stacks like learners' sums on a new leading axis.
     """
 
     def __init__(self, dim: int, schedule: Schedule, batch: int | None = None):
@@ -164,18 +162,14 @@ class MMWU:
 
     kernel = staticmethod(exp_density_stack)
 
-    def _scaled_sum(self) -> np.ndarray:
-        """The matrix ``kernel`` maps to the strategy; :func:`run_game` stacks it across learners."""
-        return self._eta * self._sum
-
     @property
     def strategy(self) -> np.ndarray:
-        return self.kernel(self._scaled_sum())
+        return self.kernel(self._eta * self._sum)
 
-    def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+    def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         self._update(_check_gain(gain, self._sum.shape))
 
-    def _update(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+    def _update(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         """``observe`` minus the boundary check: gain is exactly Hermitian and state-shaped."""
         self._sum = self._sum + gain
         self._in_epoch += 1
@@ -220,7 +214,7 @@ class Constant:
     def strategy(self) -> np.ndarray:
         return self._rho
 
-    def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+    def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         pass
 
     _update = observe
@@ -233,13 +227,12 @@ class ScriptedNoRegret:
     """Replays a shared product-state script; falls back to MMWU on deviation.
 
     All players derive the same deterministic component index per round from
-    the mixture weights.  Each round the learner compares the opponents'
-    reported joint state with the scripted one; any mismatch beyond 1e-9
-    permanently switches it to MMWU on a doubling schedule restarted at the
-    deviation round (the deviation round's gain is the first one fed to it).
+    the mixture weights.  Each round the learner compares every opponent's
+    entry of the round's ``profile`` with its scripted factor; any entry off
+    by more than ``DEVIATION_DETECT_TOL`` permanently switches it to MMWU on a
+    doubling schedule restarted at the deviation round (the deviation round's
+    gain is the first one fed to it).  Without a profile it never deviates.
     """
-
-    watches_opponents = True
 
     def __init__(
         self,
@@ -269,18 +262,18 @@ class ScriptedNoRegret:
             return self._fallback.strategy
         return self.profiles[self._current_component()][self.player]
 
-    def observe(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
-        self._update(_check_gain(gain, (self.dim, self.dim)), opponents)
+    def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
+        self._update(_check_gain(gain, (self.dim, self.dim)), profile)
 
-    def _update(self, gain: np.ndarray, opponents: np.ndarray | None = None) -> None:
+    def _update(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         if self._fallback is not None:
             self._fallback._update(gain)
             return
         j = self._current_component()
-        deviated = False
-        if opponents is not None:
-            expected = kron(*(r for p, r in enumerate(self.profiles[j]) if p != self.player))
-            deviated = maxabs(np.asarray(opponents) - expected) > DEVIATION_DETECT_TOL
+        deviated = profile is not None and any(
+            maxabs(np.asarray(rho) - r) > DEVIATION_DETECT_TOL
+            for p, (rho, r) in enumerate(zip(profile, self.profiles[j], strict=True)) if p != self.player
+        )
         self._counts[j] += 1
         self._t += 1
         if deviated:
@@ -563,10 +556,13 @@ def run_game(
     ``joint_sum`` (or a small fixed floor), whatever T and ``stride`` are.
 
     :class:`MMWU` learners (subclasses such as :class:`FrobeniusFTRL`
-    included) of one kernel and state shape compute each round's strategies
-    in one stacked kernel call, written straight into their group's stack
-    and bit-identical per matrix to their own ``strategy``; any other
-    learner is asked for its ``strategy`` alone.
+    included) of one class, schedule, epoch position and state shape play as
+    one team, a copy of the first whose ``_sum`` stacks theirs: one
+    ``strategy`` read and one ``_update`` per round, bit-identical per slot to
+    the learner played alone; after the run each member takes back its slot
+    and the epoch counters.  Any other learner, a soloist, plays alone and
+    gets ``_update(gain, profile)`` with the round's states, one per register
+    in its own batch shape.  A learner object may play only one player.
 
     ``g`` may also be a sequence of B games that share register dims and
     gain-term layout (each player's terms read the same registers, so a
@@ -588,6 +584,8 @@ def run_game(
     B, k = len(games), len(dims)
     if len(learners) != k:
         raise ValueError("one learner per player required")
+    if len(set(map(id, learners))) < k:
+        raise ValueError("each player needs a learner object of its own")
     for i, ln in enumerate(learners):
         if ln.dim != dims[i]:
             raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {dims[i]}")
@@ -651,37 +649,28 @@ def run_game(
     avg_spectra = np.empty((C, B, n))
     bound = np.empty(C)
 
-    # MMWU-family learners of one kernel and state shape play one stacked kernel call, written
-    # into their slots; the kernels are spectral maps, bit-identical per matrix to separate calls
-    by_kernel = {}
+    # MMWU-family learners of one class, schedule, epoch position and state shape play as one
+    # team, a copy of the first holding their sums stacked; any other learner is a soloist
+    by_key = {}
     for i, ln in enumerate(learners):
         if isinstance(ln, MMWU):
-            by_kernel.setdefault((ln.kernel, ln._sum.shape), []).append(i)
-    stacked = []
-    for (kernel, _), ids in by_kernel.items():
-        g = where[ids[0]][0]
-        slots = np.array([where[i][1] for i in ids])
-        stacked.append((kernel, [learners[i] for i in ids], g, slots, (len(ids),) + shapes[g][1:]))
-    alone = [(ln, *where[i]) for i, ln in enumerate(learners) if not isinstance(ln, MMWU)]
+            by_key.setdefault((type(ln), ln.schedule, ln._epoch, ln._in_epoch, ln._sum.shape), []).append(i)
+    teams = []
+    for ids in by_key.values():
+        team = copy(learners[ids[0]])
+        team._sum = np.stack([learners[i]._sum for i in ids])
+        teams.append((team, ids, where[ids[0]][0], np.array([where[i][1] for i in ids])))
     strategies = [np.empty(shape, dtype=complex) for shape in shapes]
+    # a soloist's profile: views of the round's strategies, each in the soloist's batch shape
+    soloists = [(i, [player(strategies, j).reshape(leads[i] + (d, d)) for j, d in enumerate(dims)])
+                for i, ln in enumerate(learners) if not isinstance(ln, MMWU)]
 
-    def play() -> None:
-        for kernel, group, g, slots, shape in stacked:
-            strategies[g][slots] = kernel(np.array([ln._scaled_sum() for ln in group])).reshape(shape)
-        for ln, g, s in alone:
-            strategies[g][s] = np.reshape(ln.strategy, shapes[g][1:])
-
-    # each learner's update: (learner, group, slot, its gain shape, and, if it watches the
-    # opponents, their registers and the shape of their joint state)
-    updates = []
-    for i, ln in enumerate(learners):
-        rest = n // dims[i]
-        watched = (_others(k, i), leads[i] + (rest, rest)) if getattr(ln, "watches_opponents", False) else None
-        updates.append((ln, *where[i], leads[i] + (dims[i], dims[i]), watched))
-
-    play()
     filled = c = 0
     for t in range(1, T + 1):
+        for team, _, g, slots in teams:
+            strategies[g][slots] = team.strategy.reshape((-1,) + shapes[g][1:])
+        for i, profile in soloists:
+            profile[i][...] = learners[i].strategy
         for buf, s in zip(window, strategies):
             buf[:, :, filled] = s
         filled += 1
@@ -711,14 +700,14 @@ def run_game(
             bound[c] = bound_scale * max(finite) if finite else float("nan")
             c += 1
 
-        for ln, g, s, shape, watched in updates:
-            opponents = None
-            if watched is not None:
-                others, opponents_shape = watched
-                opponents = _kron_or_identity([player(strategies, j) for j in others], (B,)).reshape(opponents_shape)
-            ln._update(gains[g][s].reshape(shape), opponents)
-        if t < T:
-            play()
+        for team, _, g, slots in teams:
+            team._update(gains[g][slots].reshape(team._sum.shape))
+        for i, profile in soloists:
+            learners[i]._update(player(gains, i).reshape(profile[i].shape), profile)
+
+    for team, ids, *_ in teams:
+        for j, i in enumerate(ids):
+            learners[i]._sum, learners[i]._epoch, learners[i]._in_epoch = team._sum[j], team._epoch, team._in_epoch
 
     # per-checkpoint rows are (C, B, ...); game b reads slice [:, b]
     utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(

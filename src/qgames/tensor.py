@@ -231,7 +231,7 @@ def exp_density_stack(h: np.ndarray) -> np.ndarray:
     with no eigensolver, never reads ``m`` (so a large trace costs no
     accuracy), and gives exactly ``I/2`` when ``h`` is a multiple of ``I``.
     Other dimensions take a plain ``eigh`` of ``h`` with its mean diagonal
-    subtracted (see :func:`_traceless`), so here too a large trace costs no
+    subtracted (see :func:`_shifted_eigh`), so here too a large trace costs no
     accuracy: the map is a spectral function, unchanged by adding a multiple
     of ``I`` and independent of the eigenvector gauge that :func:`herm_eig`
     fixes.  Either way each matrix of a stack gives the same bits as a call
@@ -239,8 +239,9 @@ def exp_density_stack(h: np.ndarray) -> np.ndarray:
     """
     if h.shape[-1] == 2:
         return _exp_density_qubits(h)
-    vals, vecs = np.linalg.eigh(_traceless(h))
-    w = np.exp(vals - vals[..., -1:])
+    # exp of anything below -746 is 0, so the floor moves no bit
+    shifted, vecs = _shifted_eigh(h, -746.0)
+    w = np.exp(shifted)
     w /= w.sum(axis=-1, keepdims=True)
     return _reassemble(vecs, w)
 
@@ -269,6 +270,18 @@ def _traceless(h: np.ndarray) -> np.ndarray:
     diag = out.reshape(h.shape[:-2] + (d * d,))[..., :: d + 1]  # a view: the copy is C-contiguous
     diag -= diag.real.sum(axis=-1, keepdims=True) / d
     return out
+
+
+def _shifted_eigh(h: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of :func:`_traceless` of each matrix minus its top, clamped at ``floor``, and its eigenvectors.
+
+    A matrix with entries of 2^1000 or more is scaled down by a power of two first, so the shift
+    cannot overflow; the clamped spectrum undoes the scale exactly.  Below 2^1000 no bit moves.
+    """
+    big = np.maximum(np.abs(h.real).max(axis=(-2, -1)), np.abs(h.imag).max(axis=(-2, -1)))
+    scale = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1000, 0))[..., None]
+    vals, vecs = np.linalg.eigh(_traceless(h / scale[..., None]))
+    return np.maximum(vals - vals[..., -1:], floor / scale) * scale, vecs
 
 
 def _reassemble(vecs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -320,16 +333,11 @@ def project_to_density_stack(h: np.ndarray) -> np.ndarray:
     ``h``, and it projects the eigenvalues minus the largest one: the
     threshold is then computed near 0, where the top eigenvalues lie, and the
     weights sum to 1 up to unit-scale rounding however large the spread.
-
     The threshold lies in [-1, 0), so clamping the shifted eigenvalues at -1
-    moves no bit; a matrix with entries of 2^1000 or more is then scaled down
-    by a power of two, exactly undone on the clamped spectrum, so
-    :func:`_traceless` cannot overflow.
+    (see :func:`_shifted_eigh`) moves no bit.
     """
-    big = np.maximum(np.abs(h.real).max(axis=(-2, -1)), np.abs(h.imag).max(axis=(-2, -1)))
-    scale = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1000, 0))[..., None]
-    vals, vecs = np.linalg.eigh(_traceless(h / scale[..., None]))
-    return _reassemble(vecs, simplex_projection(np.maximum(vals - vals[..., -1:], -1.0 / scale) * scale))
+    shifted, vecs = _shifted_eigh(h, -1.0)
+    return _reassemble(vecs, simplex_projection(shifted))
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> np.ndarray:

@@ -478,6 +478,14 @@ def test_maxent_bad_shape_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("payoff", ["nan,0;0,0", "inf,0;0,0", "1e400,0;0,0", "1,0;0"])
+def test_maxent_rejects_non_finite_or_ragged_payoffs(payoff, capsys):
+    rc = main(["maxent", "--a", payoff])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --a "), err
+
+
 def test_ftrl_run_at_a_near_maximal_stepsize_stays_finite(tmp_path):
     # eta * (sum of gains) reaches ~7.8e307 here: finite, so the projection must stay finite too
     out = tmp_path / "run"

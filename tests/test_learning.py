@@ -249,6 +249,10 @@ def test_run_game_validation():
         qg.run_game(g, [qg.MMWU(3, qg.fixed_schedule(0.1)) for _ in range(2)], 10)
     with pytest.raises(ValueError):
         qg.run_game(g, learners, 10, gap_mode="nash")
+    # one learner object for two players would feed both players' gains into one sum
+    shared = qg.MMWU(2, qg.fixed_schedule(0.2))
+    with pytest.raises(ValueError, match="learner object of its own"):
+        qg.run_game(g, [shared, shared], 20, stride=20)
 
 
 def test_run_batch_equals_single_runs_row_for_row():

@@ -1,9 +1,10 @@
 """The runner's windowed joint fold and stacked learner play against round-by-round references.
 
-``OneAtATime`` wraps a learner so that ``run_game`` cannot stack it (it is
-neither an MMWU nor an FTRL learner) and records the strategy it plays each
-round.  The joint running sum must equal the sum of the recorded product
-states, and stacked play must give the same bits as the wrapped play.
+``OneAtATime`` wraps a learner so that ``run_game`` plays it as a soloist (it
+is neither an MMWU nor an FTRL learner, so it joins no team) and records the
+strategy it plays each round.  The joint running sum must equal the sum of
+the recorded product states, and stacked play must give the same bits as the
+wrapped play.
 """
 
 import dataclasses
@@ -22,15 +23,14 @@ class OneAtATime:
 
     def __init__(self, inner):
         self.inner, self.dim, self.played = inner, inner.dim, []
-        self.watches_opponents = getattr(inner, "watches_opponents", False)
 
     @property
     def strategy(self):
         return self.inner.strategy
 
-    def _update(self, gain, opponents=None):
+    def _update(self, gain, profile=None):
         self.played.append(np.array(self.inner.strategy))
-        self.inner._update(gain, opponents)
+        self.inner._update(gain, profile)
 
     def average_regret_bound(self, t):
         return self.inner.average_regret_bound(t)
@@ -144,6 +144,51 @@ def test_scripted_team_member_plays_alone_next_to_stacked_learners():
 
 
 @st.composite
+def carried_runs(draw):
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4)))
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=len(dims), max_size=len(dims)))
+    warmups = draw(st.lists(st.integers(0, 5), min_size=len(dims), max_size=len(dims)))
+    return dims, kinds, warmups, draw(st.integers(1, 2)), draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=30)
+@given(carried_runs())
+@example(((2, 2, 2, 3), ["mmwu", "ftrl", "mmwu", "mmwu"], [0, 3, 2, 1], 1, 9, 7))
+@example(((3, 3, 3), ["mmwu-doubling", "mmwu-doubling", "mmwu-doubling"], [0, 1, 2], 2, 12, 8))
+@example(((2, 2, 2), ["mmwu-doubling", "mmwu-doubling", "ftrl"], [1, 5, 4], 1, 10, 9))
+def test_learners_entering_with_state_play_as_if_alone(run):
+    # learners that observed gains before the run enter it with nonzero sums and, on a doubling
+    # schedule, at different epoch positions; their teams must play them bit for bit as alone
+    # and hand each one its own state back
+    dims, kinds, warmups, B, T, seed = run
+    games = [qg.random_game(dims, seed + b) for b in range(B)]
+    rng = np.random.default_rng(seed)
+    early = [[np.stack([qg.random_hermitian(d, rng, norm=1.0) for _ in range(B)]) for _ in range(w)]
+             for d, w in zip(dims, warmups)]
+
+    def team():
+        members = [KINDS[kind](d, B) for kind, d in zip(kinds, dims)]
+        for ln, gains in zip(members, early):
+            for gain in gains:
+                ln.observe(gain)
+        return members
+
+    teamed, alone = team(), team()
+    for a, b in zip(qg.run_game(games, teamed, T, stride=5),
+                    qg.run_game(games, [OneAtATime(ln) for ln in alone], T, stride=5), strict=True):
+        assert_same_bits(a, b)
+    for x, y in zip(teamed, alone):
+        assert bits(x._sum) == bits(y._sum) and (x._epoch, x._in_epoch) == (y._epoch, y._in_epoch)
+        assert bits(x.strategy) == bits(y.strategy)
+    # a later observe moves one learner and none of its team-mates
+    held = [np.array(ln._sum) for ln in teamed]
+    teamed[0].observe(np.stack([qg.random_hermitian(dims[0], rng, norm=1.0) for _ in range(B)]))
+    assert not np.array_equal(teamed[0]._sum, held[0])
+    for ln, s in zip(teamed[1:], held[1:]):
+        assert bits(ln._sum) == bits(s)
+
+
+@st.composite
 def stride_runs(draw):
     dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
     kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=len(dims), max_size=len(dims)))
@@ -185,7 +230,8 @@ def reference_run(games, learners, T, stride, gap_mode, bound_scale):
 
     Each round reads every learner's ``strategy``, forms each player's gain with
     ``gain_matrix`` against the kron of the other players' strategies, game by game,
-    and then lets the learners ``observe`` their gains one after the other.
+    and then lets the learners ``observe`` their gains one after the other, each
+    with the round's profile of strategies in its own batch shape.
     """
     dims, B = games[0].dims, len(games)
     k, n = len(dims), prod(dims)
@@ -232,10 +278,8 @@ def reference_run(games, learners, T, stride, gap_mode, bound_scale):
             for i in bloch:
                 bloch[i].append([qg.bloch_coords(s) for s in play[i]])
         for i, ln in enumerate(learners):
-            opponents = None
-            if getattr(ln, "watches_opponents", False):
-                opponents = qg.kron(*(play[j] for j in others[i])).reshape(leads[i] + (n // dims[i],) * 2)
-            ln.observe(gains[i].reshape(leads[i] + gains[i].shape[1:]), opponents)
+            profile = [p.reshape(leads[i] + p.shape[1:]) for p in play]
+            ln.observe(gains[i].reshape(leads[i] + gains[i].shape[1:]), profile)
     rows = {key: np.asarray(val) for key, val in rows.items()}
     final = [np.reshape(ln.strategy, (B, d, d)) for ln, d in zip(learners, dims)]
     return [

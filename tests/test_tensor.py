@@ -413,6 +413,30 @@ def test_projection_stays_finite_near_the_float_maximum(d, scale):
     assert maxabs(rho - project_to_density_stack(h * 2.0**-30)) <= 1e-12
 
 
+@settings(deadline=None)
+@given(hermitian_stacks())
+def test_exp_clamp_and_prescale_change_no_bit(h):
+    # below 2**1000 the eigh kernel equals the plain route: normalized exp of the unclamped shifted spectrum
+    if h.shape[-1] == 2:
+        return    # qubits take the closed form
+    vals, vecs = np.linalg.eigh(_traceless(h))
+    w = np.exp(vals - vals[..., -1:])
+    w /= w.sum(axis=-1, keepdims=True)
+    assert np.array_equal(exp_density_stack(h), _reassemble(vecs, w))
+
+
+@pytest.mark.parametrize("scale", [1e308, 1.5e308])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_exp_density_stays_finite_near_the_float_maximum(d, scale):
+    h = scale * qg.random_hermitian(d, np.random.default_rng(d), norm=1)
+    rho = exp_density_stack(h)   # an overflow warning fails the test
+    assert np.isfinite(rho).all()
+    assert abs(np.trace(rho).real - 1) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    # the eigenvalue gaps dwarf 746 either way, so both states are the top eigenprojector
+    assert maxabs(rho - exp_density_stack(h * 2.0**-30)) <= 1e-12
+
+
 @st.composite
 def learner_stacks(draw):
     """An (m, B, d, d) stack: m learners' (B, d, d) states, the shape run_game hands the kernels."""
