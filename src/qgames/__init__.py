@@ -44,7 +44,6 @@ from .games import (
     BELL_BASIS,
     PolymatrixGame,
     QuantumGame,
-    TwoPlayerZeroSum,
     bell_projector,
     classical_embed,
     gain_matrix,
@@ -55,8 +54,6 @@ from .games import (
     random_polymatrix,
     utility,
     zero_sum_game,
-    zs_from_game,
-    zs_to_game,
 )
 from .learning import (
     Constant,

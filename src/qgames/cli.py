@@ -32,7 +32,6 @@ from .games import (
     maxent_game,
     random_game,
     random_polymatrix,
-    zs_from_game,
 )
 from .games import polymatrix_to_qg  # noqa: F401  (bench/tracer.py times the name cli.polymatrix_to_qg)
 from .learning import FrobeniusFTRL, MMWU, Schedule, doubling_schedule, fixed_schedule, horizon_for_epsilon, run_game
@@ -68,8 +67,11 @@ def _parse_graph(text: str, k: int) -> list[tuple[int, int]]:
 
 
 def _parse_payoff(flag: str, text: str) -> np.ndarray:
-    rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
-    if len(set(map(len, rows))) > 1 or not np.isfinite(rows).all():
+    try:
+        rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
+    except ValueError:   # a token that is not a number
+        rows = None
+    if rows is None or len(set(map(len, rows))) > 1 or not np.isfinite(rows).all():
         raise ValueError(f"{flag} must be rows of finite numbers, all of one length; got {text!r}")
     return np.asarray(rows, dtype=float)
 
@@ -208,10 +210,9 @@ def cmd_verify(args) -> int:
         print(dumps_canonical(report_to_obj(rep)), end="")
         return 0 if rep.verdict else 1
     if args.kind == "zs-value":
-        zs = zs_from_game(game)
         rho_a = partial_trace(rho, game.dims, keep=(0,))
         sigma_b = partial_trace(rho, game.dims, keep=(1,))
-        cert = zs_certificate(zs, rho_a, sigma_b)
+        cert = zs_certificate(game, rho_a, sigma_b)
         print(dumps_canonical(certificate_to_obj(cert, args.tol)), end="")
         return 0 if cert.is_eps_qne(args.tol) else 1
     raise ValueError(f"unknown verification kind {args.kind!r}")

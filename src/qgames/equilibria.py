@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
-from .games import Game, PolymatrixGame, TwoPlayerZeroSum, _others, gain_matrix, polymatrix_to_qg, utility
+from .games import Game, PolymatrixGame, _others, gain_matrix, polymatrix_to_qg, utility
 from .tensor import (
     herm,
     herm_eig,
@@ -145,18 +145,27 @@ def phi_gap(
     return EquilibriumReport("qphie", gaps, mx, tol, mx <= tol)
 
 
-def zs_certificate(zs: TwoPlayerZeroSum, rho: np.ndarray, sigma: np.ndarray) -> ValueCertificate:
-    """Minimax bracket for a zero-sum strategy pair.
+def zs_certificate(g: Game, rho: np.ndarray, sigma: np.ndarray) -> ValueCertificate:
+    """Minimax bracket for a strategy pair of a two-player zero-sum game.
 
+    The certificate works in the bilinear convention of Jain-Watrous,
+    ``u_A = Tr(r (rho (x) sigma^T))`` with ``r`` the partial transpose of
+    Alice's tensor on Bob's factor: then Alice's gain operator against sigma
+    is the Choi superoperator of ``r`` applied to sigma.
     ``lower = lambda_min(Theta^dag(rho))`` certifies what Alice guarantees,
     ``upper = lambda_max(Theta(sigma))`` what Bob concedes at worst, and
-    ``value_at = Tr(r (rho (x) sigma^T))`` sits between them (weak duality).
-    The pair is an eps-Nash pair iff ``upper - lower <= 2 eps``.
+    ``value_at = u_A(rho (x) sigma)`` sits between them (weak duality).
+    The pair is an eps-Nash pair iff ``upper - lower <= 2 eps``.  A
+    two-player polymatrix game is read on its lift, which is its one edge.
     """
-    c = ChoiMatrix(zs.r, zs.dims[0], zs.dims[1])
+    if isinstance(g, PolymatrixGame) and g.n_players == 2:
+        g = polymatrix_to_qg(g)
+    if g.n_players != 2 or not g.zero_sum:
+        raise ValueError("expected a two-player zero-sum game")
+    c = ChoiMatrix(partial_transpose(g.tensors[0], g.dims, 1), *g.dims)
     lower = lambda_min(apply_adjoint(c, np.asarray(rho, dtype=complex)))
     upper = lambda_max(apply_superop(c, np.asarray(sigma, dtype=complex)))
-    value_at = float(np.vdot(zs.r, kron(rho, np.asarray(sigma).T)).real)
+    value_at = float(np.vdot(c.matrix, kron(rho, np.asarray(sigma).T)).real)
     return ValueCertificate(lower, value_at, upper)
 
 

@@ -6,6 +6,10 @@ constructions: direct tensors, two-player zero-sum pairs, diagonal embeddings
 of classical normal-form games, Bell-basis embeddings of 2x2 bimatrix games,
 polymatrix graph games with edgewise two-player tensors, and seeded random
 generators normalized so every achievable utility lies in [-1, 1].
+
+Zero-sum is a property of the tensors, not a label: a game is zero-sum when
+its tensors cancel within ``ZERO_SUM_TOL`` (a polymatrix game when every edge
+cancels), whichever constructor built it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .tensor import (
     kron,
     maxabs,
     partial_trace,
-    partial_transpose,
     permute_registers,
     random_hermitian,
 )
@@ -62,11 +65,14 @@ def _gain_op(front: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumGame:
-    """k-player game: register dims and one Hermitian tensor per player."""
+    """k-player game: register dims and one Hermitian tensor per player.
+
+    ``zero_sum`` is read off the tensors on first use, so a game built from
+    tensors that cancel is zero-sum however it was constructed.
+    """
 
     dims: tuple[int, ...]
     tensors: tuple[np.ndarray, ...]
-    zero_sum: bool = False
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -81,8 +87,6 @@ class QuantumGame:
             tensors.append(_freeze(herm(r)))
         if len(tensors) != len(dims):
             raise ValueError(f"{len(tensors)} utility tensors for {len(dims)} players")
-        if self.zero_sum and maxabs(sum(tensors)) > ZERO_SUM_TOL:
-            raise ValueError("zero_sum flag set but tensors do not cancel")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "tensors", tuple(tensors))
 
@@ -93,6 +97,11 @@ class QuantumGame:
     @property
     def joint_dim(self) -> int:
         return prod(self.dims)
+
+    @cached_property
+    def zero_sum(self) -> bool:
+        """The tensors cancel: every entry of ``sum(tensors)`` within ZERO_SUM_TOL; checked on first use."""
+        return maxabs(sum(self.tensors)) <= ZERO_SUM_TOL
 
     @cached_property
     def gain_terms(self) -> tuple[tuple[GainTerm, ...], ...]:
@@ -111,51 +120,7 @@ def front_tensor(g: QuantumGame, i: int) -> np.ndarray:
 def zero_sum_game(r: np.ndarray, d_a: int, d_b: int) -> QuantumGame:
     """Two-player game with tensors (r, -r)."""
     r = np.asarray(r, dtype=complex)
-    return QuantumGame((d_a, d_b), (r, -r), zero_sum=True)
-
-
-@dataclass(frozen=True)
-class TwoPlayerZeroSum:
-    """Zero-sum game in the bilinear convention u_A(rho, sigma) = Tr(r (rho (x) sigma^T)).
-
-    This convention makes Alice's gain operator against sigma exactly the
-    Choi superoperator of ``r`` applied to sigma, which is what the minimax
-    value certificates consume.  Bob's tensor is -r implicitly.  Conversion
-    to and from the plain ``QuantumGame`` convention (no transpose on sigma)
-    is a partial transpose on the second factor, isolated in
-    :func:`zs_from_game` / :func:`zs_to_game`.
-    """
-
-    r: np.ndarray
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        dims = (int(self.dims[0]), int(self.dims[1]))
-        r = np.asarray(self.r, dtype=complex)
-        n = dims[0] * dims[1]
-        if r.shape != (n, n):
-            raise ValueError(f"tensor shape {r.shape} does not match dims {dims}")
-        if not is_hermitian(r):
-            raise ValueError("zero-sum tensor must be Hermitian")
-        object.__setattr__(self, "r", _freeze(herm(r)))
-        object.__setattr__(self, "dims", dims)
-
-
-def zs_from_game(g: Game) -> TwoPlayerZeroSum:
-    """The bilinear form of a two-player zero-sum game, dense or polymatrix.
-
-    A two-player polymatrix game has one edge on the pair's own joint space,
-    so its lift costs no more than the edge itself.
-    """
-    if isinstance(g, PolymatrixGame) and g.n_players == 2:
-        g = polymatrix_to_qg(g)
-    if g.n_players != 2 or not g.zero_sum:
-        raise ValueError("expected a two-player zero-sum game")
-    return TwoPlayerZeroSum(partial_transpose(g.tensors[0], g.dims, 1), g.dims)
-
-
-def zs_to_game(zs: TwoPlayerZeroSum) -> QuantumGame:
-    return zero_sum_game(partial_transpose(zs.r, zs.dims, 1), *zs.dims)
+    return QuantumGame((d_a, d_b), (r, -r))
 
 
 def classical_embed(payoffs: Sequence[np.ndarray]) -> QuantumGame:
@@ -175,7 +140,7 @@ def classical_embed(payoffs: Sequence[np.ndarray]) -> QuantumGame:
         if p.shape != shape:
             raise ValueError("payoff arrays must share one action-profile shape")
         tensors.append(np.diag(p.reshape(-1).astype(complex)))
-    return QuantumGame(tuple(shape), tuple(tensors), zero_sum=maxabs(sum(tensors)) <= ZERO_SUM_TOL)
+    return QuantumGame(tuple(shape), tuple(tensors))
 
 
 _S2 = 1.0 / np.sqrt(2.0)
@@ -205,7 +170,7 @@ def maxent_game(a: np.ndarray, b: np.ndarray) -> QuantumGame:
         raise ValueError("Bell-basis construction needs 2x2 payoff matrices")
     r1 = sum(a[p, q] * bell_projector(p, q) for p in range(2) for q in range(2))
     r2 = sum(b[p, q] * bell_projector(p, q) for p in range(2) for q in range(2))
-    return QuantumGame((2, 2), (r1, r2), zero_sum=maxabs(r1 + r2) <= ZERO_SUM_TOL)
+    return QuantumGame((2, 2), (r1, r2))
 
 
 @dataclass(frozen=True)
@@ -214,7 +179,9 @@ class PolymatrixGame:
 
     ``edges`` maps canonical pairs (i, j) with i < j to ``(r_ij, r_ji)`` where
     r_ij lives on H_i (x) H_j (player i's payoff tensor for that edge) and
-    r_ji on H_j (x) H_i.
+    r_ji on H_j (x) H_i.  The constructor also takes the ``((i, j), (r_ij,
+    r_ji))`` items as a sequence, in either orientation; a pair given twice
+    is rejected.
     """
 
     dims: tuple[int, ...]
@@ -224,11 +191,13 @@ class PolymatrixGame:
         dims = tuple(int(d) for d in self.dims)
         k = len(dims)
         edges = {}
-        for (i, j), (r_ij, r_ji) in self.edges.items():
+        for (i, j), (r_ij, r_ji) in self.edges.items() if isinstance(self.edges, dict) else self.edges:
             if not (0 <= i < k and 0 <= j < k) or i == j:
                 raise ValueError(f"invalid edge ({i}, {j})")
             if i > j:
                 i, j, r_ij, r_ji = j, i, r_ji, r_ij
+            if (i, j) in edges:
+                raise ValueError(f"duplicate edge ({i}, {j})")
             nij = dims[i] * dims[j]
             r_ij = np.asarray(r_ij, dtype=complex)
             r_ji = np.asarray(r_ji, dtype=complex)
@@ -345,7 +314,7 @@ def polymatrix_to_qg(pg: PolymatrixGame) -> QuantumGame:
     for (i, j), (r_ij, r_ji) in pg.edges.items():
         tensors[i] = tensors[i] + _embed_edge(r_ij, pg.dims, i, j)
         tensors[j] = tensors[j] + _embed_edge(r_ji, pg.dims, j, i)
-    return QuantumGame(pg.dims, tuple(tensors), zero_sum=maxabs(sum(tensors)) <= ZERO_SUM_TOL)
+    return QuantumGame(pg.dims, tuple(tensors))
 
 
 def random_game(dims: Sequence[int], seed: int, kind: str = "general") -> QuantumGame:
@@ -406,10 +375,8 @@ def random_polymatrix(
         canonical.append((i, j))
         degree[i] += 1
         degree[j] += 1
-    if len(set(canonical)) != len(canonical):
-        raise ValueError("duplicate edges")
     scale = 1.0 / max(degree)
-    built = {}
+    built = []
     for (i, j) in canonical:
         nij = dims[i] * dims[j]
         r_ij = random_hermitian(nij, rng, norm=scale)
@@ -417,5 +384,5 @@ def random_polymatrix(
             r_ji = -permute_registers(r_ij, (dims[i], dims[j]), (1, 0))
         else:
             r_ji = random_hermitian(nij, rng, norm=scale)
-        built[(i, j)] = (r_ij, r_ji)
+        built.append(((i, j), (r_ij, r_ji)))
     return PolymatrixGame(dims, built)

@@ -172,10 +172,13 @@ class MMWU:
     def _update(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         """``observe`` minus the boundary check: gain is exactly Hermitian and state-shaped."""
         self._sum = self._sum + gain
-        self._in_epoch += 1
+        if self.schedule.kind != "doubling":
+            return
         # eager epoch rollover: the first play of the next epoch is the fresh
-        # maximally mixed state, so every epoch is a clean fixed-eta run
-        if self.schedule.kind == "doubling" and self._in_epoch >= self.schedule.epoch_length(self._epoch):
+        # maximally mixed state, so every epoch is a clean fixed-eta run; a fixed
+        # schedule counts no rounds, so learners that differ only in age share a team
+        self._in_epoch += 1
+        if self._in_epoch >= self.schedule.epoch_length(self._epoch):
             self._epoch += 1
             self._in_epoch = 0
             self._sum = np.zeros_like(self._sum)

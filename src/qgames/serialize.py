@@ -165,20 +165,20 @@ def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
     if kind not in ("general", "zero_sum", "polymatrix"):
         raise ValueError(f"unknown game kind {kind!r}")
     if kind == "polymatrix":
-        edges = {}
+        edges = []
         for e in _read_list(obj, "edges"):
             i, j = _read_edge_ends(e, len(dims))
-            if (i, j) in edges or (j, i) in edges:
-                raise ValueError(f"duplicate edge ({i}, {j})")
             nij = dims[i] * dims[j]
-            edges[(i, j)] = (
+            edges.append(((i, j), (
                 decode_matrix(_field(e, "r_ij", "game file edge"), nij, nij),
                 decode_matrix(_field(e, "r_ji", "game file edge"), nij, nij),
-            )
+            )))
         return PolymatrixGame(dims, edges)
     n = prod(dims)
-    tensors = tuple(decode_matrix(t, n, n) for t in _read_list(obj, "tensors"))
-    return QuantumGame(dims, tensors, zero_sum=(kind == "zero_sum"))
+    game = QuantumGame(dims, tuple(decode_matrix(t, n, n) for t in _read_list(obj, "tensors")))
+    if kind == "zero_sum" and not game.zero_sum:
+        raise ValueError("zero_sum flag set but tensors do not cancel")
+    return game
 
 
 def save_game(path, game, seed: int | None = None) -> str:

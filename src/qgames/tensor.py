@@ -258,29 +258,23 @@ def _exp_density_qubits(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _traceless(h: np.ndarray) -> np.ndarray:
-    """``h - (Tr h / d) I`` for each matrix of a stack, on a copy.
+def _shifted_eigh(h: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of ``h - (Tr h / d) I`` minus its top, clamped at ``floor``, and its eigenvectors.
 
     ``eigh``'s error grows with ``||h||``, so the spectral maps that ignore a
-    multiple of ``I`` diagonalize this instead: its error is then bounded by
-    the spread of the eigenvalues, however large the trace grows.
+    multiple of ``I`` diagonalize each matrix minus its mean diagonal: the
+    error is then bounded by the spread of the eigenvalues, however large the
+    trace grows.  A matrix with entries of 2^1000 or more is scaled down by a
+    power of two first, so the shift cannot overflow; the clamped spectrum
+    undoes the scale exactly.  Below 2^1000 no bit moves.
     """
     d = h.shape[-1]
-    out = h.copy()
-    diag = out.reshape(h.shape[:-2] + (d * d,))[..., :: d + 1]  # a view: the copy is C-contiguous
-    diag -= diag.real.sum(axis=-1, keepdims=True) / d
-    return out
-
-
-def _shifted_eigh(h: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum of :func:`_traceless` of each matrix minus its top, clamped at ``floor``, and its eigenvectors.
-
-    A matrix with entries of 2^1000 or more is scaled down by a power of two first, so the shift
-    cannot overflow; the clamped spectrum undoes the scale exactly.  Below 2^1000 no bit moves.
-    """
     big = np.maximum(np.abs(h.real).max(axis=(-2, -1)), np.abs(h.imag).max(axis=(-2, -1)))
     scale = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1000, 0))[..., None]
-    vals, vecs = np.linalg.eigh(_traceless(h / scale[..., None]))
+    m = np.divide(h, scale[..., None], order="C")   # a fresh C-contiguous array, shifted in place
+    diag = m.reshape(h.shape[:-2] + (d * d,))[..., :: d + 1]  # a view, as m is C-contiguous
+    diag -= diag.real.sum(axis=-1, keepdims=True) / d
+    vals, vecs = np.linalg.eigh(m)
     return np.maximum(vals - vals[..., -1:], floor / scale) * scale, vecs
 
 
@@ -329,8 +323,8 @@ def project_to_density_stack(h: np.ndarray) -> np.ndarray:
     Same contract as :func:`exp_density_stack`: ``h`` exactly Hermitian, any
     eigenvector gauge, and per-matrix bits independent of the stack.  Shifting
     ``h`` by ``c I`` shifts its eigenvalues by ``c`` and leaves their simplex
-    projection unchanged.  So this too diagonalizes :func:`_traceless` of
-    ``h``, and it projects the eigenvalues minus the largest one: the
+    projection unchanged.  So this too diagonalizes ``h`` minus its mean
+    diagonal, and it projects the eigenvalues minus the largest one: the
     threshold is then computed near 0, where the top eigenvalues lie, and the
     weights sum to 1 up to unit-scale rounding however large the spread.
     The threshold lies in [-1, 0), so clamping the shifted eigenvalues at -1

@@ -77,10 +77,9 @@ def test_criterion_03_zero_sum_qne_horizon():
         worst = -np.inf
         for seed in range(20):
             g = qg.random_game((2, 2), 9200 + seed, kind="zero_sum")
-            zs = qg.zs_from_game(g)
             learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
             traj = qg.run_game(g, learners, T, stride=10, gap_mode="qne", bound_scale=2.0)
-            cert = qg.zs_certificate(zs, traj.marginal_average(0), traj.marginal_average(1))
+            cert = qg.zs_certificate(g, traj.marginal_average(0), traj.marginal_average(1))
             worst = max(worst, cert.width)
             assert cert.width <= 2 * 0.2 + 1e-6, seed
             assert np.all(traj.gaps.max(axis=1) <= traj.bound + 1e-9), seed
@@ -114,14 +113,13 @@ def test_criterion_05_minimax_bracket():
         learners = [qg.MMWU(2, qg.fixed_schedule(eta), batch=len(games)) for _ in range(2)]
         long_runs = qg.run_game(games, learners, T, stride=T)
         for seed, (g, long_run) in enumerate(zip(games, long_runs)):
-            zs = qg.zs_from_game(g)
             trajs = []
             for horizon in (100, 1000) if seed < 3 else ():
                 learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
                 trajs.append(qg.run_game(g, learners, horizon, stride=horizon))
             trajs.append(long_run)
             certs = [
-                qg.zs_certificate(zs, traj.marginal_average(0), traj.marginal_average(1)) for traj in trajs
+                qg.zs_certificate(g, traj.marginal_average(0), traj.marginal_average(1)) for traj in trajs
             ]
             for cert in certs:
                 assert cert.lower <= cert.value_at + 1e-9 <= cert.upper + 2e-9, seed

@@ -362,6 +362,39 @@ def test_verify_zs_value_on_two_player_polymatrix_file(tmp_path, capsys):
     assert "two-player zero-sum" in capsys.readouterr().err
 
 
+
+def test_a_general_file_whose_tensors_cancel_runs_and_verifies_as_zero_sum(tmp_path, capsys):
+    # zero-sum is read off the tensors: a file labelled "general" plays and certifies as zero-sum
+    # exactly like the same tensors labelled "zero_sum"
+    zs, labelled, state = tmp_path / "zs.json", tmp_path / "general.json", tmp_path / "s.json"
+    ser.save_game(zs, qg.random_game((2, 3), 5, "zero_sum"))
+    ser.write_json(labelled, {**ser.read_json(zs), "kind": "general"})
+    ser.save_state(state, np.eye(6) / 6, (2, 3))
+    runs = []
+    for path in (zs, labelled):
+        out = tmp_path / f"run_{path.stem}"
+        assert main(["run", "--game", str(path), "--epsilon", "0.5", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["game_hash"]
+        verified = main(["verify", "--game", str(path), "--state", str(state), "--kind", "zs-value", "--tol", "0.5"])
+        runs.append((manifest, (out / "trajectory.csv").read_bytes(), verified, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    manifest = runs[1][0]
+    assert (manifest["gap_mode"], manifest["bound_scale"], manifest["T"]) == ("qne", 2.0, 71)
+
+
+def test_a_zero_sum_claim_whose_tensors_do_not_cancel_exits_1(tmp_path, capsys):
+    game, state = tmp_path / "g.json", tmp_path / "s.json"
+    ser.write_json(game, {**ser.game_to_obj(qg.random_game((2, 2), 5)), "kind": "zero_sum"})
+    ser.save_state(state, np.eye(4) / 4, (2, 2))
+    for argv in (["run", "--game", str(game), "--epsilon", "0.5", "--out", str(tmp_path / "run")],
+                 ["verify", "--game", str(game), "--state", str(state), "--kind", "zs-value"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: zero_sum flag set but tensors do not cancel\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):
     game = tmp_path / "g.json"
     ser.save_game(game, qg.random_game((2, 2), 1))
@@ -478,7 +511,7 @@ def test_maxent_bad_shape_exits_1(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("payoff", ["nan,0;0,0", "inf,0;0,0", "1e400,0;0,0", "1,0;0"])
+@pytest.mark.parametrize("payoff", ["nan,0;0,0", "inf,0;0,0", "1e400,0;0,0", "1,0;0", "x,0;0,0"])
 def test_maxent_rejects_non_finite_or_ragged_payoffs(payoff, capsys):
     rc = main(["maxent", "--a", payoff])
     out, err = capsys.readouterr()

@@ -148,8 +148,7 @@ def test_phi_gap_rejects_non_cptp():
 
 
 def test_zs_certificate_matching_pennies_uniform():
-    zs = qg.zs_from_game(matching_pennies())
-    cert = qg.zs_certificate(zs, np.eye(2) / 2, np.eye(2) / 2)
+    cert = qg.zs_certificate(matching_pennies(), np.eye(2) / 2, np.eye(2) / 2)
     assert abs(cert.lower) < 1e-12 and abs(cert.upper) < 1e-12
     assert cert.is_eps_qne(1e-9)
 
@@ -158,19 +157,17 @@ def test_zs_certificate_weak_duality():
     rng = np.random.default_rng(7)
     for seed in range(30):
         g = qg.random_game((2, 3), 2000 + seed, kind="zero_sum")
-        zs = qg.zs_from_game(g)
         rho, sigma = qg.random_density(2, rng), qg.random_density(3, rng)
-        cert = qg.zs_certificate(zs, rho, sigma)
+        cert = qg.zs_certificate(g, rho, sigma)
         assert cert.lower <= cert.value_at + 1e-9
         assert cert.value_at <= cert.upper + 1e-9
 
 
 def test_zs_certificate_bounds_product_exploitability():
     g = qg.random_game((2, 2), 8, kind="zero_sum")
-    zs = qg.zs_from_game(g)
     rng = np.random.default_rng(9)
     rho, sigma = qg.random_density(2, rng), qg.random_density(2, rng)
-    cert = qg.zs_certificate(zs, rho, sigma)
+    cert = qg.zs_certificate(g, rho, sigma)
     prod = qg.kron(rho, sigma)
     e_a = qg.exploitability(g, 0, prod)
     e_b = qg.exploitability(g, 1, prod)

@@ -23,8 +23,23 @@ def test_game_constructor_validation():
         qg.QuantumGame((2, 2), (np.eye(3),))
     with pytest.raises(ValueError):
         qg.QuantumGame((2, 2), (np.triu(np.ones((4, 4))) * 1j,))
-    with pytest.raises(ValueError):
-        qg.QuantumGame((2, 2), (np.eye(4), np.eye(4)), zero_sum=True)
+
+
+def test_zero_sum_is_read_off_the_tensors():
+    assert qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4))).zero_sum
+    assert qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4) + 1e-10 * np.eye(4))).zero_sum
+    assert not qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4) + 1e-8 * np.eye(4))).zero_sum
+    assert not qg.QuantumGame((2, 2), (np.eye(4), np.eye(4))).zero_sum
+
+
+
+def test_polymatrix_rejects_an_edge_given_twice():
+    a, b = np.eye(4), 2 * np.eye(4)
+    for edges in ({(0, 1): (a, a), (1, 0): (b, b)}, [((0, 1), (a, a)), ((0, 1), (b, b))]):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            qg.PolymatrixGame((2, 2), edges)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        qg.random_polymatrix((2, 2, 2), [(0, 1), (1, 2), (1, 0)], seed=1)
 
 
 def test_game_needs_one_tensor_per_player():
@@ -211,16 +226,13 @@ def test_random_polymatrix_utility_bound():
             assert abs(qg.utility(lifted, rho, i)) <= 1.0 + 1e-9
 
 
-def test_zero_sum_adapter_roundtrip_and_consistency():
+def test_zs_certificate_value_is_the_plain_game_utility():
     g = qg.random_game((2, 3), 17, kind="zero_sum")
-    zs = qg.zs_from_game(g)
-    back = qg.zs_to_game(zs)
-    assert maxabs(back.tensors[0] - g.tensors[0]) < 1e-12
-    # u_A via the bilinear convention equals the plain game utility
+    # u_A via the certificate's bilinear convention equals the plain game utility
     rng = np.random.default_rng(18)
     rho, sigma = qg.random_density(2, rng), qg.random_density(3, rng)
-    ua = float(np.vdot(zs.r, qg.kron(rho, sigma.T)).real)
-    assert abs(ua - qg.utility(g, qg.kron(rho, sigma), 0)) < 1e-10
+    cert = qg.zs_certificate(g, rho, sigma)
+    assert abs(cert.value_at - qg.utility(g, qg.kron(rho, sigma), 0)) < 1e-10
 
 
 def test_front_tensor_moves_register_first():

@@ -316,12 +316,11 @@ def test_run_batch_validation():
 
 def test_zero_sum_sandwich_around_game_value():
     g = qg.random_game((2, 2), 20, kind="zero_sum")
-    zs = qg.zs_from_game(g)
 
     def cert_at(T, eta):
         learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
         traj = qg.run_game(g, learners, T, stride=T)
-        c = qg.zs_certificate(zs, traj.marginal_average(0), traj.marginal_average(1))
+        c = qg.zs_certificate(g, traj.marginal_average(0), traj.marginal_average(1))
         eps = max(qg.external_regret(traj, i) for i in range(2))
         return c, eps
 

@@ -143,6 +143,26 @@ def test_scripted_team_member_plays_alone_next_to_stacked_learners():
     assert_same_bits(traj, qg.run_game(g, [OneAtATime(ln) for ln in team()], 60, stride=10))
 
 
+
+def test_fixed_schedule_learners_of_different_ages_play_as_one_team(monkeypatch):
+    # a fixed schedule plays the same whatever the learner's age, so a learner that observed a
+    # gain before the run still joins its team-mates: one kernel call per round, not two
+    g = qg.random_game((2, 2, 2), 3)
+    early = qg.random_hermitian(2, np.random.default_rng(4), norm=1.0)
+
+    def team():
+        members = [qg.MMWU(2, qg.fixed_schedule(0.2)) for _ in range(3)]
+        members[1].observe(early)
+        return members
+
+    alone = qg.run_game(g, [OneAtATime(ln) for ln in team()], 10, stride=3)
+    calls = []
+    kernel = qg.MMWU.kernel
+    monkeypatch.setattr(qg.MMWU, "kernel", staticmethod(lambda h: calls.append(h.shape) or kernel(h)))
+    assert_same_bits(qg.run_game(g, team(), 10, stride=3), alone)
+    assert len(calls) == 10
+
+
 @st.composite
 def carried_runs(draw):
     dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4)))

@@ -171,9 +171,9 @@ def test_report_serialization_fields():
     assert set(obj) == {"certificate", "gaps", "max_gap", "tol", "verdict"}
     obj = ser.report_to_obj(qg.is_qne(g, rho, tol=1e-6))
     assert "product_defect" in obj
-    zs = qg.zs_from_game(qg.random_game((2, 2), 7, kind="zero_sum"))
+    g = qg.random_game((2, 2), 7, kind="zero_sum")
     rng = np.random.default_rng(8)
-    cert = qg.zs_certificate(zs, qg.random_density(2, rng), qg.random_density(2, rng))
+    cert = qg.zs_certificate(g, qg.random_density(2, rng), qg.random_density(2, rng))
     obj = ser.certificate_to_obj(cert, 0.1)
     assert set(obj) == {"certificate", "lower", "value_at", "upper", "width", "tol", "verdict"}
     json.dumps(obj)  # plain JSON types only

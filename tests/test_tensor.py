@@ -10,7 +10,6 @@ from qgames.tensor import (
     PAULI_Y,
     PAULI_Z,
     _reassemble,
-    _traceless,
     bloch_vectors,
     dagger,
     exp_density_stack,
@@ -18,6 +17,15 @@ from qgames.tensor import (
     maxabs,
     project_to_density_stack,
 )
+
+
+def _traceless(h):
+    """Reference: ``h - (Tr h / d) I`` for each matrix of a stack, on a copy (the eigh kernels shift in place)."""
+    d = h.shape[-1]
+    out = h.copy()
+    diag = out.reshape(h.shape[:-2] + (d * d,))[..., :: d + 1]  # a view: the copy is C-contiguous
+    diag -= diag.real.sum(axis=-1, keepdims=True) / d
+    return out
 
 
 def rand_herm(d, seed):
