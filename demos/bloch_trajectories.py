@@ -38,7 +38,7 @@ fixtures = {
 
 for name, game in fixtures.items():
     learners = [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)]
-    traj = qg.run_game(game, learners, T, stride=4, gap_mode="qne", bound_scale=2.0)
+    traj = qg.run_game(game, learners, T, stride=4)
     write_trajectory_csv(OUT / f"{name}.csv", traj)
     xyz = traj.bloch[0]
     norms = np.linalg.norm(xyz, axis=1)

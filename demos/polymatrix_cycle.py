@@ -17,16 +17,16 @@ pg = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", k), seed=5)
 print("lifted network game is globally zero-sum:", qg.polymatrix_to_qg(pg).zero_sum)
 
 eps = 0.3
-eta, T = qg.horizon_for_epsilon("polymatrix", 2, eps, k=k)
+eta, T = qg.horizon_for_epsilon(pg, eps)
 print(f"target {eps}-QNE: stepsize {eta}, horizon {T}\n")
 
 learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(k)]
-traj = qg.run_game(pg, learners, T, stride=T, gap_mode="qne", bound_scale=float(k))
+traj = qg.run_game(pg, learners, T, stride=T)
 avg_product = traj.product_of_marginal_averages()
 
 print("player   avg regret   exploitability at the averaged product")
 for i in range(k):
-    reg = qg.external_regret(traj, i)
+    reg = traj.avg_regret[-1, i]
     expl = qg.exploitability(pg, i, avg_product)
     print(f"{i:6d}   {reg:10.4f}   {expl:.4f}")
 

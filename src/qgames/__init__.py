@@ -63,7 +63,6 @@ from .learning import (
     ScriptedNoRegret,
     Trajectory,
     doubling_schedule,
-    external_regret,
     fixed_schedule,
     horizon_for_epsilon,
     run_game,

@@ -26,7 +26,6 @@ from . import __version__
 from .equilibria import is_qcce, is_qne, maxent_qcce_condition, ppt_witness, zs_certificate
 from .games import (
     Game,
-    PolymatrixGame,
     bell_projector,
     graph_edges,
     maxent_game,
@@ -50,7 +49,10 @@ from .tensor import check_density, partial_trace
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(int(tok) for tok in text.split(","))
+    try:
+        dims = tuple(int(tok) for tok in text.split(","))
+    except ValueError:   # a token that is not an integer
+        raise ValueError(f"--dims must be comma-separated integers; got {text!r}") from None
     if any(d < 2 for d in dims):
         raise ValueError("register dimensions must be >= 2")
     return dims
@@ -109,21 +111,13 @@ def cmd_gen(args) -> int:
 
 
 def _run_setup(game, args):
-    """Resolve (gap mode, bound scale, schedule, T) from the game and the flags."""
-    # the QNE results cover zero-sum games only: pairwise zero-sum polymatrix and two-player zero-sum
-    if isinstance(game, PolymatrixGame) and game.zero_sum:
-        gap_mode, bound_scale, setting = "qne", float(game.n_players), "polymatrix"
-    elif game.zero_sum and game.n_players == 2:
-        gap_mode, bound_scale, setting = "qne", 2.0, "zero_sum"
-    else:
-        gap_mode, bound_scale, setting = "qcce", 1.0, "general"
-
+    """Resolve (schedule, T) from the game and the flags."""
     if (args.epsilon is None) == (args.T is None):
         raise ValueError("specify exactly one of --epsilon or --T")
     if args.epsilon is not None:
         if args.eta is not None or args.schedule == "doubling":
             raise ValueError("--epsilon fixes the stepsize; do not combine with --eta or doubling")
-        eta, horizon = horizon_for_epsilon(setting, max(game.dims), args.epsilon, k=game.n_players)
+        eta, horizon = horizon_for_epsilon(game, args.epsilon)
         schedule = fixed_schedule(eta)
     else:
         horizon = args.T
@@ -135,7 +129,7 @@ def _run_setup(game, args):
             if args.eta is None:
                 raise ValueError("--T needs --eta (or --schedule doubling)")
             schedule = fixed_schedule(args.eta)
-    return gap_mode, bound_scale, schedule, horizon
+    return schedule, horizon
 
 
 def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, batch: int):
@@ -173,10 +167,10 @@ def cmd_run(args) -> int:
         dims = _parse_dims(args.dims or "2,2")
         games = [_generate(args.kind, dims, seed, args.graph, args.pairwise_zero_sum) for seed in seeds]
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
-    gap_mode, bound_scale, schedule, horizon = _run_setup(games[0], args)
+    schedule, horizon = _run_setup(games[0], args)
     names, learners = _make_learners(args.learners, games[0], schedule, batch=args.runs)
     stride = args.stride if args.stride is not None else max(1, horizon // 1000)
-    trajs = run_game(games, learners, horizon, stride=stride, gap_mode=gap_mode, bound_scale=bound_scale)
+    trajs = run_game(games, learners, horizon, stride=stride)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
     for outdir, seed, game, traj in zip(outdirs, seeds, games, trajs):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -189,8 +183,8 @@ def cmd_run(args) -> int:
             "schedule": schedule_obj,
             "T": horizon,
             "stride": stride,
-            "gap_mode": gap_mode,
-            "bound_scale": bound_scale,
+            "gap_mode": traj.gap_mode,
+            "bound_scale": traj.bound_scale,
             "tool_version": __version__,
         }
         write_json(outdir / "manifest.json", manifest)

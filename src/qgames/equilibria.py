@@ -27,6 +27,7 @@ import numpy as np
 from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
 from .games import Game, PolymatrixGame, _others, gain_matrix, polymatrix_to_qg, utility
 from .tensor import (
+    _check_distribution,
     herm,
     herm_eig,
     kron,
@@ -186,8 +187,7 @@ def maxent_qcce_condition(
     lam = np.asarray(lam, dtype=float)
     if a.shape != (2, 2) or b.shape != (2, 2) or lam.shape != (2, 2):
         raise ValueError("payoffs and weights must be 2x2")
-    if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must form a probability distribution")
+    _check_distribution(lam, 2)
     gap_a = 0.25 * float(a.sum()) - float((a * lam).sum())
     gap_b = 0.25 * float(b.sum()) - float((b * lam).sum())
     return bool(gap_a <= tol and gap_b <= tol)

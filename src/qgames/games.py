@@ -367,17 +367,15 @@ def random_polymatrix(
     necessary) construction for the global zero-sum property.
     """
     dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(seed)
-    canonical = []
-    degree = [0] * len(dims)
+    if not edges:
+        raise ValueError("a random polymatrix game needs at least one edge")
     for (i, j) in edges:
-        i, j = (i, j) if i < j else (j, i)
-        canonical.append((i, j))
-        degree[i] += 1
-        degree[j] += 1
-    scale = 1.0 / max(degree)
+        if not (0 <= i < len(dims) and 0 <= j < len(dims)) or i == j:
+            raise ValueError(f"invalid edge ({i}, {j}) for {len(dims)} players")
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.bincount(np.ravel(edges)).max()   # 1 / the largest degree
     built = []
-    for (i, j) in canonical:
+    for i, j in map(sorted, edges):
         nij = dims[i] * dims[j]
         r_ij = random_hermitian(nij, rng, norm=scale)
         if pairwise_zero_sum:

@@ -35,6 +35,7 @@ from .games import Game, PolymatrixGame, QuantumGame
 from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
     DEFAULT_HERM_TOL,
+    _check_distribution,
     bloch_vectors,
     check_density,
     dagger,
@@ -42,7 +43,6 @@ from .tensor import (
     herm,
     kron,
     kron_spectrum,
-    lambda_max,
     maxabs,
     project_to_density_stack,
 )
@@ -243,9 +243,7 @@ class ScriptedNoRegret:
         weights: Sequence[float],
         profiles: Sequence[Sequence[np.ndarray]],
     ):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must form a probability distribution")
+        weights = _check_distribution(weights, 1)
         if len(profiles) != len(weights):
             raise ValueError("one strategy profile per mixture component required")
         self.player = int(player)
@@ -292,23 +290,30 @@ def scripted_team(weights: Sequence[float], profiles: Sequence[Sequence[np.ndarr
     return [ScriptedNoRegret(i, weights, profiles) for i in range(len(profiles[0]))]
 
 
-def horizon_for_epsilon(setting: str, dim: int, epsilon: float, k: int | None = None) -> tuple[float, int]:
-    """Stepsize and horizon guaranteeing an epsilon-certificate by time T.
+def _certificate(game: Game) -> tuple[str, float]:
+    """The certificate of time-averaged no-regret play in ``game``: (gap mode, bound scale).
 
-    Each setting scales the learners' regret bound by s in its certificate:
-    s = 1 for "general" games, 2 for two-player "zero_sum" games and the
-    player count k for "polymatrix" games.  Then eta = eps/(2s) and
-    T = ceil(4 s^2 ln d / eps^2), for 0 < eps <= 2s.
+    Two-player zero-sum and pairwise zero-sum polymatrix games of k players reach a
+    separable QNE at k times the regret bound (Cai-Daskalakis minmax); all others a QCCE.
     """
+    k = game.n_players
+    if game.zero_sum and (k == 2 or isinstance(game, PolymatrixGame)):
+        return "qne", float(k)
+    return "qcce", 1.0
+
+
+def horizon_for_epsilon(game: Game, epsilon: float) -> tuple[float, int]:
+    """Stepsize and horizon guaranteeing ``game`` its epsilon-certificate by time T.
+
+    With s the certificate's bound scale and d the largest register dimension,
+    eta = eps/(2s) and T = ceil(4 s^2 ln d / eps^2), for 0 < eps <= 2s.
+    """
+    _, scale = _certificate(game)
+    dim = max(game.dims)
     if dim < 2:
         raise ValueError("register dimension must be >= 2")
-    if setting == "polymatrix" and (k is None or k < 2):
-        raise ValueError("polymatrix setting needs the player count k")
-    scale = {"general": 1, "zero_sum": 2, "polymatrix": k}.get(setting)
-    if scale is None:
-        raise ValueError(f"unknown setting {setting!r}")
     if not 0 < epsilon <= 2 * scale:
-        raise ValueError(f"epsilon must be in (0, {2 * scale}] for {setting} games")
+        raise ValueError(f"epsilon must be in (0, {2 * scale:g}] for this game")
     return epsilon / (2.0 * scale), ceil(4.0 * scale**2 * log(dim) / epsilon**2)
 
 
@@ -318,9 +323,10 @@ class Trajectory:
 
     Running sums (joint product states, marginals, gain matrices, realized
     payoffs) cover the full horizon; the per-checkpoint arrays hold the CSV
-    columns.  In "qcce" mode ``gaps`` is ``max(avg_regret, 0)``, which is
-    the exploitability of the joint average up to rounding; in "qne" mode it
-    is the exploitability of the product of averaged marginals.
+    columns.  ``gap_mode`` and ``bound_scale`` are the game's certificate (see
+    :func:`run_game`): in "qcce" mode ``gaps`` is ``max(avg_regret, 0)``, the
+    exploitability of the joint average up to rounding; in "qne" mode it is
+    the exploitability of the product of averaged marginals.
     ``joint_sum`` is the sum over rounds of the played product
     states, which the runner adds up a window of rounds at a time, so it
     equals the round-by-round sum up to rounding (1e-12).  The joint average
@@ -358,15 +364,6 @@ class Trajectory:
 
     def product_of_marginal_averages(self) -> np.ndarray:
         return kron(*(self.marginal_average(i) for i in range(self.n_players)))
-
-
-def external_regret(traj: Trajectory, i: int) -> float:
-    """Average regret against the best fixed density in hindsight.
-
-    The best fixed strategy for a cumulative gain matrix is its top
-    eigenprojector, so the benchmark term is ``lambda_max(sum_t G_t)``.
-    """
-    return (lambda_max(traj.cum_gain[i]) - traj.realized[i]) / traj.T
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -516,17 +513,17 @@ def run_game(
     learners: Sequence,
     T: int,
     stride: int | None = None,
-    gap_mode: str = "qcce",
-    bound_scale: float = 1.0,
 ) -> Trajectory | list[Trajectory]:
     """Run T synchronous rounds of self-play and record checkpoints.
 
     Each round every learner's gain matrix is computed from the current
     strategy profile, utilities and running sums are updated, and only then
-    do all learners advance.  ``gap_mode`` selects the exploitability column:
-    "qcce" reports the deviation gaps of the running joint average, read off
-    the regret sums as ``max(avg_regret, 0)``: the gain map and the utility
-    are linear, so ``lambda_max(G_i(Tr_i rho_bar)) - Tr(R_i rho_bar)`` is
+    do all learners advance.  The game picks its certificate: "qne" with the
+    regret bound scaled by k for a two-player zero-sum or a k-player pairwise
+    zero-sum polymatrix game, else "qcce" at scale 1.  "qcce" reports the
+    deviation gaps of the running joint average, read off the regret sums as
+    ``max(avg_regret, 0)``: the gain map and the utility are linear, so
+    ``lambda_max(G_i(Tr_i rho_bar)) - Tr(R_i rho_bar)`` is
     ``(lambda_max(cum_gain_i) - realized_i) / t``, the identity behind the
     paper's QCCE theorem.
     :func:`qgames.equilibria.is_qcce` (``verify --kind qcce``) stays the
@@ -567,10 +564,10 @@ def run_game(
     gets ``_update(gain, profile)`` with the round's states, one per register
     in its own batch shape.  A learner object may play only one player.
 
-    ``g`` may also be a sequence of B games that share register dims and
+    ``g`` may also be a sequence of B games that share register dims,
     gain-term layout (each player's terms read the same registers, so a
     dense two-player game batches with a one-edge polymatrix game, but not a
-    polymatrix game with its dense lift).  They are played in
+    polymatrix game with its dense lift) and certificate.  They are played in
     lockstep, every array of the round loop carrying a batch axis, by
     learners built with ``batch=B`` (``learners[i]`` plays register i of
     every game), and the result is one trajectory per game.  Each is
@@ -581,9 +578,10 @@ def run_game(
     games = [g] if single else list(g)
     if not games:
         raise ValueError("a batch needs at least one game")
-    dims, layout = games[0].dims, _term_layout(games[0])
-    if any(game.dims != dims or _term_layout(game) != layout for game in games):
-        raise ValueError("games in a batch must share register dims and gain-term layout")
+    dims, layout, cert = games[0].dims, _term_layout(games[0]), _certificate(games[0])
+    if any(game.dims != dims or _term_layout(game) != layout or _certificate(game) != cert for game in games):
+        raise ValueError("games in a batch must share register dims, gain-term layout and certificate")
+    gap_mode, bound_scale = cert
     B, k = len(games), len(dims)
     if len(learners) != k:
         raise ValueError("one learner per player required")
@@ -594,8 +592,6 @@ def run_game(
             raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {dims[i]}")
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    if gap_mode not in ("qcce", "qne"):
-        raise ValueError(f"unknown gap mode {gap_mode!r}")
     if stride is None:
         stride = max(1, T // 1000)
     if stride < 1:

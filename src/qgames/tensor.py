@@ -348,6 +348,14 @@ def check_density(rho: np.ndarray, trace_tol: float = 1e-9, eig_tol: float = 1e-
     return rho
 
 
+def _check_distribution(w, ndim: int) -> np.ndarray:
+    """``w`` as floats, if an ndim-array of nonnegative weights summing to 1 (so not NaN)."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != ndim or not (w.min(initial=0.0) >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError("weights must form a probability distribution")
+    return w
+
+
 def bloch_coords(rho: np.ndarray) -> tuple[float, float, float]:
     """Pauli expectation values (x, y, z) of a qubit density matrix."""
     rho = np.asarray(rho, dtype=complex)

@@ -55,11 +55,11 @@ def test_criterion_01_mmwu_regret_bound():
 
 def test_criterion_02_general_qcce_horizon():
     with criterion(2, "general games reach a 0.2-QCCE at eta=0.1, T=70; gap curve under bound"):
-        eta, T = qg.horizon_for_epsilon("general", 2, 0.2)
+        games = [qg.random_game((2, 2), 9100 + seed) for seed in range(20)]
+        eta, T = qg.horizon_for_epsilon(games[0], 0.2)
         assert (eta, T) == (0.1, 70)
         worst = -np.inf
-        for seed in range(20):
-            g = qg.random_game((2, 2), 9100 + seed)
+        for seed, g in enumerate(games):
             learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
             traj = qg.run_game(g, learners, T, stride=1)
             gap = qg.is_qcce(g, traj.joint_average()).max_gap
@@ -72,13 +72,14 @@ def test_criterion_02_general_qcce_horizon():
 
 def test_criterion_03_zero_sum_qne_horizon():
     with criterion(3, "zero-sum pairs reach a 2*0.2-QNE at eta=0.05, T=278"):
-        eta, T = qg.horizon_for_epsilon("zero_sum", 2, 0.2)
+        games = [qg.random_game((2, 2), 9200 + seed, kind="zero_sum") for seed in range(20)]
+        eta, T = qg.horizon_for_epsilon(games[0], 0.2)
         assert (eta, T) == (0.05, 278)
         worst = -np.inf
-        for seed in range(20):
-            g = qg.random_game((2, 2), 9200 + seed, kind="zero_sum")
+        for seed, g in enumerate(games):
             learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
-            traj = qg.run_game(g, learners, T, stride=10, gap_mode="qne", bound_scale=2.0)
+            traj = qg.run_game(g, learners, T, stride=10)
+            assert (traj.gap_mode, traj.bound_scale) == ("qne", 2.0)
             cert = qg.zs_certificate(g, traj.marginal_average(0), traj.marginal_average(1))
             worst = max(worst, cert.width)
             assert cert.width <= 2 * 0.2 + 1e-6, seed
@@ -88,14 +89,15 @@ def test_criterion_03_zero_sum_qne_horizon():
 
 def test_criterion_04_polymatrix_qne_horizon():
     with criterion(4, "3-cycle polymatrix play is a 0.3-QNE at eta=0.05, T=278"):
-        eta, T = qg.horizon_for_epsilon("polymatrix", 2, 0.3, k=3)
+        games = [qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), 9300 + seed) for seed in range(5)]
+        eta, T = qg.horizon_for_epsilon(games[0], 0.3)
         assert (abs(eta - 0.05) < 1e-15) and T == 278
         worst = -np.inf
-        for seed in range(5):
-            pg = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), 9300 + seed)
+        for seed, pg in enumerate(games):
             assert qg.polymatrix_to_qg(pg).zero_sum
             learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(3)]
-            traj = qg.run_game(pg, learners, T, stride=T, gap_mode="qne", bound_scale=3.0)
+            traj = qg.run_game(pg, learners, T, stride=T)
+            assert (traj.gap_mode, traj.bound_scale) == ("qne", 3.0)
             prod = traj.product_of_marginal_averages()
             expl = [qg.exploitability(pg, i, prod) for i in range(3)]
             worst = max(worst, max(expl))
@@ -229,7 +231,7 @@ def test_criterion_09_scripted_convergence_and_fallback():
         traj = qg.run_game(g, [team[0], team[1], deviator], T, stride=T)
         assert team[0]._fallback is not None and team[1]._fallback is not None
         bound = (2.0 + qg.doubling_schedule().cumulative_bound(T, 2)) / T
-        regs = [qg.external_regret(traj, i) for i in (0, 1)]
+        regs = [traj.avg_regret[-1, i] for i in (0, 1)]
         assert max(regs) <= bound
         print(f"  gap excess {gap_avg - gap_target:.2e}, fallback regret {max(regs):.4f} <= {bound:.4f}", end=" ")
 

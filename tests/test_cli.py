@@ -50,6 +50,15 @@ def test_gen_invalid_spec_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run"])
+@pytest.mark.parametrize("dims", ["2,x", "2,,2", "2.5,2"])
+def test_dims_that_are_not_integers_name_the_flag(tmp_path, capsys, command, dims):
+    flags = ["--T", "5", "--eta", "0.1"] if command == "run" else []
+    rc = main([command, "--kind", "general", "--dims", dims, *flags, "--out", str(tmp_path / "o")])
+    assert rc == 1 and capsys.readouterr().err == f"error: --dims must be comma-separated integers; got {dims!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_unwritable_path_exits_2(tmp_path):
     assert main(["gen", "--kind", "general", "--dims", "2,2",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")]) == 2

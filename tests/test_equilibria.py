@@ -191,7 +191,7 @@ def test_polymatrix_marginalized_qcce_is_qne():
     # zero-sum polymatrix: coarse-correlated certificates transfer to the
     # marginalized product state, with gaps bounded by the summed gaps
     pg = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), seed=11)
-    eta, T = qg.horizon_for_epsilon("polymatrix", 2, 0.6, k=3)
+    eta, T = qg.horizon_for_epsilon(pg, 0.6)
     traj = qg.run_game(pg, [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(3)], T, stride=T)
     rho_bar = traj.joint_average()
     qcce = qg.is_qcce(pg, rho_bar)
@@ -211,6 +211,8 @@ def test_maxent_qcce_condition_examples():
     assert not qg.maxent_qcce_condition(a, a, argmin)
     with pytest.raises(ValueError):
         qg.maxent_qcce_condition(a, a, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="probability distribution"):   # NaN passes no comparison
+        qg.maxent_qcce_condition(a, a, [[np.nan, 1.0], [0.0, 0.0]])
 
 
 def test_maxent_condition_agrees_with_spectrahedral_check():

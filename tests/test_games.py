@@ -42,6 +42,17 @@ def test_polymatrix_rejects_an_edge_given_twice():
         qg.random_polymatrix((2, 2, 2), [(0, 1), (1, 2), (1, 0)], seed=1)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([], "needs at least one edge"),
+    ([(0, 5)], r"invalid edge \(0, 5\)"),
+    ([(0, 1), (-1, 2)], r"invalid edge \(-1, 2\)"),
+    ([(1, 1)], r"invalid edge \(1, 1\)"),
+])
+def test_random_polymatrix_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        qg.random_polymatrix((2, 2, 2), edges, seed=1)
+
+
 def test_game_needs_one_tensor_per_player():
     with pytest.raises(ValueError, match="tensors"):
         qg.QuantumGame((2, 2), (np.eye(4),))

@@ -69,7 +69,7 @@ def test_ftrl_average_regret_decreases():
     for T in horizons:
         learners = [qg.FrobeniusFTRL(2, eta=1.0 / np.sqrt(T)) for _ in range(2)]
         traj = qg.run_game(g, learners, T, stride=T)
-        avg.append(max(qg.external_regret(traj, i) for i in range(2)))
+        avg.append(traj.avg_regret[-1].max())
     assert avg[1] < avg[0]
 
 
@@ -81,7 +81,7 @@ def test_external_regret_single_step():
     g = qg.QuantumGame((2, 2), (qg.kron(gain, np.eye(2)),) * 2)
     traj = qg.run_game(g, [qg.MMWU(2, qg.fixed_schedule(0.5)) for _ in range(2)], 1, stride=1)
     # played I/2 against gain diag(1, 0): regret = 1 - 1/2
-    assert abs(qg.external_regret(traj, 0) - 0.5) < 1e-12
+    assert abs(traj.avg_regret[-1, 0] - 0.5) < 1e-12
 
 
 def test_best_fixed_strategy_is_top_eigenprojector():
@@ -95,7 +95,7 @@ def test_best_fixed_strategy_is_top_eigenprojector():
 
 @st.composite
 def bounded_runs(draw):
-    """A random game with its CLI gap mode and bound scale, a batch, and an MMWU team."""
+    """A random game kind, a batch, and an MMWU team."""
     setting = draw(st.sampled_from(["general", "zero-sum", "polymatrix", "polymatrix-general"]))
     if setting == "zero-sum":
         dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=2)))
@@ -112,21 +112,18 @@ def bounded_runs(draw):
 def test_gap_and_regret_stay_within_bound(run):
     # ROADMAP aim 3: gap <= bound and each learner's average regret <= its own bound, every checkpoint
     setting, dims, B, schedules, T, stride, seed = run
-    k = len(dims)
     if setting == "general":
-        games, gap_mode, scale = [qg.random_game(dims, seed + b) for b in range(B)], "qcce", 1.0
+        games = [qg.random_game(dims, seed + b) for b in range(B)]
     elif setting == "zero-sum":
-        games, gap_mode, scale = [qg.random_game(dims, seed + b, "zero_sum") for b in range(B)], "qne", 2.0
+        games = [qg.random_game(dims, seed + b, "zero_sum") for b in range(B)]
     else:
-        graph = qg.graph_edges(["cycle", "path", "complete"][seed % 3], k)
-        zero_sum = setting == "polymatrix"
-        games = [qg.random_polymatrix(dims, graph, seed + b, zero_sum) for b in range(B)]
-        gap_mode, scale = ("qne", float(k)) if zero_sum else ("qcce", 1.0)
+        graph = qg.graph_edges(["cycle", "path", "complete"][seed % 3], len(dims))
+        games = [qg.random_polymatrix(dims, graph, seed + b, setting == "polymatrix") for b in range(B)]
     learners = [
         qg.MMWU(d, qg.doubling_schedule(4) if s == "doubling" else qg.fixed_schedule(s), batch=B)
         for d, s in zip(dims, schedules)
     ]
-    for traj in qg.run_game(games, learners, T, stride=stride, gap_mode=gap_mode, bound_scale=scale):
+    for traj in qg.run_game(games, learners, T, stride=stride):
         assert np.max(traj.gaps - traj.bound[:, None]) <= 1e-9
         for row, t in enumerate(traj.checkpoints):
             for i, ln in enumerate(learners):
@@ -140,7 +137,7 @@ def test_long_horizon_drift_stays_in_the_1e6_tier():
     T = 10**6
     game = qg.random_game((2, 2), 9600, kind="zero_sum")
     learners = [qg.MMWU(2, qg.fixed_schedule(float(np.sqrt(np.log(2) / T)))) for _ in range(2)]
-    traj = qg.run_game(game, learners, T, stride=T, gap_mode="qne", bound_scale=2.0)
+    traj = qg.run_game(game, learners, T, stride=T)
     avg = traj.joint_average()  # symmetrized, so the Hermiticity defect is read off the raw sum
     assert abs(np.trace(avg).real - 1.0) <= 1e-6
     assert maxabs(traj.joint_sum - dagger(traj.joint_sum)) / T <= 1e-6
@@ -153,24 +150,59 @@ def test_long_horizon_drift_stays_in_the_1e6_tier():
 # -- horizon calculator --------------------------------------------------------------
 
 
+CYCLE3 = qg.graph_edges("cycle", 3)
+
+
 def test_horizon_examples():
-    assert qg.horizon_for_epsilon("general", 2, 0.2) == (0.1, 70)
-    assert qg.horizon_for_epsilon("zero_sum", 2, 0.2) == (0.05, 278)
-    eta, T = qg.horizon_for_epsilon("polymatrix", 2, 0.3, k=3)
+    assert qg.horizon_for_epsilon(qg.random_game((2, 2), 1), 0.2) == (0.1, 70)
+    assert qg.horizon_for_epsilon(qg.random_game((2, 2), 1, "zero_sum"), 0.2) == (0.05, 278)
+    eta, T = qg.horizon_for_epsilon(qg.random_polymatrix((2, 2, 2), CYCLE3, 1), 0.3)
     assert abs(eta - 0.05) < 1e-15 and T == 278
 
 
 def test_horizon_range_validation():
     with pytest.raises(ValueError):
-        qg.horizon_for_epsilon("general", 2, 2.5)
+        qg.horizon_for_epsilon(qg.random_game((2, 2), 1), 2.5)
     with pytest.raises(ValueError):
-        qg.horizon_for_epsilon("zero_sum", 2, 4.5)
+        qg.horizon_for_epsilon(qg.random_game((2, 2), 1, "zero_sum"), 4.5)
     with pytest.raises(ValueError):
-        qg.horizon_for_epsilon("polymatrix", 2, 6.5, k=3)
+        qg.horizon_for_epsilon(qg.random_polymatrix((2, 2, 2), CYCLE3, 1), 6.5)
     with pytest.raises(ValueError):
-        qg.horizon_for_epsilon("polymatrix", 2, 0.3)
-    with pytest.raises(ValueError):
-        qg.horizon_for_epsilon("general", 2, 0.0)
+        qg.horizon_for_epsilon(qg.random_game((2, 2), 1), 0.0)
+    with pytest.raises(ValueError, match="register dimension must be >= 2"):
+        qg.horizon_for_epsilon(qg.QuantumGame((1, 1), (np.eye(1), -np.eye(1))), 0.2)
+
+
+# (game, its zero_sum, its certificate, (eta, T) at eps 0.3 and at eps 0.7): the values the command
+# line chose when it mapped each game class to a gap mode, a bound scale and a horizon setting by hand
+CERTIFICATES = [
+    (qg.random_game((2, 3), 1), False, ("qcce", 1.0), (0.15, 49), (0.35, 9)),
+    (qg.random_game((2, 2, 2), 2), False, ("qcce", 1.0), (0.15, 31), (0.35, 6)),
+    (qg.random_game((2, 3), 3, "zero_sum"), True, ("qne", 2.0), (0.075, 196), (0.175, 36)),
+    # the dense lift of a zero-sum 3-cycle is zero-sum, but no QNE theorem covers a dense 3-player game
+    (qg.polymatrix_to_qg(qg.random_polymatrix((2, 2, 2), CYCLE3, 4)), True, ("qcce", 1.0), (0.15, 31), (0.35, 6)),
+    (qg.random_polymatrix((2, 3), [(0, 1)], 5), True, ("qne", 2.0), (0.075, 196), (0.175, 36)),
+    (qg.random_polymatrix((2, 3, 2), CYCLE3, 6), True, ("qne", 3.0),
+     (0.049999999999999996, 440), (0.11666666666666665, 81)),
+    (qg.random_polymatrix((2, 3), [(0, 1)], 7, False), False, ("qcce", 1.0), (0.15, 49), (0.35, 9)),
+    (qg.random_polymatrix((2, 3, 2), CYCLE3, 8, False), False, ("qcce", 1.0), (0.15, 49), (0.35, 9)),
+]
+
+
+@pytest.mark.parametrize("row", range(len(CERTIFICATES)))
+def test_the_game_picks_its_certificate_and_horizon(row):
+    game, zero_sum, certificate, at_03, at_07 = CERTIFICATES[row]
+    assert game.zero_sum == zero_sum
+    traj = qg.run_game(game, [qg.MMWU(d, qg.fixed_schedule(0.1)) for d in game.dims], 3)
+    assert (traj.gap_mode, traj.bound_scale) == certificate and type(traj.bound_scale) is float
+    assert qg.horizon_for_epsilon(game, 0.3) == at_03 and qg.horizon_for_epsilon(game, 0.7) == at_07
+
+
+def test_a_batch_of_games_with_different_certificates_is_rejected():
+    games = [qg.random_game((2, 2), 1, "zero_sum"), qg.random_game((2, 2), 1)]
+    learners = [qg.MMWU(2, qg.fixed_schedule(0.1), batch=2) for _ in range(2)]
+    with pytest.raises(ValueError, match="certificate"):
+        qg.run_game(games, learners, 3)
 
 
 # -- schedules ------------------------------------------------------------------------
@@ -247,8 +279,6 @@ def test_run_game_validation():
         qg.run_game(g, learners, 0)
     with pytest.raises(ValueError):
         qg.run_game(g, [qg.MMWU(3, qg.fixed_schedule(0.1)) for _ in range(2)], 10)
-    with pytest.raises(ValueError):
-        qg.run_game(g, learners, 10, gap_mode="nash")
     # one learner object for two players would feed both players' gains into one sum
     shared = qg.MMWU(2, qg.fixed_schedule(0.2))
     with pytest.raises(ValueError, match="learner object of its own"):
@@ -321,7 +351,7 @@ def test_zero_sum_sandwich_around_game_value():
         learners = [qg.MMWU(2, qg.fixed_schedule(eta)) for _ in range(2)]
         traj = qg.run_game(g, learners, T, stride=T)
         c = qg.zs_certificate(g, traj.marginal_average(0), traj.marginal_average(1))
-        eps = max(qg.external_regret(traj, i) for i in range(2))
+        eps = traj.avg_regret[-1].max()
         return c, eps
 
     # independent tight bracket for the value from a long run
@@ -346,30 +376,36 @@ def qcce_runs(draw):
     scripted = B == 1 and draw(st.booleans())   # scripted learners play a single game
     kinds = draw(st.lists(st.sampled_from(sorted(QCCE_TEAMS)), min_size=len(dims), max_size=len(dims)))
     T = draw(st.integers(1, 40))
-    return dims, draw(st.booleans()), B, scripted, kinds, T, draw(st.sampled_from([1, 7, T])), draw(st.integers(0, 2**16))
+    game_kind = draw(st.sampled_from(["general", "polymatrix", "polymatrix-general"]))
+    return dims, game_kind, B, scripted, kinds, T, draw(st.sampled_from([1, 7, T])), draw(st.integers(0, 2**16))
 
 
 @settings(deadline=None, max_examples=40)
 @given(qcce_runs())
 def test_qcce_gap_of_average_equals_average_regret(run):
     # the runner's qcce gap column is the clamped average regret, which by linearity is the
-    # coarse-deviation gap of the joint average that is_qcce computes in joint space
-    dims, polymatrix, B, scripted, kinds, T, stride, seed = run
-    if polymatrix:
-        games = [qg.random_polymatrix(dims, qg.graph_edges("cycle", len(dims)), seed + b) for b in range(B)]
-    else:
+    # coarse-deviation gap of the joint average that is_qcce computes in joint space; a pairwise
+    # zero-sum game's gap column is qne, so there the clamped regret is checked on its own
+    dims, game_kind, B, scripted, kinds, T, stride, seed = run
+    if game_kind == "general":
         games = [qg.random_game(dims, seed + b) for b in range(B)]
+    else:
+        edges = qg.graph_edges("cycle", len(dims))
+        games = [qg.random_polymatrix(dims, edges, seed + b, game_kind == "polymatrix") for b in range(B)]
     if scripted:
         learners = qg.scripted_team([0.3, 0.7], rand_profiles(2, dims, seed))
     else:
         learners = [QCCE_TEAMS[kind](d, B) for kind, d in zip(kinds, dims)]
-    trajs = qg.run_game(games, learners, T, stride=stride, gap_mode="qcce")
+    trajs = qg.run_game(games, learners, T, stride=stride)
     for g, traj in zip(games, trajs):
-        assert np.array_equal(traj.gaps, np.maximum(traj.avg_regret, 0.0))
+        qcce_gaps = np.maximum(traj.avg_regret, 0.0)
+        assert traj.gap_mode == ("qne" if game_kind == "polymatrix" else "qcce")
+        if traj.gap_mode == "qcce":
+            assert np.array_equal(traj.gaps, qcce_gaps)
         rep = qg.is_qcce(g, traj.joint_average())
         for i in range(len(dims)):
-            assert abs(rep.gaps[i] - qg.external_regret(traj, i)) <= 1e-12
-            assert abs(traj.gaps[-1, i] - qg.exploitability(g, i, traj.joint_average())) <= 1e-12
+            assert abs(rep.gaps[i] - traj.avg_regret[-1, i]) <= 1e-12
+            assert abs(qcce_gaps[-1, i] - qg.exploitability(g, i, traj.joint_average())) <= 1e-12
 
 
 # -- scripted learners --------------------------------------------------------------------
@@ -426,7 +462,7 @@ def test_scripted_learner_falls_back_on_deviation():
     # prefix slack (one scripted round, per-round regret <= 2) plus the
     # doubling-trick bound over the remaining rounds
     bound = (2.0 + qg.doubling_schedule().cumulative_bound(T, 2)) / T
-    assert qg.external_regret(traj, 0) <= bound
+    assert traj.avg_regret[-1, 0] <= bound
 
 
 def test_scripted_validation():
@@ -435,6 +471,10 @@ def test_scripted_validation():
         qg.scripted_team([0.7, 0.7], profiles)
     with pytest.raises(ValueError):
         qg.scripted_team([1.0], profiles)
+    with pytest.raises(ValueError, match="probability distribution"):   # NaN passes no comparison
+        qg.ScriptedNoRegret(0, [np.nan, 1.0], profiles)
+    with pytest.raises(ValueError, match="probability distribution"):
+        qg.ScriptedNoRegret(0, [], profiles)
 
 
 def test_run_game_is_deterministic():

@@ -57,10 +57,12 @@ def trajectory_fields(traj):
     return out
 
 
-def assert_trajectories_match(a, b, tol):
-    """Every Trajectory array agrees to tol (0: bit for bit, NaN matching NaN); the rest exactly."""
+def assert_trajectories_match(a, b, tol, skip=()):
+    """Every Trajectory array but those in skip agrees to tol (0: bit for bit, NaN matching NaN); the rest exactly."""
     for (name, x), (name_b, y) in zip(trajectory_fields(a), trajectory_fields(b), strict=True):
         assert name == name_b
+        if name in skip:
+            continue
         if isinstance(x, np.ndarray):
             assert x.shape == y.shape and np.allclose(x, y, rtol=0, atol=tol, equal_nan=True), name
         else:
@@ -87,12 +89,23 @@ def test_gains_utilities_and_certificates_match_lift(pg, seed):
 
 
 @settings(deadline=None, max_examples=20)
-@given(polymatrix_games(), st.sampled_from(["qne", "qcce"]))
-def test_run_matches_lift_on_every_trajectory_array(pg, gap_mode):
+@given(polymatrix_games())
+def test_run_matches_lift_on_every_trajectory_array(pg):
     lifted = qg.polymatrix_to_qg(pg)
-    native = qg.run_game(pg, mmwu_team(pg.dims), 5, stride=2, gap_mode=gap_mode, bound_scale=pg.n_players)
-    oracle = qg.run_game(lifted, mmwu_team(pg.dims), 5, stride=2, gap_mode=gap_mode, bound_scale=pg.n_players)
-    assert_trajectories_match(native, oracle, TOL)
+    native = qg.run_game(pg, mmwu_team(pg.dims), 5, stride=2)
+    oracle = qg.run_game(lifted, mmwu_team(pg.dims), 5, stride=2)
+    if not (pg.zero_sum and pg.n_players >= 3):
+        assert_trajectories_match(native, oracle, TOL)
+        return
+    # a pairwise zero-sum game of k >= 3 players gets QNE gaps at scale k, its dense lift QCCE at scale 1:
+    # the lift is the oracle of every other array, and the QNE gaps are those of the averaged product
+    assert (native.gap_mode, native.bound_scale) == ("qne", pg.n_players)
+    assert (oracle.gap_mode, oracle.bound_scale) == ("qcce", 1)
+    assert_trajectories_match(native, oracle, TOL, skip=("gap_mode", "bound_scale", "gaps", "bound"))
+    assert np.array_equal(native.bound, pg.n_players * oracle.bound, equal_nan=True)
+    product = native.product_of_marginal_averages()
+    for i in range(pg.n_players):
+        assert abs(native.gaps[-1, i] - qg.exploitability(lifted, i, product)) <= TOL
 
 
 def run_main(argv):
@@ -131,13 +144,14 @@ def test_verify_stdout_matches_lift(pg, seed):
 
 
 @settings(deadline=None, max_examples=15)
-@given(layouts(), st.lists(st.integers(0, 2**16), min_size=2, max_size=4), st.sampled_from(["qne", "qcce"]))
-def test_batch_equals_each_game_alone_bit_for_bit(layout, seeds, gap_mode):
+@given(layouts(), st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
+def test_batch_equals_each_game_alone_bit_for_bit(layout, seeds):
+    # the layout draws pairwise zero-sum edges on or off, and with them the qne or the qcce certificate
     dims, edges, pairwise_zero_sum = layout
     games = [qg.random_polymatrix(dims, edges, s, pairwise_zero_sum) for s in seeds]
-    batch = qg.run_game(games, mmwu_team(dims, batch=len(games)), 4, stride=3, gap_mode=gap_mode)
+    batch = qg.run_game(games, mmwu_team(dims, batch=len(games)), 4, stride=3)
     for game, traj in zip(games, batch):
-        alone = qg.run_game(game, mmwu_team(dims), 4, stride=3, gap_mode=gap_mode)
+        alone = qg.run_game(game, mmwu_team(dims), 4, stride=3)
         assert_trajectories_match(traj, alone, 0)
 
 
@@ -151,13 +165,17 @@ def test_run_game_rejects_mixed_batches():
 
 @pytest.mark.parametrize("gap_mode", ["qne", "qcce"])
 def test_dense_and_polymatrix_games_of_one_term_layout_batch_together(gap_mode):
-    # two players: a dense game and a one-edge polymatrix game both give each player one term on the other
-    games = [qg.random_game((2, 3), 5, "zero_sum"), qg.random_polymatrix((2, 3), [(0, 1)], seed=6)]
+    # two players: a dense game and a one-edge polymatrix game both give each player one term on the other;
+    # zero-sum games get the qne certificate, general-sum ones qcce
+    zero_sum = gap_mode == "qne"
+    games = [qg.random_game((2, 3), 5, "zero_sum" if zero_sum else "general"),
+             qg.random_polymatrix((2, 3), [(0, 1)], seed=6, pairwise_zero_sum=zero_sum)]
     assert [[t.regs for t in terms] for terms in games[0].gain_terms] == [[(1,)], [(0,)]]
     assert [[t.regs for t in terms] for terms in games[1].gain_terms] == [[(1,)], [(0,)]]
-    batch = qg.run_game(games, mmwu_team((2, 3), batch=2), 9, stride=4, gap_mode=gap_mode)
+    batch = qg.run_game(games, mmwu_team((2, 3), batch=2), 9, stride=4)
     for game, traj in zip(games, batch):
-        assert_trajectories_match(traj, qg.run_game(game, mmwu_team((2, 3)), 9, stride=4, gap_mode=gap_mode), 0)
+        assert traj.gap_mode == gap_mode
+        assert_trajectories_match(traj, qg.run_game(game, mmwu_team((2, 3)), 9, stride=4), 0)
 
 
 def test_gain_terms_are_edgewise():
@@ -169,7 +187,8 @@ def test_gain_terms_are_edgewise():
 
 
 def test_scripted_learners_see_the_same_opponents_as_on_the_lift():
-    pg = qg.random_polymatrix((2, 3, 2), qg.graph_edges("cycle", 3), seed=4)
+    # general-sum, so the game and its lift both get the qcce certificate and every array compares
+    pg = qg.random_polymatrix((2, 3, 2), qg.graph_edges("cycle", 3), seed=4, pairwise_zero_sum=False)
     rng = np.random.default_rng(5)
     profiles = [[qg.random_density(d, rng) for d in pg.dims] for _ in range(2)]
     deviator = qg.random_density(2, rng)

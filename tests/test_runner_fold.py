@@ -88,6 +88,23 @@ def test_fold_window_stays_within_the_joint_size():
         assert cap * (n_l**2 + n_r**2 + sum(d * d for d in dims)) <= max(prod(dims) ** 2, FOLD_FLOOR)
 
 
+def random_games(kind, dims, seed, B):
+    """B seeded games of one kind, and with it one certificate.
+
+    "general" games are dense and get qcce; "zero-sum" games get qne: a dense two-player game, a
+    pairwise zero-sum cycle of three or more players, and for one player the edgeless polymatrix game.
+    """
+    if kind == "general":
+        return [qg.random_game(dims, seed + b) for b in range(B)]
+    if len(dims) == 1:
+        return [qg.PolymatrixGame(dims, [])] * B
+    if len(dims) == 2:
+        return [qg.random_game(dims, seed + b, "zero_sum") for b in range(B)]
+    return [qg.random_polymatrix(dims, qg.graph_edges("cycle", len(dims)), seed + b) for b in range(B)]
+
+
+GAME_KINDS = st.sampled_from(["general", "zero-sum"])
+
 KINDS = {
     "mmwu": lambda d, B: qg.MMWU(d, qg.fixed_schedule(0.3), batch=B),
     "mmwu-doubling": lambda d, B: qg.MMWU(d, qg.doubling_schedule(2), batch=B),
@@ -99,20 +116,20 @@ KINDS = {
 def stacked_runs(draw):
     dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4)))
     kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=len(dims), max_size=len(dims)))
-    return dims, kinds, draw(st.integers(1, 2)), draw(st.sampled_from(["qcce", "qne"])), draw(st.integers(0, 2**16))
+    return dims, kinds, draw(st.integers(1, 2)), draw(GAME_KINDS), draw(st.integers(0, 2**16))
 
 
 @settings(deadline=None, max_examples=30)
 @given(stacked_runs())
 def test_stacked_play_matches_one_learner_at_a_time(run):
-    dims, kinds, B, gap_mode, seed = run
-    games = [qg.random_game(dims, seed + b) for b in range(B)]
+    dims, kinds, B, game_kind, seed = run
+    games = random_games(game_kind, dims, seed, B)
 
     def team():
         return [KINDS[kind](d, B) for kind, d in zip(kinds, dims)]
 
-    stacked = qg.run_game(games, team(), 20, stride=6, gap_mode=gap_mode)
-    alone = qg.run_game(games, [OneAtATime(ln) for ln in team()], 20, stride=6, gap_mode=gap_mode)
+    stacked = qg.run_game(games, team(), 20, stride=6)
+    alone = qg.run_game(games, [OneAtATime(ln) for ln in team()], 20, stride=6)
     for a, b in zip(stacked, alone):
         assert_same_bits(a, b)
 
@@ -213,24 +230,25 @@ def stride_runs(draw):
     dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
     kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=len(dims), max_size=len(dims)))
     T = draw(st.integers(1, 16))
-    return dims, kinds, draw(st.integers(1, 3)), T, draw(st.integers(2, 7)), draw(st.sampled_from(["qcce", "qne"])), \
+    return dims, kinds, draw(st.integers(1, 3)), T, draw(st.integers(2, 7)), draw(GAME_KINDS), \
         draw(st.integers(0, 2**16))
 
 
 @settings(deadline=None, max_examples=40)
 @given(stride_runs())
-@example(((3,), ["ftrl"], 2, 9, 4, "qne", 5))
-@example(((2,), ["mmwu-doubling"], 1, 13, 3, "qcce", 6))
+@example(((3,), ["ftrl"], 2, 9, 4, "zero-sum", 5))
+@example(((3, 2), ["ftrl", "mmwu"], 2, 9, 4, "zero-sum", 5))
+@example(((2,), ["mmwu-doubling"], 1, 13, 3, "general", 6))
 def test_checkpoint_rows_do_not_depend_on_the_stride(run):
     # the rows a checkpoint certifies come from that round's state alone, so a run checkpointing
     # every round must repeat, bit for bit, each row of a strided run; only avg_joint_eigs may
     # differ, as it is the spectrum of a joint sum folded over other windows
-    dims, kinds, B, T, stride, gap_mode, seed = run
-    games = [qg.random_game(dims, seed + b) for b in range(B)]
+    dims, kinds, B, T, stride, game_kind, seed = run
+    games = random_games(game_kind, dims, seed, B)
 
     def play(every):
         team = [KINDS[kind](d, B) for kind, d in zip(kinds, dims)]
-        return qg.run_game(games, team, T, stride=every, gap_mode=gap_mode, bound_scale=len(dims))
+        return qg.run_game(games, team, T, stride=every)
 
     for dense, sparse in zip(play(1), play(stride), strict=True):
         rows = np.searchsorted(dense.checkpoints, sparse.checkpoints)
@@ -325,20 +343,22 @@ def reference_runs(draw):
     odd = draw(st.sampled_from(["none", "constant", "scripted"])) if B == 1 else "none"
     T = draw(st.integers(1, 16))
     stride = draw(st.sampled_from([1, 7, T]))
-    return dims, graph, B, kinds, odd, T, stride, draw(st.sampled_from(["qcce", "qne"])), draw(st.integers(0, 2**16))
+    return dims, graph, B, kinds, odd, T, stride, draw(st.booleans()), draw(st.integers(0, 2**16))
 
 
 @settings(deadline=None, max_examples=40)
 @given(reference_runs())
 def test_stacked_round_matches_per_player_reference(run):
     # mixed dims make several player groups and term groups; path and star graphs give
-    # players unequal numbers of terms; a Constant or scripted learner shares a group's stack
-    dims, graph, B, kinds, odd, T, stride, gap_mode, seed = run
+    # players unequal numbers of terms; a Constant or scripted learner shares a group's stack;
+    # pairwise zero-sum graphs get qne gaps at scale k, general-sum graphs and dense games qcce at scale 1
+    dims, graph, B, kinds, odd, T, stride, pairwise_zero_sum, seed = run
     if graph == "dense":
         games = [qg.random_game(dims, seed + b) for b in range(B)]
     else:
         edges = qg.graph_edges("path", len(dims)) if graph == "path" else star_edges(len(dims))
-        games = [qg.random_polymatrix(dims, edges, seed + b) for b in range(B)]
+        games = [qg.random_polymatrix(dims, edges, seed + b, pairwise_zero_sum) for b in range(B)]
+    gap_mode, bound_scale = ("qne", float(len(dims))) if graph != "dense" and pairwise_zero_sum else ("qcce", 1.0)
     rng = np.random.default_rng(seed)
     profiles = [[qg.random_density(d, rng) for d in dims] for _ in range(2)]
     deviator = qg.random_density(dims[-1], rng)
@@ -352,9 +372,10 @@ def test_stacked_round_matches_per_player_reference(run):
         return members
 
     stacked_team, reference_team = team(), team()
-    trajs = qg.run_game(games, stacked_team, T, stride=stride, gap_mode=gap_mode, bound_scale=len(dims))
-    expected, final = reference_run(games, reference_team, T, stride, gap_mode, len(dims))
+    trajs = qg.run_game(games, stacked_team, T, stride=stride)
+    expected, final = reference_run(games, reference_team, T, stride, gap_mode, bound_scale)
     for traj, want in zip(trajs, expected, strict=True):
+        assert (traj.gap_mode, traj.bound_scale) == (gap_mode, bound_scale)
         got = {}
         for f in dataclasses.fields(traj):
             val = getattr(traj, f.name)

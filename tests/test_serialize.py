@@ -136,7 +136,7 @@ def test_save_game_is_deterministic(tmp_path):
 def test_trajectory_csv_schema_and_determinism(tmp_path):
     g = qg.random_game((2, 2), 4, kind="zero_sum")
     learners = [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)]
-    traj = qg.run_game(g, learners, 40, stride=10, gap_mode="qne", bound_scale=2.0)
+    traj = qg.run_game(g, learners, 40, stride=10)
     path = tmp_path / "t.csv"
     ser.write_trajectory_csv(path, traj)
     lines = path.read_text().splitlines()
@@ -158,7 +158,7 @@ def test_trajectory_csv_schema_and_determinism(tmp_path):
     row0 = [float(x) for x in lines[1].split(",")[1:]]
     assert row0[0] == traj.utils[0][0]
     learners = [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)]
-    traj2 = qg.run_game(g, learners, 40, stride=10, gap_mode="qne", bound_scale=2.0)
+    traj2 = qg.run_game(g, learners, 40, stride=10)
     path2 = tmp_path / "t2.csv"
     ser.write_trajectory_csv(path2, traj2)
     assert path.read_bytes() == path2.read_bytes()
@@ -316,7 +316,7 @@ def test_trajectory_csv_matches_per_cell_repr(tmp_path, dims, learners, T):
 def game444_files():
     """The (4,4,4) general game's file object and its epsilon = 0.1 trajectory at stride 1 (555 rows)."""
     game = qg.random_game((4, 4, 4), 2310)
-    eta, horizon = qg.horizon_for_epsilon("general", 4, 0.1, k=3)
+    eta, horizon = qg.horizon_for_epsilon(game, 0.1)
     traj = qg.run_game(game, [qg.MMWU(4, qg.fixed_schedule(eta)) for _ in range(3)], horizon, stride=1)
     return ser.game_to_obj(game, seed=2310), traj
 
