@@ -1,13 +1,13 @@
 """No-regret learning dynamics and equilibrium certification for quantum games.
 
 Players hold density-matrix strategies on finite registers; payoffs are
-expectations of Hermitian utility tensors on the joint space.  The package
-provides the tensor/channel machinery (partial traces, register permutations,
-Choi-matrix superoperators), game constructions (random, classical
-embeddings, Bell-basis, polymatrix), matrix-multiplicative-weights and
-Frobenius-FTRL learners with regret accounting, and certificates for Nash,
-coarse-correlated, and finite-deviation equilibria, including minimax value
-brackets for two-player zero-sum games.
+expectations of Hermitian utility tensors made of local terms on a few
+registers.  The package provides the tensor/channel machinery (partial traces,
+register permutations, Choi-matrix superoperators), one game type and its
+constructors (dense, random, classical and Bell-basis embeddings, polymatrix),
+matrix-multiplicative-weights and Frobenius-FTRL learners with regret
+accounting, and certificates for Nash, coarse-correlated, and finite-deviation
+equilibria, including minimax value brackets for two-player zero-sum games.
 """
 
 __version__ = "0.1.0"
@@ -42,6 +42,7 @@ from .equilibria import (
 )
 from .games import (
     BELL_BASIS,
+    Game,
     PolymatrixGame,
     QuantumGame,
     bell_projector,

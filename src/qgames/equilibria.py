@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
-from .games import Game, PolymatrixGame, _others, gain_matrix, polymatrix_to_qg, utility
+from .games import Game, _others, gain_matrix, utility
 from .tensor import (
     _check_distribution,
     herm,
@@ -156,11 +156,9 @@ def zs_certificate(g: Game, rho: np.ndarray, sigma: np.ndarray) -> ValueCertific
     ``lower = lambda_min(Theta^dag(rho))`` certifies what Alice guarantees,
     ``upper = lambda_max(Theta(sigma))`` what Bob concedes at worst, and
     ``value_at = u_A(rho (x) sigma)`` sits between them (weak duality).
-    The pair is an eps-Nash pair iff ``upper - lower <= 2 eps``.  A
-    two-player polymatrix game is read on its lift, which is its one edge.
+    The pair is an eps-Nash pair iff ``upper - lower <= 2 eps``.  The game
+    is read on its dense lift, so a one-edge polymatrix game on its edge.
     """
-    if isinstance(g, PolymatrixGame) and g.n_players == 2:
-        g = polymatrix_to_qg(g)
     if g.n_players != 2 or not g.zero_sum:
         raise ValueError("expected a two-player zero-sum game")
     c = ChoiMatrix(partial_transpose(g.tensors[0], g.dims, 1), *g.dims)
@@ -218,19 +216,17 @@ def brute_force_gap(
     estimate is independent of the gain-matrix eigenvalue route it is used to
     cross-check.  Never exceeds the exact gap, converges upward with
     ``n_samples``, and is a running max over a seed-deterministic stream.
-    A :class:`PolymatrixGame` is evaluated on its dense lift, so the estimate
-    stays independent of the edgewise gain terms too.
+    Every payoff is read off the dense lift ``g.tensors``, so the estimate
+    stays independent of the game's terms too.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if isinstance(g, PolymatrixGame):
-        g = polymatrix_to_qg(g)
     k = g.n_players
     d = g.dims[i]
     n = g.joint_dim
     others = _others(k, i)
     opp = partial_trace(rho, g.dims, keep=others)
-    base = utility(g, rho, i)
+    base = float(np.vdot(g.tensors[i], np.asarray(rho, dtype=complex)).real)
     rng = np.random.default_rng(seed)
     psi = random_pure_states(d, n_samples, rng)
     projectors = psi[:, :, None] * psi[:, None, :].conj()

@@ -1,15 +1,14 @@
 """Construction and evaluation of multiplayer quantum games.
 
-A game assigns each player a Hermitian utility tensor on the joint register
-space; payoffs are expectations ``u_i(rho) = Tr(R_i rho)``.  Supported
-constructions: direct tensors, two-player zero-sum pairs, diagonal embeddings
-of classical normal-form games, Bell-basis embeddings of 2x2 bimatrix games,
-polymatrix graph games with edgewise two-player tensors, and seeded random
-generators normalized so every achievable utility lies in [-1, 1].
-
-Zero-sum is a property of the tensors, not a label: a game is zero-sum when
-its tensors cancel within ``ZERO_SUM_TOL`` (a polymatrix game when every edge
-cancels), whichever constructor built it.
+A game is its register dims and, per player, a payoff made of local terms:
+Hermitian tensors on a few registers, ``u_i(rho) = sum Tr(R rho_regs)`` over
+player i's terms.  Dense games have one term per player on every register,
+polymatrix graph games one per incident edge, k-local (graphical) games terms
+on k registers; every rule is written once over the terms.  Constructors
+cover direct tensors, zero-sum pairs, classical and Bell-basis embeddings,
+polymatrix graphs and seeded random games with utilities in [-1, 1].  A game
+is zero-sum when the tensors on each support cancel within ``ZERO_SUM_TOL``,
+whichever constructor built it.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +44,29 @@ def _others(k: int, i: int) -> tuple[int, ...]:
     return tuple(j for j in range(k) if j != i)
 
 
+def _check_dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of ints, which must be a non-empty sequence of integers >= 1."""
+    try:
+        out = tuple(map(index, dims))
+    except TypeError:   # not a sequence, or an entry that is not an integer
+        out = ()
+    if not out or min(out) < 1:
+        raise ValueError(f"dims must be a non-empty sequence of integers >= 1, got {dims!r}")
+    return out
+
+
+def _arrange(r: np.ndarray, dims: Sequence[int], regs: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """A tensor on registers ``regs`` (its factor order) with its factors moved into ``order``."""
+    if order == regs:
+        return r
+    return permute_registers(r, [dims[x] for x in regs], [regs.index(x) for x in order])
+
+
+def tensors_cancel(tensors: Sequence[np.ndarray]) -> bool:
+    """Every entry of the tensors' sum is within ZERO_SUM_TOL of zero."""
+    return maxabs(sum(tensors)) <= ZERO_SUM_TOL
+
+
 class GainTerm(NamedTuple):
     """One summand of a player's gain: ``op @ vec(kron of the states on regs)``.
 
@@ -57,38 +80,46 @@ class GainTerm(NamedTuple):
     op: np.ndarray
 
 
-def _gain_op(front: np.ndarray, d: int) -> np.ndarray:
-    """A tensor on H_i (x) H_rest, register i first, as the (d^2, r^2) operator of a GainTerm."""
-    r = front.shape[0] // d
-    return _freeze(front.reshape(d, r, d, r).transpose(0, 2, 3, 1).reshape(d * d, r * r))
+def _gain_term(dims: tuple[int, ...], i: int, regs: tuple[int, ...], r: np.ndarray) -> GainTerm:
+    """Player i's term on registers regs as a GainTerm on the other registers it reads."""
+    rest = tuple(x for x in regs if x != i)
+    d, front = dims[i], _arrange(r, dims, regs, (i,) + rest)
+    m = front.shape[0] // d
+    return GainTerm(rest, _freeze(front.reshape(d, m, d, m).transpose(0, 2, 3, 1).reshape(d * d, m * m)))
+
+
+Term = tuple[tuple[int, ...], np.ndarray]   # (registers, a tensor on them in that factor order)
 
 
 @dataclass(frozen=True)
-class QuantumGame:
-    """k-player game: register dims and one Hermitian tensor per player.
+class Game:
+    """k-player game: register dims and, per player, a payoff of ``(regs, tensor)`` terms.
 
-    ``zero_sum`` is read off the tensors on first use, so a game built from
-    tensors that cancel is zero-sum however it was constructed.
+    A term reads distinct registers, its player's own among them, with a Hermitian
+    tensor in the factor order of ``regs``; the rest is read off the terms on first use.
     """
 
     dims: tuple[int, ...]
-    tensors: tuple[np.ndarray, ...]
+    terms: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        n = prod(dims)
-        tensors = []
-        for r in self.tensors:
-            r = np.asarray(r, dtype=complex)
-            if r.shape != (n, n):
-                raise ValueError(f"utility tensor shape {r.shape} does not match joint dim {n}")
-            if not is_hermitian(r):
-                raise ValueError("utility tensors must be Hermitian")
-            tensors.append(_freeze(herm(r)))
-        if len(tensors) != len(dims):
-            raise ValueError(f"{len(tensors)} utility tensors for {len(dims)} players")
+        dims = _check_dims(self.dims)
+        k = len(dims)
+        if len(self.terms) != k:
+            raise ValueError(f"{len(self.terms)} payoffs for {k} players")
+        terms = [[] for _ in dims]
+        for i, payoff in enumerate(self.terms):
+            for regs, r in payoff:
+                regs, r = tuple(map(index, regs)), np.asarray(r, dtype=complex)
+                if i not in regs or len(set(regs)) != len(regs) or not all(0 <= x < k for x in regs):
+                    raise ValueError(f"player {i}'s term reads {regs}: not distinct registers in [0, {k}) with {i}")
+                if r.shape != (prod(dims[x] for x in regs),) * 2:
+                    raise ValueError(f"term tensor shape {r.shape} does not match the dims of registers {regs}")
+                if not is_hermitian(r):
+                    raise ValueError("utility tensors must be Hermitian")
+                terms[i].append((regs, _freeze(herm(r))))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "tensors", tuple(tensors))
+        object.__setattr__(self, "terms", tuple(map(tuple, terms)))
 
     @property
     def n_players(self) -> int:
@@ -100,30 +131,100 @@ class QuantumGame:
 
     @cached_property
     def zero_sum(self) -> bool:
-        """The tensors cancel: every entry of ``sum(tensors)`` within ZERO_SUM_TOL; checked on first use."""
-        return maxabs(sum(self.tensors)) <= ZERO_SUM_TOL
+        """The tensors on every support cancel (:func:`tensors_cancel`), each read in ascending register order."""
+        supports = {}
+        for regs, r in (term for payoff in self.terms for term in payoff):
+            support = tuple(sorted(regs))
+            supports.setdefault(support, []).append(_arrange(r, self.dims, regs, support))
+        return all(map(tensors_cancel, supports.values()))
 
     @cached_property
     def gain_terms(self) -> tuple[tuple[GainTerm, ...], ...]:
-        """Per player, one term over all the other registers, compiled on first use."""
-        return tuple(
-            (GainTerm(_others(self.n_players, i), _gain_op(front_tensor(self, i), d)),)
-            for i, d in enumerate(self.dims)
-        )
+        """Per player, one gain term per payoff term, ordered by its opponent registers; compiled on first use."""
+        return tuple(tuple(sorted((_gain_term(self.dims, i, *term) for term in payoff), key=lambda t: t.regs))
+                     for i, payoff in enumerate(self.terms))
+
+    @cached_property
+    def tensors(self) -> tuple[np.ndarray, ...]:
+        """The dense lift: per player, the sum of their terms, each (x) the identity on the registers it leaves out."""
+        full, out = tuple(range(self.n_players)), []
+        for payoff in self.terms:
+            if [regs for regs, _ in payoff] == [full]:   # one term on every register, in order, is its own lift
+                out.append(payoff[0][1])
+                continue
+            total = np.zeros((self.joint_dim,) * 2, dtype=complex)
+            for regs, r in payoff:
+                rest = tuple(x for x in full if x not in regs)
+                m = kron(r, np.eye(prod(self.dims[x] for x in rest), dtype=complex)) if rest else r
+                total = total + _arrange(m, self.dims, regs + rest, full)
+            out.append(_freeze(herm(total)))
+        return tuple(out)
+
+    @property
+    def edges(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None:
+        """``{(i, j): (r_ij, r_ji)}`` over i < j when every term is one end of an edge, else None.
+
+        An end reads two registers, its player's first, and every pair is read once from each end.
+        """
+        ends = {}
+        for i, payoff in enumerate(self.terms):
+            for regs, r in payoff:
+                if len(regs) != 2 or regs[0] != i or regs in ends:
+                    return None
+                ends[regs] = r
+        if any((j, i) not in ends for i, j in ends):
+            return None
+        return {(i, j): (r, ends[j, i]) for (i, j), r in sorted(ends.items()) if i < j}
 
 
-def front_tensor(g: QuantumGame, i: int) -> np.ndarray:
+def QuantumGame(dims: Sequence[int], tensors: Sequence[np.ndarray]) -> Game:
+    """The dense game: one Hermitian tensor per player, a term on every register."""
+    dims, tensors = _check_dims(dims), tuple(tensors)
+    n = prod(dims)
+    for r in tensors:
+        if np.shape(r) != (n, n):
+            raise ValueError(f"utility tensor shape {np.shape(r)} does not match joint dim {n}")
+    if len(tensors) != len(dims):
+        raise ValueError(f"{len(tensors)} utility tensors for {len(dims)} players")
+    return Game(dims, tuple(((tuple(range(len(dims))), r),) for r in tensors))
+
+
+def PolymatrixGame(dims: Sequence[int], edges) -> Game:
+    """Graph game: every edge (i, j) holds player i's tensor r_ij on H_i (x) H_j and player j's r_ji on H_j (x) H_i.
+
+    ``edges`` maps pairs (i, j) to ``(r_ij, r_ji)`` or lists those items, in either
+    orientation; a pair given twice is rejected.  Each player gets one term per
+    incident edge, in the order given, its own register first.
+    """
+    dims = _check_dims(dims)
+    terms = [[] for _ in dims]
+    for (i, j), (r_ij, r_ji) in edges.items() if isinstance(edges, dict) else edges:
+        if not (0 <= i < len(dims) and 0 <= j < len(dims)) or i == j:
+            raise ValueError(f"invalid edge ({i}, {j})")
+        pair = (min(i, j), max(i, j))
+        if any(regs == (i, j) for regs, _ in terms[i]):
+            raise ValueError(f"duplicate edge {pair}")
+        if np.shape(r_ij) != (dims[i] * dims[j],) * 2 or np.shape(r_ji) != np.shape(r_ij):
+            raise ValueError(f"edge {pair} tensor shapes do not match register dims")
+        if not (is_hermitian(r_ij) and is_hermitian(r_ji)):
+            raise ValueError("edge tensors must be Hermitian")
+        terms[i].append(((i, j), r_ij))
+        terms[j].append(((j, i), r_ji))
+    return Game(dims, tuple(map(tuple, terms)))
+
+
+def front_tensor(g: Game, i: int) -> np.ndarray:
     """R_i with register i permuted to the most significant slot."""
     return permute_registers(g.tensors[i], g.dims, (i,) + _others(g.n_players, i))
 
 
-def zero_sum_game(r: np.ndarray, d_a: int, d_b: int) -> QuantumGame:
+def zero_sum_game(r: np.ndarray, d_a: int, d_b: int) -> Game:
     """Two-player game with tensors (r, -r)."""
     r = np.asarray(r, dtype=complex)
     return QuantumGame((d_a, d_b), (r, -r))
 
 
-def classical_embed(payoffs: Sequence[np.ndarray]) -> QuantumGame:
+def classical_embed(payoffs: Sequence[np.ndarray]) -> Game:
     """Diagonal embedding of a classical normal-form game.
 
     ``payoffs[i]`` is player i's real payoff array over action profiles; the
@@ -158,7 +259,7 @@ def bell_projector(p: int, q: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def maxent_game(a: np.ndarray, b: np.ndarray) -> QuantumGame:
+def maxent_game(a: np.ndarray, b: np.ndarray) -> Game:
     """2x2 bimatrix game with payoffs attached to the Bell basis of C^2 (x) C^2.
 
     ``R_1 = sum_pq a[p, q] |e_pq><e_pq|`` and likewise for b, so the
@@ -173,75 +274,6 @@ def maxent_game(a: np.ndarray, b: np.ndarray) -> QuantumGame:
     return QuantumGame((2, 2), (r1, r2))
 
 
-@dataclass(frozen=True)
-class PolymatrixGame:
-    """Graph game: every edge (i, j) holds two-player tensors R_ij and R_ji.
-
-    ``edges`` maps canonical pairs (i, j) with i < j to ``(r_ij, r_ji)`` where
-    r_ij lives on H_i (x) H_j (player i's payoff tensor for that edge) and
-    r_ji on H_j (x) H_i.  The constructor also takes the ``((i, j), (r_ij,
-    r_ji))`` items as a sequence, in either orientation; a pair given twice
-    is rejected.
-    """
-
-    dims: tuple[int, ...]
-    edges: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        k = len(dims)
-        edges = {}
-        for (i, j), (r_ij, r_ji) in self.edges.items() if isinstance(self.edges, dict) else self.edges:
-            if not (0 <= i < k and 0 <= j < k) or i == j:
-                raise ValueError(f"invalid edge ({i}, {j})")
-            if i > j:
-                i, j, r_ij, r_ji = j, i, r_ji, r_ij
-            if (i, j) in edges:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            nij = dims[i] * dims[j]
-            r_ij = np.asarray(r_ij, dtype=complex)
-            r_ji = np.asarray(r_ji, dtype=complex)
-            if r_ij.shape != (nij, nij) or r_ji.shape != (nij, nij):
-                raise ValueError(f"edge ({i}, {j}) tensor shapes do not match register dims")
-            if not (is_hermitian(r_ij) and is_hermitian(r_ji)):
-                raise ValueError("edge tensors must be Hermitian")
-            edges[(i, j)] = (_freeze(herm(r_ij)), _freeze(herm(r_ji)))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def n_players(self) -> int:
-        return len(self.dims)
-
-    @property
-    def joint_dim(self) -> int:
-        return prod(self.dims)
-
-    def neighbors(self, i: int) -> list[int]:
-        out = [j for (a, j) in self.edges if a == i] + [a for (a, j) in self.edges if j == i]
-        return sorted(out)
-
-    @cached_property
-    def zero_sum(self) -> bool:
-        """Pairwise zero-sum: every edge has R_ji = -swap(R_ij) within ZERO_SUM_TOL; checked on first use."""
-        return all(
-            maxabs(r_ji + permute_registers(r_ij, (self.dims[i], self.dims[j]), (1, 0))) <= ZERO_SUM_TOL
-            for (i, j), (r_ij, r_ji) in self.edges.items()
-        )
-
-    @cached_property
-    def gain_terms(self) -> tuple[tuple[GainTerm, ...], ...]:
-        """Per player, one term per incident edge, ordered by neighbor, compiled on first use."""
-        terms = [[] for _ in self.dims]
-        for (i, j), (r_ij, r_ji) in self.edges.items():
-            terms[i].append(GainTerm((j,), _gain_op(r_ij, self.dims[i])))
-            terms[j].append(GainTerm((i,), _gain_op(r_ji, self.dims[j])))
-        return tuple(tuple(sorted(ts, key=lambda term: term.regs)) for ts in terms)
-
-
-Game = QuantumGame | PolymatrixGame
-
-
 def _reduce(rho: np.ndarray, dims: Sequence[int], regs: Sequence[int]) -> np.ndarray:
     """Reduced state of rho on the registers regs, in the order given."""
     if list(regs) == list(range(len(dims))):
@@ -254,24 +286,12 @@ def _reduce(rho: np.ndarray, dims: Sequence[int], regs: Sequence[int]) -> np.nda
 
 
 def utility(g: Game, rho: np.ndarray, i: int) -> float:
-    """Player i's payoff Tr(R_i rho) at the joint state rho.
-
-    For a polymatrix game this is the edgewise sum ``sum_j Tr(R_ij rho_ij)``
-    over the two-register marginals of rho; no joint tensor is built.
-    """
+    """Player i's payoff at the joint state rho: ``sum Tr(R rho_regs)`` over their terms, rho_regs a marginal."""
     rho = np.asarray(rho, dtype=complex)
     n = g.joint_dim
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match joint dim {n}")
-    if isinstance(g, QuantumGame):
-        return float(np.vdot(g.tensors[i], rho).real)
-    total = 0.0
-    for (a, b), (r_ab, r_ba) in g.edges.items():
-        if i == a:
-            total += float(np.vdot(r_ab, _reduce(rho, g.dims, (a, b))).real)
-        elif i == b:
-            total += float(np.vdot(r_ba, _reduce(rho, g.dims, (b, a))).real)
-    return total
+    return sum((float(np.vdot(r, _reduce(rho, g.dims, regs)).real) for regs, r in g.terms[i]), 0.0)
 
 
 def gain_matrix(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
@@ -295,36 +315,19 @@ def gain_matrix(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
     return herm(gain.reshape(d, d))
 
 
-def _embed_edge(r: np.ndarray, dims: Sequence[int], i: int, j: int) -> np.ndarray:
-    """Place a two-register operator on registers (i, j), identity elsewhere."""
-    k = len(dims)
-    others = [m for m in range(k) if m not in (i, j)]
-    rest = prod(dims[m] for m in others) if others else 1
-    layout = (i, j, *others)
-    m = kron(r, np.eye(rest, dtype=complex)) if others else np.asarray(r, dtype=complex)
-    back = tuple(layout.index(s) for s in range(k))
-    return permute_registers(m, tuple(dims[p] for p in layout), back)
+def polymatrix_to_qg(g: Game) -> Game:
+    """The dense game of ``g``'s lift: R_i = sum of player i's terms, each (x) the identity on the rest."""
+    return QuantumGame(g.dims, g.tensors)
 
 
-def polymatrix_to_qg(pg: PolymatrixGame) -> QuantumGame:
-    """Lift edge tensors to joint-space tensors R_i = sum_j R_ij (x) I_rest."""
-    k = pg.n_players
-    n = prod(pg.dims)
-    tensors = [np.zeros((n, n), dtype=complex) for _ in range(k)]
-    for (i, j), (r_ij, r_ji) in pg.edges.items():
-        tensors[i] = tensors[i] + _embed_edge(r_ij, pg.dims, i, j)
-        tensors[j] = tensors[j] + _embed_edge(r_ji, pg.dims, j, i)
-    return QuantumGame(pg.dims, tuple(tensors))
-
-
-def random_game(dims: Sequence[int], seed: int, kind: str = "general") -> QuantumGame:
+def random_game(dims: Sequence[int], seed: int, kind: str = "general") -> Game:
     """Seeded random game with every utility tensor at spectral norm one.
 
     Entries are independent standard complex Gaussians, Hermitized, then
     scaled so ``||R_i||_spec = 1``, which bounds every achievable utility in
     [-1, 1].  Identical seeds produce bitwise-identical games.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     n = prod(dims)
     rng = np.random.default_rng(seed)
     if kind == "general":
@@ -358,7 +361,7 @@ def random_polymatrix(
     edges: Sequence[tuple[int, int]],
     seed: int,
     pairwise_zero_sum: bool = True,
-) -> PolymatrixGame:
+) -> Game:
     """Seeded random polymatrix game with utilities bounded in [-1, 1].
 
     Edge tensors are drawn at spectral norm 1 / max_degree, so each player's
@@ -366,7 +369,7 @@ def random_polymatrix(
     satisfies R_ji = -swap(R_ij), a sufficient (strictly stronger than
     necessary) construction for the global zero-sum property.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     if not edges:
         raise ValueError("a random polymatrix game needs at least one edge")
     for (i, j) in edges:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .equilibria import exploitability  # noqa: F401  (bench/tracer.py times the name learning.exploitability)
-from .games import Game, PolymatrixGame, QuantumGame
+from .games import Game
 from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
     DEFAULT_HERM_TOL,
@@ -293,11 +293,11 @@ def scripted_team(weights: Sequence[float], profiles: Sequence[Sequence[np.ndarr
 def _certificate(game: Game) -> tuple[str, float]:
     """The certificate of time-averaged no-regret play in ``game``: (gap mode, bound scale).
 
-    Two-player zero-sum and pairwise zero-sum polymatrix games of k players reach a
-    separable QNE at k times the regret bound (Cai-Daskalakis minmax); all others a QCCE.
+    Zero-sum games of k players whose terms all read two registers reach a separable QNE
+    at k times the regret bound (Cai-Daskalakis minmax), all others a QCCE.
     """
     k = game.n_players
-    if game.zero_sum and (k == 2 or isinstance(game, PolymatrixGame)):
+    if game.zero_sum and all(len(regs) == 2 for payoff in game.terms for regs, _ in payoff):
         return "qne", float(k)
     return "qcce", 1.0
 
@@ -519,11 +519,11 @@ def run_game(
     Each round every learner's gain matrix is computed from the current
     strategy profile, utilities and running sums are updated, and only then
     do all learners advance.  The game picks its certificate: "qne" with the
-    regret bound scaled by k for a two-player zero-sum or a k-player pairwise
-    zero-sum polymatrix game, else "qcce" at scale 1.  "qcce" reports the
-    deviation gaps of the running joint average, read off the regret sums as
-    ``max(avg_regret, 0)``: the gain map and the utility are linear, so
-    ``lambda_max(G_i(Tr_i rho_bar)) - Tr(R_i rho_bar)`` is
+    regret bound scaled by k for a zero-sum game whose terms all read two
+    registers (two-player or pairwise polymatrix), else "qcce" at scale 1.
+    "qcce" reports the deviation gaps of the running joint average, read off
+    the regret sums as ``max(avg_regret, 0)``: the gain map and the utility
+    are linear, so ``lambda_max(G_i(Tr_i rho_bar)) - Tr(R_i rho_bar)`` is
     ``(lambda_max(cum_gain_i) - realized_i) / t``, the identity behind the
     paper's QCCE theorem.
     :func:`qgames.equilibria.is_qcce` (``verify --kind qcce``) stays the
@@ -535,13 +535,13 @@ def run_game(
     The round works on player groups, the players of one register
     dimension, each held as one ``(m, B, d, d)`` stack of strategies, gains
     and running sums.  Gains go through the game's compiled ``gain_terms``,
-    so a :class:`PolymatrixGame` is played edge by edge and its dense joint
-    tensors are never built.  The terms are compiled once per run into term
-    groups, one per shape ``(d_i, dims of regs)``; each round a term group
-    gathers its source registers, forms their kron and applies all its
-    operators in one matmul, and one scatter-add per player group sums each
-    player's terms in ``gain_terms`` order.  Utilities, running sums and the
-    window then take one call per player group.  A checkpoint only records:
+    so a game is played term by term and its dense joint tensors are never
+    built.  The terms are compiled once per run into term groups, one per
+    shape ``(d_i, dims of regs)``; each round a term group gathers its source
+    registers, forms their kron and applies all its operators in one matmul,
+    and one scatter-add per player group sums each player's terms in
+    ``gain_terms`` order.  Utilities, running sums and the window then take
+    one call per player group.  A checkpoint only records:
     it folds the window, writes the spectrum of the joint average, and copies
     each group's utilities, realized and gain sums and strategies (and, in
     "qne" mode, the gaps at the averaged marginals) into preallocated
@@ -566,15 +566,15 @@ def run_game(
 
     ``g`` may also be a sequence of B games that share register dims,
     gain-term layout (each player's terms read the same registers, so a
-    dense two-player game batches with a one-edge polymatrix game, but not a
-    polymatrix game with its dense lift) and certificate.  They are played in
+    dense two-player game batches with its one-edge polymatrix twin, but a
+    k-local game not with its dense lift) and certificate.  They are played in
     lockstep, every array of the round loop carrying a batch axis, by
     learners built with ``batch=B`` (``learners[i]`` plays register i of
     every game), and the result is one trajectory per game.  Each is
     bit-identical to a batch holding that game alone.  A single game is the
     batch B = 1, played by learners with or without ``batch=1``.
     """
-    single = isinstance(g, (QuantumGame, PolymatrixGame))
+    single = isinstance(g, Game)
     games = [g] if single else list(g)
     if not games:
         raise ValueError("a batch needs at least one game")

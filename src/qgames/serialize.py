@@ -21,7 +21,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .equilibria import EquilibriumReport, ValueCertificate
-from .games import PolymatrixGame, QuantumGame
+from .games import Game, PolymatrixGame, QuantumGame, tensors_cancel
 from .learning import Trajectory
 from .tensor import spectral_norm
 
@@ -111,29 +111,27 @@ def sha256_file(path) -> str:
 # -- games --------------------------------------------------------------
 
 
-def game_to_obj(game: QuantumGame | PolymatrixGame, seed: int | None = None) -> dict:
-    if isinstance(game, PolymatrixGame):
-        items = sorted(game.edges.items())
-        edges = [{"i": i, "j": j, "r_ij": r_ij, "r_ji": r_ji} for (i, j), (r_ij, r_ji) in items]
-        norms = [spectral_norm(r) for _, pair in items for r in pair]
-        obj = {"kind": "polymatrix", "dims": list(game.dims), "edges": edges, "spectral_norms": norms}
+def game_to_obj(game: Game, seed: int | None = None) -> dict:
+    """A game's file object: the ``polymatrix`` layout when its terms are edge ends, else its dense lift."""
+    edges = game.edges
+    if edges is None:
+        mats = game.tensors
+        obj = {"kind": "zero_sum" if tensors_cancel(mats) else "general", "tensors": list(mats)}
     else:
-        obj = {
-            "kind": "zero_sum" if game.zero_sum else "general",
-            "dims": list(game.dims),
-            "tensors": list(game.tensors),
-            "spectral_norms": [spectral_norm(r) for r in game.tensors],
-        }
+        mats = [r for pair in edges.values() for r in pair]
+        obj = {"kind": "polymatrix",
+               "edges": [{"i": i, "j": j, "r_ij": a, "r_ji": b} for (i, j), (a, b) in edges.items()]}
+    obj.update(dims=list(game.dims), spectral_norms=[spectral_norm(r) for r in mats])
     if seed is not None:
         obj["seed"] = seed
     return obj
 
 
 def _read_dims(obj: Any) -> tuple[int, ...]:
-    """The "dims" of a game or state object, which must be a non-empty list of positive integers."""
+    """The "dims" of a game or state object, which must be a non-empty list of integers >= 2, as for ``--dims``."""
     dims = obj.get("dims") if isinstance(obj, dict) else None
-    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
-        raise ValueError(f"dims must be a non-empty list of positive integers, got {dims!r}")
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 2 for d in dims)):
+        raise ValueError(f"dims must be a non-empty list of integers >= 2, got {dims!r}")
     return tuple(dims)
 
 
@@ -159,7 +157,7 @@ def _read_edge_ends(e: Any, k: int) -> tuple[int, int]:
     return ends
 
 
-def obj_to_game(obj: dict) -> QuantumGame | PolymatrixGame:
+def obj_to_game(obj: dict) -> Game:
     dims = _read_dims(obj)
     kind = _field(obj, "kind", "game file")
     if kind not in ("general", "zero_sum", "polymatrix"):
@@ -185,7 +183,7 @@ def save_game(path, game, seed: int | None = None) -> str:
     return write_json(path, game_to_obj(game, seed))
 
 
-def load_game(path) -> tuple[str, QuantumGame | PolymatrixGame]:
+def load_game(path) -> tuple[str, Game]:
     obj = read_json(path)
     game = obj_to_game(obj)
     return obj["kind"], game

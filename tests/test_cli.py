@@ -473,6 +473,23 @@ def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     assert not out.exists()
 
 
+def test_game_and_state_files_take_the_dims_rule(tmp_path, capsys):
+    # a register of dimension 1 exits 1 from a file as it does from --dims, with one error line and no output
+    game, state, out = tmp_path / "g12.json", tmp_path / "s12.json", tmp_path / "o"
+    eye = np.eye(2, dtype=complex)
+    ser.write_json(game, {"kind": "general", "dims": [1, 2], "tensors": [eye, -eye]})
+    ser.write_json(state, {"dims": [1, 2], "matrix": eye / 2})
+    ser.save_game(tmp_path / "g.json", qg.random_game((2, 2), 1))
+    for argv in (["run", "--game", str(game), "--T", "5", "--eta", "0.1", "--out", str(out)],
+                 ["run", "--kind", "general", "--dims", "1,2", "--T", "5", "--eta", "0.1", "--out", str(out)],
+                 ["verify", "--game", str(game), "--state", str(state), "--kind", "qne"],
+                 ["verify", "--game", str(tmp_path / "g.json"), "--state", str(state), "--kind", "qne"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1 and not out.exists(), argv
+
+
 def test_deeply_nested_files_exit_1(tmp_path, capsys):
     game, state = tmp_path / "g.json", tmp_path / "s.json"
     ser.save_game(game, qg.random_game((2, 2), 1))

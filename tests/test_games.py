@@ -25,6 +25,30 @@ def test_game_constructor_validation():
         qg.QuantumGame((2, 2), (np.triu(np.ones((4, 4))) * 1j,))
 
 
+@pytest.mark.parametrize("dims", [(), (2.5, 2), (-2, -2), (0, 2), (2, None), "22", 4])
+def test_constructors_check_dims(dims):
+    for build in (qg.Game, qg.QuantumGame, qg.PolymatrixGame, qg.random_game):
+        with pytest.raises(ValueError, match="^dims must be"):
+            build(dims, ())
+    with pytest.raises(ValueError, match="^dims must be"):
+        qg.QuantumGame((-2, -2), (np.eye(4), np.eye(4)))
+    # a register of dimension 1 stays legal in the library
+    assert qg.QuantumGame((1, 1), (np.eye(1), -np.eye(1))).dims == (1, 1)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([[((1,), np.eye(2))], []], "term reads"),              # not its own register
+    ([[((0, 0), np.eye(4))], []], "term reads"),            # a register twice
+    ([[((0, 2), np.eye(4))], []], "term reads"),            # no register 2
+    ([[((0, 1), np.eye(2))], []], "tensor shape"),
+    ([[((0, 1), np.triu(np.ones((4, 4))))], []], "Hermitian"),
+    ([[]], "1 payoffs for 2 players"),
+])
+def test_game_checks_its_terms(terms, message):
+    with pytest.raises(ValueError, match=message):
+        qg.Game((2, 2), terms)
+
+
 def test_zero_sum_is_read_off_the_tensors():
     assert qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4))).zero_sum
     assert qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4) + 1e-10 * np.eye(4))).zero_sum

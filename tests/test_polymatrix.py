@@ -1,8 +1,10 @@
-"""The native polymatrix path against the dense lift ``polymatrix_to_qg`` as oracle.
+"""The native path of games made of local terms against the dense lift ``polymatrix_to_qg`` as oracle.
 
-Random games have 2 to 6 players on registers of dimension 2 or 3, a cycle,
-path or complete graph, and pairwise zero-sum edges on or off.  The joint
-dimension is capped at 256 so the dense oracle stays cheap.
+Random games have 2 to 6 players on registers of dimension 2 or 3: polymatrix
+games on a cycle, path or complete graph, with pairwise zero-sum edges on or
+off, and 3-local chains, whose supports ``(i, i+1, i+2)`` pay each of their
+three players a term in a drawn factor order, with zero-sum supports on or
+off.  The joint dimension is capped at 256 so the dense oracle stays cheap.
 """
 
 import dataclasses
@@ -28,15 +30,43 @@ TOL = 1e-12
 
 @st.composite
 def layouts(draw):
-    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=6).filter(lambda ds: prod(ds) <= 256))
-    graph = draw(st.sampled_from(["cycle", "path", "complete"]))
-    return tuple(dims), qg.graph_edges(graph, len(dims)), draw(st.booleans())
+    """(dims, supports, zero-sum): graph edges (pairs), or per chain support the factor orders of its three terms."""
+    chain = draw(st.booleans())
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=3 if chain else 2, max_size=6)
+                .filter(lambda ds: prod(ds) <= 256))
+    if chain:
+        supports = [[draw(st.permutations(range(i, i + 3))) for _ in range(3)] for i in range(len(dims) - 2)]
+    else:
+        supports = qg.graph_edges(draw(st.sampled_from(["cycle", "path", "complete"])), len(dims))
+    return tuple(dims), supports, draw(st.booleans())
+
+
+def random_chain(dims, supports, seed, zero_sum):
+    """A 3-local chain game built with ``qg.Game``: support i pays players i, i+1, i+2 a term each,
+    in the factor orders ``supports[i]``, at spectral norm 1/3 (each player is on at most three supports);
+    with ``zero_sum`` the third tensor of each support is minus the sum of the other two."""
+    rng = np.random.default_rng(seed)
+    terms = [[] for _ in dims]
+    for i, orders in enumerate(supports):
+        sdims = dims[i : i + 3]
+        tensors = [qg.random_hermitian(prod(sdims), rng, norm=1 / 3) for _ in range(3)]
+        if zero_sum:
+            tensors[2] = -(tensors[0] + tensors[1])
+        for player, r, order in zip(range(i, i + 3), tensors, orders):
+            terms[player].append((tuple(order), qg.permute_registers(r, sdims, [x - i for x in order])))
+    return qg.Game(dims, terms)
+
+
+def local_game(layout, seed):
+    dims, supports, zero_sum = layout
+    if len(supports[0]) == 2:   # graph edges
+        return qg.random_polymatrix(dims, supports, seed, zero_sum)
+    return random_chain(dims, supports, seed, zero_sum)
 
 
 @st.composite
 def polymatrix_games(draw):
-    dims, edges, pairwise_zero_sum = draw(layouts())
-    return qg.random_polymatrix(dims, edges, draw(st.integers(0, 2**16)), pairwise_zero_sum)
+    return local_game(draw(layouts()), draw(st.integers(0, 2**16)))
 
 
 def mmwu_team(dims, eta=0.3, batch=None):
@@ -94,10 +124,10 @@ def test_run_matches_lift_on_every_trajectory_array(pg):
     lifted = qg.polymatrix_to_qg(pg)
     native = qg.run_game(pg, mmwu_team(pg.dims), 5, stride=2)
     oracle = qg.run_game(lifted, mmwu_team(pg.dims), 5, stride=2)
-    if not (pg.zero_sum and pg.n_players >= 3):
+    if not (pg.edges is not None and pg.zero_sum and pg.n_players >= 3):
         assert_trajectories_match(native, oracle, TOL)
         return
-    # a pairwise zero-sum game of k >= 3 players gets QNE gaps at scale k, its dense lift QCCE at scale 1:
+    # a pairwise zero-sum polymatrix game of k >= 3 players gets QNE gaps at scale k, its dense lift QCCE at scale 1:
     # the lift is the oracle of every other array, and the QNE gaps are those of the averaged product
     assert (native.gap_mode, native.bound_scale) == ("qne", pg.n_players)
     assert (oracle.gap_mode, oracle.bound_scale) == ("qcce", 1)
@@ -146,9 +176,9 @@ def test_verify_stdout_matches_lift(pg, seed):
 @settings(deadline=None, max_examples=15)
 @given(layouts(), st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
 def test_batch_equals_each_game_alone_bit_for_bit(layout, seeds):
-    # the layout draws pairwise zero-sum edges on or off, and with them the qne or the qcce certificate
-    dims, edges, pairwise_zero_sum = layout
-    games = [qg.random_polymatrix(dims, edges, s, pairwise_zero_sum) for s in seeds]
+    # the layout draws zero-sum supports on or off, and with them, on graph edges, the qne or the qcce certificate
+    dims = layout[0]
+    games = [local_game(layout, s) for s in seeds]
     batch = qg.run_game(games, mmwu_team(dims, batch=len(games)), 4, stride=3)
     for game, traj in zip(games, batch):
         alone = qg.run_game(game, mmwu_team(dims), 4, stride=3)
@@ -179,10 +209,12 @@ def test_dense_and_polymatrix_games_of_one_term_layout_batch_together(gap_mode):
 
 
 def test_gain_terms_are_edgewise():
-    pg = qg.random_polymatrix((2, 3, 2, 3), qg.graph_edges("cycle", 4), seed=3)
+    edges = qg.graph_edges("cycle", 4)
+    pg = qg.random_polymatrix((2, 3, 2, 3), edges, seed=3)
     for i, terms in enumerate(pg.gain_terms):
-        assert [t.regs for t in terms] == [(j,) for j in pg.neighbors(i)]
-        assert [t.op.shape for t in terms] == [(pg.dims[i] ** 2, pg.dims[j] ** 2) for j in pg.neighbors(i)]
+        neighbors = sorted(j for edge in edges if i in edge for j in edge if j != i)
+        assert [t.regs for t in terms] == [(j,) for j in neighbors]
+        assert [t.op.shape for t in terms] == [(pg.dims[i] ** 2, pg.dims[j] ** 2) for j in neighbors]
     assert pg.gain_terms is pg.gain_terms   # compiled once
 
 

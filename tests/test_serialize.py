@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import qgames as qg
 from qgames import serialize as ser
+from qgames.cli import main
 from qgames.tensor import maxabs
 
 
@@ -54,6 +55,49 @@ def test_polymatrix_file_roundtrip(tmp_path):
     assert qg.polymatrix_to_qg(back).zero_sum
 
 
+@pytest.mark.parametrize("flags, kind", [
+    (["--kind", "general", "--dims", "2,3,2"], "general"),
+    (["--kind", "zero-sum", "--dims", "2,3"], "zero_sum"),
+    (["--kind", "polymatrix", "--dims", "2,3,2", "--graph", "cycle"], "polymatrix"),
+    (["--kind", "polymatrix", "--dims", "2,3"], "polymatrix"),
+], ids=["general", "zero-sum", "polymatrix-cycle", "polymatrix-one-edge"])
+def test_generated_files_round_trip_byte_for_byte(tmp_path, flags, kind):
+    # the game, not the caller, says which layout it writes: load then save gives back the file and its kind
+    path, again = tmp_path / "g.json", tmp_path / "again.json"
+    assert main(["gen", *flags, "--seed", "5", "--out", str(path)]) == 0
+    loaded_kind, game = ser.load_game(path)
+    ser.save_game(again, game, seed=5)
+    assert loaded_kind == kind and again.read_bytes() == path.read_bytes()
+
+
+def test_dense_game_and_its_one_edge_twin_keep_their_file_kinds(tmp_path):
+    # one two-player game in two layouts: each player's one term on all registers, or on the edge, own register first
+    rng = np.random.default_rng(9)
+    a, b = qg.random_hermitian(6, rng), qg.random_hermitian(6, rng)
+    dense = qg.QuantumGame((2, 3), (a, b))
+    twin = qg.PolymatrixGame((2, 3), {(0, 1): (a, qg.permute_registers(b, (2, 3), (1, 0)))})
+    assert all(np.array_equal(r, s) for r, s in zip(dense.tensors, twin.tensors, strict=True))
+    for game, kind in ((dense, "general"), (twin, "polymatrix")):
+        path, again = tmp_path / f"{kind}.json", tmp_path / f"{kind}.again.json"
+        ser.save_game(path, game)
+        loaded_kind, back = ser.load_game(path)
+        ser.save_game(again, back)
+        assert loaded_kind == kind and again.read_bytes() == path.read_bytes()
+
+
+def test_game_fitting_neither_layout_writes_its_dense_lift(tmp_path):
+    # a 3-local game: one term per player on all three registers, each with its own register first
+    rng = np.random.default_rng(4)
+    dims, lift = (2, 3, 2), [qg.random_hermitian(12, rng) for _ in range(3)]
+    terms = [[((i, *others), qg.permute_registers(r, dims, (i, *others)))]
+             for i, others, r in zip(range(3), ((1, 2), (0, 2), (0, 1)), lift)]
+    path = tmp_path / "g.json"
+    ser.save_game(path, qg.Game(dims, terms))
+    kind, back = ser.load_game(path)
+    assert kind == "general" and back.edges is None
+    assert all(maxabs(r - s) <= 1e-15 for r, s in zip(back.tensors, lift, strict=True))
+
+
 def test_corrupted_zero_sum_file_rejected_on_load(tmp_path):
     g = qg.random_game((2, 2), 1, kind="zero_sum")
     path = tmp_path / "g.json"
@@ -74,7 +118,7 @@ def test_state_file_roundtrip(tmp_path):
     assert np.array_equal(back, rho)
 
 
-@pytest.mark.parametrize("dims", [None, [], [2, "2"], [2, 0], 4])
+@pytest.mark.parametrize("dims", [None, [], [2, "2"], [2, 0], 4, [1, 2]])
 def test_malformed_dims_rejected_on_load(tmp_path, dims):
     game, state = tmp_path / "g.json", tmp_path / "s.json"
     ser.save_game(game, qg.random_game((2, 2), 3))
