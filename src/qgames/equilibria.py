@@ -14,7 +14,9 @@ Certification surfaces:
 Gaps are reported signed: a negative gap means strictly unprofitable
 deviations, which is useful diagnostic information.  Only verdicts compare
 against the tolerance.  ``exploitability`` alone clamps at zero, since it is
-defined as a nonnegative "how much can be gained" metric.
+defined as a nonnegative "how much can be gained" metric.  The Nash,
+coarse-correlated, finite-deviation and minimax certificates first check
+each state they certify with ``check_density``, so none passes a non-density.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
 from .games import Game, _others, gain_matrix, utility
 from .tensor import (
     _check_distribution,
+    check_density,
     herm,
     herm_eig,
     kron,
@@ -105,6 +108,7 @@ def is_qcce(g: Game, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumRe
     exact sup over deviation states, so the verdict is the eigenvalue form of
     the defining inequality.
     """
+    rho = check_density(rho)
     gaps = tuple(_deviation_gap(g, i, rho) for i in range(g.n_players))
     mx = max(gaps)
     return EquilibriumReport("qcce", gaps, mx, tol, mx <= tol)
@@ -117,9 +121,10 @@ def is_qne(
     product_tol: float = 1e-8,
 ) -> EquilibriumReport:
     """Nash certificate: product state with no profitable unilateral deviation."""
+    rho = check_density(rho)
     gaps = tuple(_deviation_gap(g, i, rho) for i in range(g.n_players))
     mx = max(gaps)
-    defect = maxabs(np.asarray(rho, dtype=complex) - marginalize(rho, g.dims))
+    defect = maxabs(rho - marginalize(rho, g.dims))
     return EquilibriumReport("qne", gaps, mx, tol, mx <= tol and defect <= product_tol, defect)
 
 
@@ -134,6 +139,7 @@ def phi_gap(
     Each channel is lifted to ``phi_i (x) id`` before evaluation; non-CPTP
     deviations are rejected.  Players with an empty family report gap 0.
     """
+    rho = check_density(rho)
     if len(deviations) != g.n_players:
         raise ValueError("one deviation list per player required")
     gaps = []
@@ -159,12 +165,13 @@ def zs_certificate(g: Game, rho: np.ndarray, sigma: np.ndarray) -> ValueCertific
     The pair is an eps-Nash pair iff ``upper - lower <= 2 eps``.  The game
     is read on its dense lift, so a one-edge polymatrix game on its edge.
     """
+    rho, sigma = check_density(rho), check_density(sigma)
     if g.n_players != 2 or not g.zero_sum:
         raise ValueError("expected a two-player zero-sum game")
     c = ChoiMatrix(partial_transpose(g.tensors[0], g.dims, 1), *g.dims)
-    lower = lambda_min(apply_adjoint(c, np.asarray(rho, dtype=complex)))
-    upper = lambda_max(apply_superop(c, np.asarray(sigma, dtype=complex)))
-    value_at = float(np.vdot(c.matrix, kron(rho, np.asarray(sigma).T)).real)
+    lower = lambda_min(apply_adjoint(c, rho))
+    upper = lambda_max(apply_superop(c, sigma))
+    value_at = float(np.vdot(c.matrix, kron(rho, sigma.T)).real)
     return ValueCertificate(lower, value_at, upper)
 
 

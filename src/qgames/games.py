@@ -91,7 +91,7 @@ def _gain_term(dims: tuple[int, ...], i: int, regs: tuple[int, ...], r: np.ndarr
 Term = tuple[tuple[int, ...], np.ndarray]   # (registers, a tensor on them in that factor order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # a game is equal only to itself, and hashes by identity
 class Game:
     """k-player game: register dims and, per player, a payoff of ``(regs, tensor)`` terms.
 

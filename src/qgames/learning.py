@@ -326,10 +326,11 @@ class Trajectory:
     columns.  ``gap_mode`` and ``bound_scale`` are the game's certificate (see
     :func:`run_game`): in "qcce" mode ``gaps`` is ``max(avg_regret, 0)``, the
     exploitability of the joint average up to rounding; in "qne" mode it is
-    the exploitability of the product of averaged marginals.
-    ``joint_sum`` is the sum over rounds of the played product
-    states, which the runner adds up a window of rounds at a time, so it
-    equals the round-by-round sum up to rounding (1e-12).  The joint average
+    the exploitability of the product of averaged marginals.  Both are read off
+    the sums, the qne one since each gain term of a "qne" game reads one
+    opponent register.  ``joint_sum`` is the sum over rounds of the played
+    product states, which the runner adds up a window of rounds at a time, so
+    it equals the round-by-round sum up to rounding (1e-12).  The joint average
     at any checkpoint is a valid density up to accumulated rounding (1e-6
     tier), and its marginals equal the averaged marginals up to rounding.
     """
@@ -423,28 +424,31 @@ def certify_checkpoints(
     cum_gain: list[np.ndarray],
     strategies: list[np.ndarray],
     avg_spectra: np.ndarray,
-    qne_gaps: list[np.ndarray] | None,
+    pairings: list[np.ndarray] | None,
 ):
     """Every checkpoint row of a run, built from its records in stacked passes.
 
     :func:`run_game` records raw state at each of the C checkpoint rounds ``ts``:
     per player group (see :func:`_player_groups`) one array with leading axes
     (C, m_g, B) of the round's utilities, of the running sums of utilities and
-    gains, of the round's strategies and, in "qne" mode, of the deviation gaps
-    at the averaged marginals; and the (C, B, n) ascending spectra of the
-    running joint averages.  Each pass is the per-matrix LAPACK call or the
-    elementwise IEEE operation a checkpoint-by-checkpoint computation would
-    make, so the rows have its bits.
+    gains, of the round's strategies and, in "qne" mode, of the pairings
+    ``Re Tr(marginal_sum cum_gain)``, from which both gap columns are read
+    (see :func:`run_game`: each gain term of a "qne" game reads one opponent
+    register); and the (C, B, n) ascending spectra of the running joint
+    averages.  Each pass is the per-matrix LAPACK call or the elementwise
+    IEEE operation a checkpoint-by-checkpoint computation would make, so the
+    rows have its bits.
 
     Returns the (C, B, ...) columns ``utils``, ``avg_regret``, ``gaps``,
     ``joint_eigs`` and ``avg_joint_eigs`` (spectra descending), and the
     (C, B, 3) Bloch vectors of each qubit player.
     """
     _, members, where = _player_groups(dims)
+    t = ts[:, None, None]
     best_fixed = _per_player([np.linalg.eigvalsh(c)[..., -1] for c in cum_gain], members)
-    avg_regret = (best_fixed - _per_player(realized, members)) / ts[:, None, None]
-    # in qcce mode, by linearity, the deviation gap of the joint average is the average regret
-    gaps = np.maximum(avg_regret if qne_gaps is None else _per_player(qne_gaps, members), 0.0)
+    avg_regret = (best_fixed - _per_player(realized, members)) / t
+    # qcce: the gap of the joint average is its average regret; qne: the gain at the marginal average is cum_gain / t
+    gaps = np.maximum(avg_regret if pairings is None else (best_fixed - _per_player(pairings, members) / t) / t, 0.0)
     spectra = [np.linalg.eigvalsh(s) for s in strategies]
     joint_eigs = np.flip(kron_spectrum([spectra[g][:, s] for g, s in where]), axis=-1)
     bloch = {i: bloch_vectors(strategies[g][:, s]) for i, (g, s) in enumerate(where) if dims[i] == 2}
@@ -521,14 +525,14 @@ def run_game(
     do all learners advance.  The game picks its certificate: "qne" with the
     regret bound scaled by k for a zero-sum game whose terms all read two
     registers (two-player or pairwise polymatrix), else "qcce" at scale 1.
-    "qcce" reports the deviation gaps of the running joint average, read off
-    the regret sums as ``max(avg_regret, 0)``: the gain map and the utility
-    are linear, so ``lambda_max(G_i(Tr_i rho_bar)) - Tr(R_i rho_bar)`` is
-    ``(lambda_max(cum_gain_i) - realized_i) / t``, the identity behind the
-    paper's QCCE theorem.
-    :func:`qgames.equilibria.is_qcce` (``verify --kind qcce``) stays the
-    independent joint-space certificate.  "qne" evaluates the gaps at the
-    product of averaged marginals.  Checkpoints
+    Both gap columns are deviation gaps clamped at 0 and read off the running
+    sums, the gain map being linear: "qcce" at the joint average, where the gap
+    is ``(lambda_max(cum_gain_i) - realized_i) / t`` (the paper's QCCE identity);
+    "qne" at the product of averaged marginals, where each gain term reads one
+    opponent register, so the gain is ``cum_gain_i / t`` and the gap
+    ``lambda_max(cum_gain_i) / t - Tr(marginal_sum_i cum_gain_i) / t^2``.
+    :func:`~qgames.equilibria.is_qcce` and ``is_qne`` (``verify``) stay the
+    independent certificates.  Checkpoints
     fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
     final round.  The run is deterministic given the game and learners.
 
@@ -541,13 +545,12 @@ def run_game(
     registers, forms their kron and applies all its operators in one matmul,
     and one scatter-add per player group sums each player's terms in
     ``gain_terms`` order.  Utilities, running sums and the window then take
-    one call per player group.  A checkpoint only records:
-    it folds the window, writes the spectrum of the joint average, and copies
-    each group's utilities, realized and gain sums and strategies (and, in
-    "qne" mode, the gaps at the averaged marginals) into preallocated
-    ``(C, m_g, B, ...)`` records; after the last round
-    :func:`certify_checkpoints` builds every row from them in stacked passes.
-    Only the running joint average is joint-sized.
+    one call per player group.  A checkpoint only records: it folds the
+    window, writes the spectrum of the joint average, and copies each group's
+    utilities, realized and gain sums, strategies and, in "qne" mode, the
+    pairing of its marginal and gain sums into ``(C, m_g, B, ...)`` records;
+    after the last round :func:`certify_checkpoints` builds every row from
+    them.  Only the running joint average is joint-sized.
     No joint product state is formed per round: each round's strategies are
     copied into a window, and at every checkpoint (and whenever the window
     is full) the window is folded into ``joint_sum`` as ``sum_s L_s (x) R_s``,
@@ -633,9 +636,8 @@ def run_game(
     cum_gain = [np.zeros(shape, dtype=complex) for shape in shapes]
     realized = [np.zeros((m, B)) for m, *_ in shapes]
 
-    # the checkpoint rounds, and their raw state, certified after the loop by certify_checkpoints:
-    # one (C, m_g, B, ...) record per player group of the utilities, the realized and gain sums,
-    # the strategies and, in qne mode, the gaps at the averaged marginals
+    # the checkpoint rounds and their raw state, certified after the loop by certify_checkpoints: one (C, m_g, B, ...)
+    # record per group of the utilities, realized and gain sums, strategies and, in qne mode, Re Tr(marginal_sum cum_gain)
     ts = np.arange(stride, T + 1, stride)
     if T % stride:
         ts = np.append(ts, T)
@@ -644,7 +646,7 @@ def run_game(
     rec_realized = [np.empty((C, m, B)) for m, *_ in shapes]
     rec_cum = [np.empty((C,) + shape, dtype=complex) for shape in shapes]
     rec_strategies = [np.empty((C,) + shape, dtype=complex) for shape in shapes]
-    rec_gaps = [np.empty((C, m, B)) for m, *_ in shapes] if gap_mode == "qne" else None
+    rec_pairings = [np.empty((C, m, B)) for m, *_ in shapes] if gap_mode == "qne" else None
     avg_spectra = np.empty((C, B, n))
     bound = np.empty(C)
 
@@ -691,10 +693,8 @@ def run_game(
                 for rec, x in zip(records, now):
                     rec[c] = x
             if gap_mode == "qne":
-                # at a product state, player i's deviation gap is lambda_max(G_i) - Tr(rho_i G_i)
-                avg = [herm(m / t) for m in marginal_sums]
-                for rec, a, gain in zip(rec_gaps, avg, contract(avg)):
-                    rec[c] = np.linalg.eigvalsh(gain)[..., -1] - _pairing(a, gain)
+                for rec, msum, cum in zip(rec_pairings, marginal_sums, cum_gain):
+                    rec[c] = _pairing(msum, cum)
             finite = [b for b in (ln.average_regret_bound(t) for ln in learners) if not np.isnan(b)]
             bound[c] = bound_scale * max(finite) if finite else float("nan")
             c += 1
@@ -710,7 +710,7 @@ def run_game(
 
     # per-checkpoint rows are (C, B, ...); game b reads slice [:, b]
     utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(
-        ts, dims, rec_utils, rec_realized, rec_cum, rec_strategies, avg_spectra, rec_gaps
+        ts, dims, rec_utils, rec_realized, rec_cum, rec_strategies, avg_spectra, rec_pairings
     )
     realized = _per_player(realized, members)
     trajs = [

@@ -408,12 +408,15 @@ def test_verify_rejects_non_density_and_mislabelled_states(tmp_path, capsys):
     game = tmp_path / "g.json"
     ser.save_game(game, qg.random_game((2, 2), 1))
     rho = qg.random_density(4, np.random.default_rng(2))
-    for name, matrix, dims in [("half", rho / 2, (2, 2)), ("flat", np.eye(4) / 4, (4,))]:
+    cases = [("half", rho / 2, (2, 2)), ("flat", np.eye(4) / 4, (4,)), ("negative", np.diag([1.5, -0.5, 0, 0]), (2, 2))]
+    for name, matrix, dims in cases:
         state = tmp_path / f"{name}.json"
         ser.save_state(state, matrix, dims)
-        rc = main(["verify", "--game", str(game), "--state", str(state), "--kind", "qcce"])
-        captured = capsys.readouterr()
-        assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), name
+        for kind in ("qcce", "qne", "zs-value"):
+            rc = main(["verify", "--game", str(game), "--state", str(state), "--kind", kind])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == "" and captured.err.startswith("error:"), (name, kind)
+            assert captured.err.count("\n") == 1, (name, kind)
 
 
 def test_verify_names_a_missing_state_field(tmp_path, capsys):
@@ -455,17 +458,27 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
          "--graph applies only to --kind polymatrix"),
         (["--no-pairwise-zero-sum", "--T", "5", "--eta", "0.1"],
          "--no-pairwise-zero-sum applies only to --kind polymatrix"),
+        (["--epsilon", "0.5", "--eta", "0.1"], "--epsilon fixes the stepsize"),
+        (["--epsilon", "0.5", "--schedule", "doubling"], "--epsilon fixes the stepsize"),
+        (["--T", "5", "--eta", "0.1", "--learners", "mmwu,foo"], "unknown learner kind 'foo'"),
+        (["--kind", "polymatrix", "--graph", "cycle-3", "--T", "5", "--eta", "0.1"], "cannot parse graph spec 'cycle-3'"),
+        (["--kind", "polymatrix", "--dims", "2,2,2", "--graph", "cycle4", "--T", "5", "--eta", "0.1"],
+         "graph size 4 does not match 3 players"),
+        (["NO-GAME", "--dims", "2,2", "--T", "5", "--eta", "0.1"], "either --game or an inline --kind spec is required"),
     ],
     ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative",
          "game-with-kind", "game-with-dims", "game-with-graph", "graph-without-polymatrix",
-         "pairwise-without-polymatrix"],
+         "pairwise-without-polymatrix", "epsilon-with-eta", "epsilon-with-doubling", "learner-unknown",
+         "graph-unparsable", "graph-size-mismatch", "no-game"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"
     if "--game" in flags:   # a saved 2x2 game; the inline spec flags then come only from the case
         ser.save_game(tmp_path / "g.json", qg.random_game((2, 2), 1))
         spec = [str(tmp_path / "g.json") if flag == "GAME" else flag for flag in flags]
-    else:
+    elif flags[0] == "NO-GAME":   # neither a game file nor an inline --kind
+        spec = flags[1:]
+    else:   # the inline spec; a later --kind or --dims in the case overrides it
         spec = ["--kind", "general", "--dims", "2,2", *flags]
     rc = main(["run", *spec, "--runs", str(runs), "--out", str(out)])
     err = capsys.readouterr().err

@@ -147,6 +147,30 @@ def test_phi_gap_rejects_non_cptp():
         qg.phi_gap(g, rho, [[bad], []])
 
 
+def not_a_density(name, d):
+    """A d x d Hermitian matrix that is no density: zero, of trace 2, or with a negative eigenvalue."""
+    return {"zero": np.zeros((d, d)), "trace-2": 2 * np.eye(d) / d,
+            "negative": np.diag([1.5, -0.5] + [0.0] * (d - 2))}[name]
+
+
+@pytest.mark.parametrize("name", ["zero", "trace-2", "negative"])
+@pytest.mark.parametrize("certificate", ["is_qcce", "is_qne", "phi_gap", "zs_certificate"])
+def test_certificates_check_the_state_they_certify(certificate, name):
+    # the zero matrix has no profitable deviation and is its own product of marginals, so an
+    # unchecked certificate passes it; each rejects it, and every other non-density, instead
+    g, zs, bad, uniform = qg.random_game((2, 2), 1), qg.random_game((2, 2), 1, "zero_sum"), not_a_density(name, 4), np.eye(2) / 2
+    calls = {
+        "is_qcce": [lambda: qg.is_qcce(g, bad)],
+        "is_qne": [lambda: qg.is_qne(g, bad)],
+        "phi_gap": [lambda: qg.phi_gap(g, bad, [[qg.unitary_channel(qg.PAULI_X)]] * 2)],
+        "zs_certificate": [lambda: qg.zs_certificate(zs, not_a_density(name, 2), uniform),
+                           lambda: qg.zs_certificate(zs, uniform, not_a_density(name, 2))],
+    }[certificate]
+    for call in calls:
+        with pytest.raises(ValueError, match="^density matrix"):
+            call()
+
+
 def test_zs_certificate_matching_pennies_uniform():
     cert = qg.zs_certificate(matching_pennies(), np.eye(2) / 2, np.eye(2) / 2)
     assert abs(cert.lower) < 1e-12 and abs(cert.upper) < 1e-12

@@ -49,6 +49,25 @@ def test_game_checks_its_terms(terms, message):
         qg.Game((2, 2), terms)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([((0, 2), (np.eye(4), np.eye(4)))], r"^invalid edge \(0, 2\)$"),
+    ([((1, 1), (np.eye(4), np.eye(4)))], r"^invalid edge \(1, 1\)$"),
+    ([((0, 1), (np.eye(6), np.eye(6)))], r"^edge \(0, 1\) tensor shapes do not match register dims$"),
+    ([((0, 1), (np.eye(4), np.eye(2)))], r"^edge \(0, 1\) tensor shapes do not match register dims$"),
+])
+def test_polymatrix_game_checks_its_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        qg.PolymatrixGame((2, 2), edges)
+
+
+def test_games_compare_and_hash_by_identity():
+    # a game holds numpy arrays, so it is equal only to itself and hashes by identity
+    g, twin = qg.random_game((2, 2), 1), qg.random_game((2, 2), 1)
+    assert g == g and g != twin and not (g == twin)
+    assert hash(g) == hash(g) and len({g, twin, g}) == 2
+    assert {g: "g", twin: "twin"}[g] == "g"
+
+
 def test_zero_sum_is_read_off_the_tensors():
     assert qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4))).zero_sum
     assert qg.QuantumGame((2, 2), (np.eye(4), -np.eye(4) + 1e-10 * np.eye(4))).zero_sum

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgames as qg
@@ -143,6 +143,9 @@ def test_long_horizon_drift_stays_in_the_1e6_tier():
     assert maxabs(traj.joint_sum - dagger(traj.joint_sum)) / T <= 1e-6
     assert qg.lambda_min(avg) >= -1e-6
     assert np.all(traj.gaps[-1] <= traj.bound[-1] + 1e-9)
+    # the qne gap column, read off the running sums, is the gap is_qne finds at the averaged marginals
+    qne = qg.is_qne(game, traj.product_of_marginal_averages())
+    assert np.abs(traj.gaps[-1] - np.maximum(qne.gaps, 0.0)).max() <= 1e-12
     for rho in traj.final_strategies:
         qg.check_density(rho)
 
@@ -371,37 +374,53 @@ QCCE_TEAMS = {
 
 @st.composite
 def qcce_runs(draw):
-    dims = draw(st.sampled_from([(2, 3, 2), (4, 4)]))
+    game_kind = draw(st.sampled_from(["general", "zero-sum", "polymatrix", "polymatrix-general"]))
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)] if game_kind == "zero-sum" else [(2, 3, 2), (4, 4), (3, 2, 3, 2)]))
+    graph = draw(st.sampled_from(["cycle", "path"]))
     B = draw(st.sampled_from([1, 3]))
-    scripted = B == 1 and draw(st.booleans())   # scripted learners play a single game
+    odd = draw(st.sampled_from(["none", "scripted", "constant"])) if B == 1 else "none"   # these play a single game
     kinds = draw(st.lists(st.sampled_from(sorted(QCCE_TEAMS)), min_size=len(dims), max_size=len(dims)))
     T = draw(st.integers(1, 40))
-    game_kind = draw(st.sampled_from(["general", "polymatrix", "polymatrix-general"]))
-    return dims, game_kind, B, scripted, kinds, T, draw(st.sampled_from([1, 7, T])), draw(st.integers(0, 2**16))
+    return dims, game_kind, graph, B, odd, kinds, T, draw(st.sampled_from([1, 7, T, None])), draw(st.integers(0, 2**16))
 
 
 @settings(deadline=None, max_examples=40)
 @given(qcce_runs())
+# long horizons at the default stride, where the gap column gathers a thousand rounds of running sums
+@example(((2, 2), "zero-sum", "cycle", 3, "none", ["mmwu", "mmwu-doubling"], 1000, None, 1))
+@example(((2, 3), "zero-sum", "cycle", 3, "none", ["mmwu-doubling", "mmwu"], 1000, None, 2))
+@example(((3, 3), "zero-sum", "cycle", 3, "none", ["mmwu", "mmwu"], 1000, None, 3))
+@example(((3, 2, 3, 2), "polymatrix", "path", 1, "none", ["mmwu", "mmwu-doubling", "mmwu", "mmwu"], 1000, None, 4))
+@example(((2, 3, 2), "polymatrix", "cycle", 3, "none", ["mmwu-doubling"] * 3, 1000, None, 5))
+@example(((2, 3, 2), "polymatrix", "cycle", 1, "constant", ["mmwu"] * 3, 1000, None, 6))
+@example(((2, 3, 2), "general", "cycle", 1, "constant", ["mmwu-doubling"] * 3, 1000, None, 7))
 def test_qcce_gap_of_average_equals_average_regret(run):
-    # the runner's qcce gap column is the clamped average regret, which by linearity is the
-    # coarse-deviation gap of the joint average that is_qcce computes in joint space; a pairwise
-    # zero-sum game's gap column is qne, so there the clamped regret is checked on its own
-    dims, game_kind, B, scripted, kinds, T, stride, seed = run
-    if game_kind == "general":
-        games = [qg.random_game(dims, seed + b) for b in range(B)]
+    # the runner's gap column is read off its running sums.  In qcce mode it is the clamped average
+    # regret, which by linearity is the coarse-deviation gap of the joint average that is_qcce
+    # computes in joint space.  In qne mode (a zero-sum game whose terms each read two registers)
+    # its last row is the clamped gap that is_qne computes at the product of averaged marginals,
+    # and the clamped regret is checked against is_qcce on its own
+    dims, game_kind, graph, B, odd, kinds, T, stride, seed = run
+    if game_kind in ("general", "zero-sum"):
+        games = [qg.random_game(dims, seed + b, game_kind.replace("-", "_")) for b in range(B)]
     else:
-        edges = qg.graph_edges("cycle", len(dims))
+        edges = qg.graph_edges(graph, len(dims))
         games = [qg.random_polymatrix(dims, edges, seed + b, game_kind == "polymatrix") for b in range(B)]
-    if scripted:
+    if odd == "scripted":
         learners = qg.scripted_team([0.3, 0.7], rand_profiles(2, dims, seed))
     else:
         learners = [QCCE_TEAMS[kind](d, B) for kind, d in zip(kinds, dims)]
+        if odd == "constant":
+            learners[-1] = qg.Constant(qg.random_density(dims[-1], np.random.default_rng(seed)))
     trajs = qg.run_game(games, learners, T, stride=stride)
     for g, traj in zip(games, trajs):
         qcce_gaps = np.maximum(traj.avg_regret, 0.0)
-        assert traj.gap_mode == ("qne" if game_kind == "polymatrix" else "qcce")
+        assert traj.gap_mode == ("qne" if game_kind in ("zero-sum", "polymatrix") else "qcce")
         if traj.gap_mode == "qcce":
             assert np.array_equal(traj.gaps, qcce_gaps)
+        else:
+            qne = qg.is_qne(g, traj.product_of_marginal_averages())
+            assert np.abs(traj.gaps[-1] - np.maximum(qne.gaps, 0.0)).max() <= 1e-12
         rep = qg.is_qcce(g, traj.joint_average())
         for i in range(len(dims)):
             assert abs(rep.gaps[i] - traj.avg_regret[-1, i]) <= 1e-12

@@ -96,6 +96,15 @@ def test_game_fitting_neither_layout_writes_its_dense_lift(tmp_path):
     kind, back = ser.load_game(path)
     assert kind == "general" and back.edges is None
     assert all(maxabs(r - s) <= 1e-15 for r, s in zip(back.tensors, lift, strict=True))
+    # a pair read from one end only is no edge: the game writes its dense lift, which round-trips
+    one_end = qg.Game((2, 3), [[((0, 1), qg.random_hermitian(6, rng))], []])
+    assert one_end.edges is None
+    path, again = tmp_path / "one_end.json", tmp_path / "one_end.again.json"
+    ser.save_game(path, one_end)
+    kind, back = ser.load_game(path)
+    ser.save_game(again, back)
+    assert kind == "general" and again.read_bytes() == path.read_bytes()
+    assert all(np.array_equal(r, s) for r, s in zip(back.tensors, one_end.tensors, strict=True))
 
 
 def test_corrupted_zero_sum_file_rejected_on_load(tmp_path):
