@@ -14,6 +14,7 @@ trace-preservation condition; here the names above are the contract.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,10 +151,7 @@ def lift_channel(c: ChoiMatrix, dims: Sequence[int], i: int, tol: float = CPTP_T
     if not is_cptp(c, tol):
         raise ValueError("lifting requires a CPTP channel")
     d = dims[i]
-    rest = 1
-    for j, dj in enumerate(dims):
-        if j != i:
-            rest *= dj
+    rest = prod(dims) // d
     front = (i,) + tuple(j for j in range(k) if j != i)
     dims_front = tuple(dims[p] for p in front)
     back = tuple(front.index(r) for r in range(k))

@@ -132,13 +132,15 @@ def _run_setup(game, args):
     return schedule, horizon
 
 
-def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, batch: int):
+def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, horizon: int, batch: int):
     names = learner_arg.split(",") if learner_arg else ["mmwu"] * game.n_players
     if len(names) != game.n_players:
         raise ValueError(f"need {game.n_players} learner kinds, got {len(names)}")
     learners = []
     for i, name in enumerate(names):
-        if name == "mmwu":
+        if name == "mmwu":   # the bound column reports this bound; it is infinite when eta * T or ln d / eta overflows
+            if not isfinite(schedule.cumulative_bound(horizon, game.dims[i])):
+                raise ValueError(f"stepsize {schedule.eta} gives a regret bound over {horizon} rounds that is not finite")
             learners.append(MMWU(game.dims[i], schedule, batch=batch))
         elif name == "ftrl":
             if schedule.kind != "fixed":
@@ -168,7 +170,7 @@ def cmd_run(args) -> int:
         games = [_generate(args.kind, dims, seed, args.graph, args.pairwise_zero_sum) for seed in seeds]
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
     schedule, horizon = _run_setup(games[0], args)
-    names, learners = _make_learners(args.learners, games[0], schedule, batch=args.runs)
+    names, learners = _make_learners(args.learners, games[0], schedule, horizon, batch=args.runs)
     stride = args.stride if args.stride is not None else max(1, horizon // 1000)
     trajs = run_game(games, learners, horizon, stride=stride)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:   # MemoryError: a size numpy refuses to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

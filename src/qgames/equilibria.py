@@ -30,6 +30,7 @@ from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
 from .games import Game, _others, gain_matrix, utility
 from .tensor import (
     _check_distribution,
+    _reduced,
     check_density,
     herm,
     herm_eig,
@@ -237,14 +238,9 @@ def brute_force_gap(
     rng = np.random.default_rng(seed)
     psi = random_pure_states(d, n_samples, rng)
     projectors = psi[:, :, None] * psi[:, None, :].conj()
-    # Batched kron(rho'_n, opp) in player-i-first layout ...
+    # Batched kron(rho'_n, opp) in player-i-first layout, moved back to register order
     joints = (projectors[:, :, None, :, None] * opp[None, None, :, None, :]).reshape(n_samples, n, n)
-    # ... moved back to the original register order axis by axis.
     front = (i,) + others
-    back = tuple(front.index(s) for s in range(k))
-    dims_front = tuple(g.dims[p] for p in front)
-    t = joints.reshape((n_samples,) + dims_front + dims_front)
-    axes = [0] + [1 + b for b in back] + [1 + k + b for b in back]
-    joints = t.transpose(axes).reshape(n_samples, n, n)
+    joints = _reduced(joints, [g.dims[p] for p in front], [front.index(s) for s in range(k)])
     vals = np.einsum("pq,nqp->n", g.tensors[i], joints).real
     return float(vals.max() - base)

@@ -22,11 +22,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .tensor import (
+    _reduced,
     herm,
     is_hermitian,
     kron,
     maxabs,
-    partial_trace,
     permute_registers,
     random_hermitian,
 )
@@ -179,13 +179,7 @@ class Game:
 
 def QuantumGame(dims: Sequence[int], tensors: Sequence[np.ndarray]) -> Game:
     """The dense game: one Hermitian tensor per player, a term on every register."""
-    dims, tensors = _check_dims(dims), tuple(tensors)
-    n = prod(dims)
-    for r in tensors:
-        if np.shape(r) != (n, n):
-            raise ValueError(f"utility tensor shape {np.shape(r)} does not match joint dim {n}")
-    if len(tensors) != len(dims):
-        raise ValueError(f"{len(tensors)} utility tensors for {len(dims)} players")
+    dims = _check_dims(dims)
     return Game(dims, tuple(((tuple(range(len(dims))), r),) for r in tensors))
 
 
@@ -204,10 +198,6 @@ def PolymatrixGame(dims: Sequence[int], edges) -> Game:
         pair = (min(i, j), max(i, j))
         if any(regs == (i, j) for regs, _ in terms[i]):
             raise ValueError(f"duplicate edge {pair}")
-        if np.shape(r_ij) != (dims[i] * dims[j],) * 2 or np.shape(r_ji) != np.shape(r_ij):
-            raise ValueError(f"edge {pair} tensor shapes do not match register dims")
-        if not (is_hermitian(r_ij) and is_hermitian(r_ji)):
-            raise ValueError("edge tensors must be Hermitian")
         terms[i].append(((i, j), r_ij))
         terms[j].append(((j, i), r_ji))
     return Game(dims, tuple(map(tuple, terms)))
@@ -274,24 +264,13 @@ def maxent_game(a: np.ndarray, b: np.ndarray) -> Game:
     return QuantumGame((2, 2), (r1, r2))
 
 
-def _reduce(rho: np.ndarray, dims: Sequence[int], regs: Sequence[int]) -> np.ndarray:
-    """Reduced state of rho on the registers regs, in the order given."""
-    if list(regs) == list(range(len(dims))):
-        return rho
-    kept = sorted(regs)
-    m = partial_trace(rho, dims, keep=kept)
-    if list(regs) == kept:
-        return m
-    return permute_registers(m, [dims[r] for r in kept], [kept.index(r) for r in regs])
-
-
 def utility(g: Game, rho: np.ndarray, i: int) -> float:
     """Player i's payoff at the joint state rho: ``sum Tr(R rho_regs)`` over their terms, rho_regs a marginal."""
     rho = np.asarray(rho, dtype=complex)
     n = g.joint_dim
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match joint dim {n}")
-    return sum((float(np.vdot(r, _reduce(rho, g.dims, regs)).real) for regs, r in g.terms[i]), 0.0)
+    return sum((float(np.vdot(r, _reduced(rho, g.dims, regs)).real) for regs, r in g.terms[i]), 0.0)
 
 
 def gain_matrix(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
@@ -311,7 +290,7 @@ def gain_matrix(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
     dims_others = [g.dims[j] for j in others]
     gain = np.zeros(d * d, dtype=complex)
     for regs, op in g.gain_terms[i]:
-        gain += op @ _reduce(rho_others, dims_others, [others.index(r) for r in regs]).reshape(-1)
+        gain += op @ _reduced(rho_others, dims_others, [others.index(r) for r in regs]).reshape(-1)
     return herm(gain.reshape(d, d))
 
 

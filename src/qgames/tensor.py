@@ -6,7 +6,9 @@ Conventions shared by every module in this package:
 * A joint space over registers ``dims = (d_0, ..., d_{k-1})`` places register
   0 in the most significant tensor-factor slot, so the basis state
   ``|i_0, ..., i_{k-1}>`` has flat index ``i_0 * d_1 * ... * d_{k-1} + ...``.
-  ``permute_registers`` is the only way to reorder factors.
+  ``_reduced`` is the one register primitive: every partial trace, ordered
+  marginal and factor permutation is one einsum there, and
+  ``partial_trace`` and ``permute_registers`` are its checked entry points.
 * Anything that is nominally Hermitian gets symmetrized with
   ``(m + m^dag) / 2`` before it is returned, so rounding drift never reaches
   the eigensolvers.
@@ -78,6 +80,22 @@ def _check_layout(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def _reduced(m: np.ndarray, dims: Sequence[int], regs: Sequence[int]) -> np.ndarray:
+    """Each matrix of a (..., n, n) stack reduced to the registers ``regs``, in the order given.
+
+    One einsum over the ``dims + dims`` view: a register left out reads one
+    label on its row axis and its column axis and is traced out, so ``regs``
+    naming every register only moves entries.  Unvalidated.
+    """
+    k = len(dims)
+    rows = list(range(k))
+    cols = [k + x if x in regs else x for x in rows]
+    t = m.reshape(m.shape[:-2] + tuple(dims) * 2)
+    out = np.einsum(t, [..., *rows, *cols], [..., *regs, *(cols[x] for x in regs)])
+    d = prod(dims[x] for x in regs)
+    return np.ascontiguousarray(out.reshape(m.shape[:-2] + (d, d)))
+
+
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every register not in ``keep``.
 
@@ -90,24 +108,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     keep_sorted = sorted(set(int(i) for i in keep))
     if any(i < 0 or i >= k for i in keep_sorted):
         raise ValueError(f"keep indices {keep_sorted} out of range for {k} registers")
-    t = np.asarray(m, dtype=complex).reshape(dims + dims)
-    row_sub = [0] * k
-    col_sub = [0] * k
-    nxt = 0
-    for i in keep_sorted:
-        row_sub[i] = nxt
-        nxt += 1
-    for i in keep_sorted:
-        col_sub[i] = nxt
-        nxt += 1
-    for i in range(k):
-        if i not in keep_sorted:
-            row_sub[i] = col_sub[i] = nxt
-            nxt += 1
-    out_sub = [row_sub[i] for i in keep_sorted] + [col_sub[i] for i in keep_sorted]
-    res = np.einsum(t, row_sub + col_sub, out_sub)
-    d_keep = prod(dims[i] for i in keep_sorted) if keep_sorted else 1
-    return np.ascontiguousarray(res.reshape(d_keep, d_keep))
+    return _reduced(np.asarray(m, dtype=complex), dims, keep_sorted)
 
 
 def permute_registers(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -122,10 +123,7 @@ def permute_registers(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"perm {perm} is not a bijection on {k} registers")
-    n = prod(dims)
-    t = np.asarray(m, dtype=complex).reshape(dims + dims)
-    axes = list(perm) + [k + p for p in perm]
-    return np.ascontiguousarray(t.transpose(axes).reshape(n, n))
+    return _reduced(np.asarray(m, dtype=complex), dims, perm)
 
 
 def partial_transpose(m: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarray:

@@ -41,6 +41,10 @@ def test_gen_invalid_spec_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["gen", "--kind", "general", "--dims", "2,2", "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    # a joint dim of ~1e8 asks for petabytes, which numpy refuses at once: one error line, no traceback
+    assert main(["gen", "--kind", "general", "--dims", "9999,9999", "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
     # --graph and --[no-]pairwise-zero-sum shape polymatrix games only
     for flags, message in ((["--kind", "general", "--graph", "cycle"], "--graph"),
                            (["--kind", "zero-sum", "--pairwise-zero-sum"], "--pairwise-zero-sum"),
@@ -465,11 +469,17 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
         (["--kind", "polymatrix", "--dims", "2,2,2", "--graph", "cycle4", "--T", "5", "--eta", "0.1"],
          "graph size 4 does not match 3 players"),
         (["NO-GAME", "--dims", "2,2", "--T", "5", "--eta", "0.1"], "either --game or an inline --kind spec is required"),
+        # a joint dim of ~1e8 asks for petabytes, which numpy refuses at once
+        (["--dims", "9999,9999", "--T", "5", "--eta", "0.1"], "Unable to allocate"),
+        (["--T", "5", "--eta", "1e308"], "stepsize 1e+308 gives a regret bound over 5 rounds that is not finite"),
+        (["--dims", "3,3", "--T", "5", "--eta", "1e308"],
+         "stepsize 1e+308 gives a regret bound over 5 rounds that is not finite"),
     ],
     ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative",
          "game-with-kind", "game-with-dims", "game-with-graph", "graph-without-polymatrix",
          "pairwise-without-polymatrix", "epsilon-with-eta", "epsilon-with-doubling", "learner-unknown",
-         "graph-unparsable", "graph-size-mismatch", "no-game"],
+         "graph-unparsable", "graph-size-mismatch", "no-game", "dims-unallocatable", "eta-bound-overflow-qubits",
+         "eta-bound-overflow-qutrits"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"

@@ -52,8 +52,9 @@ def test_game_checks_its_terms(terms, message):
 @pytest.mark.parametrize("edges, message", [
     ([((0, 2), (np.eye(4), np.eye(4)))], r"^invalid edge \(0, 2\)$"),
     ([((1, 1), (np.eye(4), np.eye(4)))], r"^invalid edge \(1, 1\)$"),
-    ([((0, 1), (np.eye(6), np.eye(6)))], r"^edge \(0, 1\) tensor shapes do not match register dims$"),
-    ([((0, 1), (np.eye(4), np.eye(2)))], r"^edge \(0, 1\) tensor shapes do not match register dims$"),
+    # Game checks the shapes: player 0's end (0, 1) first, then player 1's end (1, 0)
+    ([((0, 1), (np.eye(6), np.eye(6)))], r"^term tensor shape \(6, 6\) does not match the dims of registers \(0, 1\)$"),
+    ([((0, 1), (np.eye(4), np.eye(2)))], r"^term tensor shape \(2, 2\) does not match the dims of registers \(1, 0\)$"),
 ])
 def test_polymatrix_game_checks_its_edges(edges, message):
     with pytest.raises(ValueError, match=message):
@@ -97,9 +98,10 @@ def test_random_polymatrix_rejects_bad_edges(edges, message):
 
 
 def test_game_needs_one_tensor_per_player():
-    with pytest.raises(ValueError, match="tensors"):
+    # Game counts the payoffs, one per tensor here
+    with pytest.raises(ValueError, match=r"^1 payoffs for 2 players$"):
         qg.QuantumGame((2, 2), (np.eye(4),))
-    with pytest.raises(ValueError, match="tensors"):
+    with pytest.raises(ValueError, match=r"^3 payoffs for 2 players$"):
         qg.QuantumGame((2, 2), (np.eye(4),) * 3)
 
 

@@ -10,6 +10,7 @@ from qgames.tensor import (
     PAULI_Y,
     PAULI_Z,
     _reassemble,
+    _reduced,
     bloch_vectors,
     dagger,
     exp_density_stack,
@@ -590,3 +591,38 @@ def test_partial_transpose_matches_index_oracle(layout, data):
                 m[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)]
             )
     assert np.array_equal(qg.partial_transpose(m, dims, factor), want)
+
+
+def _reduced_oracle(m, dims, regs):
+    """Index map: every entry whose left-out digits agree on its row and column adds at its kept digits, in order."""
+    n = m.shape[0]
+    rows, cols = (np.unravel_index(idx.ravel(), dims) for idx in np.indices((n, n)))
+    agree = np.ones(n * n, dtype=bool)
+    for x in set(range(len(dims))) - set(regs):
+        agree &= rows[x] == cols[x]
+    at_row = at_col = np.zeros(n * n, dtype=int)
+    for x in regs:   # the kept digits, most significant first
+        at_row, at_col = at_row * dims[x] + rows[x], at_col * dims[x] + cols[x]
+    d = int(np.prod([dims[x] for x in regs]))
+    out = np.zeros((d, d), dtype=complex)
+    np.add.at(out, (at_row[agree], at_col[agree]), m.ravel()[agree])
+    return out
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4), st.data())
+def test_reduced_is_the_ordered_marginal(dims, data):
+    # one einsum reduces to any ordered subset of registers: an index map, the two-step path and a stack agree
+    k = len(dims)
+    regs = data.draw(st.permutations(range(k)))[: data.draw(st.integers(0, k))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = int(np.prod(dims))
+    stack = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    got = _reduced(stack, dims, regs)
+    kept = sorted(regs)
+    for m, one in zip(stack, got):
+        assert np.array_equal(one, _reduced(m, dims, regs))
+        assert maxabs(one - _reduced_oracle(m, dims, regs)) <= 1e-12
+        two_step = qg.permute_registers(qg.partial_trace(m, dims, kept), [dims[x] for x in kept],
+                                        [kept.index(x) for x in regs])
+        assert np.array_equal(one, two_step)
