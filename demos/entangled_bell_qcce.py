@@ -24,7 +24,7 @@ for (p, q) in [(0, 0), (0, 1)]:
     lam = np.zeros((2, 2))
     lam[p, q] = 1.0
     rep = qg.is_qcce(game, bell, tol=1e-8)
-    scalar = qg.maxent_qcce_condition(a, a, lam, tol=1e-8)
+    scalar = qg.maxent_qcce_condition(a, a, lam)
     witness = qg.ppt_witness(bell, (2, 2))
     print(f"\nBell state e_{p}{q}: payoff {a[p, q]:.2f}")
     print(f"  deviation gap {rep.max_gap:+.4f}  -> equilibrium: {rep.verdict}")

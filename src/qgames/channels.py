@@ -14,21 +14,21 @@ trace-preservation condition; here the names above are the contract.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import (
+    _check_int,
+    _check_ints,
+    _check_layout,
+    _checked_herm,
     check_density,
     dagger,
-    herm,
-    is_hermitian,
     kron,
     lambda_min,
     maxabs,
     partial_trace,
-    permute_registers,
 )
 
 CPTP_TOL = 1e-8
@@ -47,9 +47,7 @@ class ChoiMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix shape {m.shape} does not match out {self.out_dim} x in {self.in_dim}")
-        if not is_hermitian(m):
-            raise ValueError("Choi matrix must be Hermitian (Hermiticity-preserving maps only)")
-        m = herm(m)
+        m = _checked_herm(m, "Choi matrix must be Hermitian (Hermiticity-preserving maps only)")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -130,36 +128,33 @@ def is_unital(c: ChoiMatrix, tol: float = 1e-9) -> bool:
     return maxabs(tr_b - np.eye(c.out_dim)) <= tol
 
 
-def is_cptp(c: ChoiMatrix, tol: float = CPTP_TOL) -> bool:
-    return is_completely_positive(c, tol) and is_trace_preserving(c, tol)
+def is_cptp(c: ChoiMatrix) -> bool:
+    return is_completely_positive(c, CPTP_TOL) and is_trace_preserving(c, CPTP_TOL)
 
 
-def lift_channel(c: ChoiMatrix, dims: Sequence[int], i: int, tol: float = CPTP_TOL) -> Callable[[np.ndarray], np.ndarray]:
+def lift_channel(c: ChoiMatrix, dims: Sequence[int], i: int) -> Callable[[np.ndarray], np.ndarray]:
     """Extend a single-register channel to ``phi_i (x) id`` on the joint space.
 
-    Permutes register ``i`` to the front, applies the superoperator blockwise
-    on the first factor, and permutes back.  The channel must be CPTP and
-    square on register ``i``; the returned function maps densities to
-    densities.
+    The returned map contracts the Choi tensor with register ``i``'s row and
+    column axes of the ``dims + dims`` view of its input, in one einsum, and
+    leaves every other axis in place.  The channel must be CPTP and square on
+    register ``i``; the map takes densities to densities.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _check_ints(dims)
     k = len(dims)
+    i = _check_int(i, "player index")
     if not 0 <= i < k:
         raise ValueError(f"player index {i} out of range")
     if c.in_dim != dims[i] or c.out_dim != dims[i]:
         raise ValueError(f"channel dims ({c.out_dim}, {c.in_dim}) do not match register {i} dim {dims[i]}")
-    if not is_cptp(c, tol):
+    if not is_cptp(c):
         raise ValueError("lifting requires a CPTP channel")
-    d = dims[i]
-    rest = prod(dims) // d
-    front = (i,) + tuple(j for j in range(k) if j != i)
-    dims_front = tuple(dims[p] for p in front)
-    back = tuple(front.index(r) for r in range(k))
-    c4 = c._tensor
+    axes = list(range(2 * k))   # every register's row axis, then every column axis
+    ins = [{i: 2 * k, k + i: 2 * k + 1}.get(x, x) for x in axes]   # register i's row and column, summed over
 
     def lifted(rho: np.ndarray) -> np.ndarray:
-        rho_f = permute_registers(rho, dims, front).reshape(d, rest, d, rest)
-        out = np.einsum("cadb,arbs->crds", c4, rho_f).reshape(d * rest, d * rest)
-        return permute_registers(out, dims_front, back)
+        rho = np.asarray(rho, dtype=complex)
+        _check_layout(rho, dims)
+        return np.einsum(c._tensor, [i, 2 * k, k + i, 2 * k + 1], rho.reshape(dims * 2), ins, axes).reshape(rho.shape)
 
     return lifted

@@ -45,7 +45,7 @@ from .serialize import (
     write_json,
     write_trajectory_csv,
 )
-from .tensor import check_density, partial_trace
+from .tensor import _check_ints, check_density, partial_trace
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -53,9 +53,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(tok) for tok in text.split(","))
     except ValueError:   # a token that is not an integer
         raise ValueError(f"--dims must be comma-separated integers; got {text!r}") from None
-    if any(d < 2 for d in dims):
-        raise ValueError("register dimensions must be >= 2")
-    return dims
+    return _check_ints(dims, "--dims", low=2)   # the rule of game and state files
 
 
 def _parse_graph(text: str, k: int) -> list[tuple[int, int]]:
@@ -171,8 +169,7 @@ def cmd_run(args) -> int:
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
     schedule, horizon = _run_setup(games[0], args)
     names, learners = _make_learners(args.learners, games[0], schedule, horizon, batch=args.runs)
-    stride = args.stride if args.stride is not None else max(1, horizon // 1000)
-    trajs = run_game(games, learners, horizon, stride=stride)
+    trajs = run_game(games, learners, horizon, stride=args.stride)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
     for outdir, seed, game, traj in zip(outdirs, seeds, games, trajs):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -184,7 +181,7 @@ def cmd_run(args) -> int:
             "learner_kinds": names,
             "schedule": schedule_obj,
             "T": horizon,
-            "stride": stride,
+            "stride": traj.stride,
             "gap_mode": traj.gap_mode,
             "bound_scale": traj.bound_scale,
             "tool_version": __version__,
@@ -225,7 +222,7 @@ def cmd_maxent(args) -> int:
     lam[p, q] = 1.0
     bell = bell_projector(int(p), int(q))
     rep = is_qcce(game, bell, tol=1e-8)
-    scalar = maxent_qcce_condition(a, b, lam, tol=1e-8)
+    scalar = maxent_qcce_condition(a, b, lam)
     obj = {
         "payoff_a": [[float(x) for x in row] for row in a],
         "payoff_b": [[float(x) for x in row] for row in b],

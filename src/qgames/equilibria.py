@@ -30,6 +30,7 @@ from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
 from .games import Game, _others, gain_matrix, utility
 from .tensor import (
     _check_distribution,
+    _check_ints,
     _reduced,
     check_density,
     herm,
@@ -44,6 +45,7 @@ from .tensor import (
 )
 
 LEARNED_TOL = 1e-6
+_EXACT_STATE_TOL = 1e-8   # the product-state and Bell-condition checks, on states given exactly
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def best_response(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
 
 def marginalize(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """Product of single-register marginals, Tr_{-0} rho (x) ... (x) Tr_{-(k-1)} rho."""
-    dims = tuple(int(d) for d in dims)
+    dims = _check_ints(dims)
     return kron(*(partial_trace(rho, dims, keep=(i,)) for i in range(len(dims))))
 
 
@@ -115,30 +117,20 @@ def is_qcce(g: Game, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumRe
     return EquilibriumReport("qcce", gaps, mx, tol, mx <= tol)
 
 
-def is_qne(
-    g: Game,
-    rho: np.ndarray,
-    tol: float = LEARNED_TOL,
-    product_tol: float = 1e-8,
-) -> EquilibriumReport:
-    """Nash certificate: product state with no profitable unilateral deviation."""
+def is_qne(g: Game, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumReport:
+    """Nash certificate: product state, within ``_EXACT_STATE_TOL``, with no profitable unilateral deviation."""
     rho = check_density(rho)
     gaps = tuple(_deviation_gap(g, i, rho) for i in range(g.n_players))
     mx = max(gaps)
     defect = maxabs(rho - marginalize(rho, g.dims))
-    return EquilibriumReport("qne", gaps, mx, tol, mx <= tol and defect <= product_tol, defect)
+    return EquilibriumReport("qne", gaps, mx, tol, mx <= tol and defect <= _EXACT_STATE_TOL, defect)
 
 
-def phi_gap(
-    g: Game,
-    rho: np.ndarray,
-    deviations: Sequence[Sequence[ChoiMatrix]],
-    tol: float = LEARNED_TOL,
-) -> EquilibriumReport:
+def phi_gap(g: Game, rho: np.ndarray, deviations: Sequence[Sequence[ChoiMatrix]]) -> EquilibriumReport:
     """Deviation gaps over an explicit finite family of CPTP maps per player.
 
     Each channel is lifted to ``phi_i (x) id`` before evaluation; non-CPTP
-    deviations are rejected.  Players with an empty family report gap 0.
+    deviations are rejected.  Players with an empty family report gap 0; the verdict is at ``LEARNED_TOL``.
     """
     rho = check_density(rho)
     if len(deviations) != g.n_players:
@@ -150,7 +142,7 @@ def phi_gap(
         gaps.append(max(candidates) if candidates else 0.0)
     gaps = tuple(gaps)
     mx = max(gaps)
-    return EquilibriumReport("qphie", gaps, mx, tol, mx <= tol)
+    return EquilibriumReport("qphie", gaps, mx, LEARNED_TOL, mx <= LEARNED_TOL)
 
 
 def zs_certificate(g: Game, rho: np.ndarray, sigma: np.ndarray) -> ValueCertificate:
@@ -176,15 +168,10 @@ def zs_certificate(g: Game, rho: np.ndarray, sigma: np.ndarray) -> ValueCertific
     return ValueCertificate(lower, value_at, upper)
 
 
-def maxent_qcce_condition(
-    a: np.ndarray,
-    b: np.ndarray,
-    lam: np.ndarray,
-    tol: float = 1e-8,
-) -> bool:
+def maxent_qcce_condition(a: np.ndarray, b: np.ndarray, lam: np.ndarray) -> bool:
     """Scalar test for Bell-basis mixtures sum_pq lam_pq |e_pq><e_pq|.
 
-    True iff ``sum(a * lam) >= mean(a)`` and likewise for b, each up to tol,
+    True iff ``sum(a * lam) >= mean(a)`` and likewise for b, each up to ``_EXACT_STATE_TOL``,
     which matches the eigenvalue certificate of the corresponding Bell-basis
     game because every Bell state has maximally mixed marginals.
     """
@@ -196,7 +183,7 @@ def maxent_qcce_condition(
     _check_distribution(lam, 2)
     gap_a = 0.25 * float(a.sum()) - float((a * lam).sum())
     gap_b = 0.25 * float(b.sum()) - float((b * lam).sum())
-    return bool(gap_a <= tol and gap_b <= tol)
+    return bool(gap_a <= _EXACT_STATE_TOL and gap_b <= _EXACT_STATE_TOL)
 
 
 def ppt_witness(rho: np.ndarray, dims: tuple[int, int]) -> str:

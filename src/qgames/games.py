@@ -22,9 +22,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .tensor import (
+    _check_ints,
+    _checked_herm,
     _reduced,
     herm,
-    is_hermitian,
     kron,
     maxabs,
     permute_registers,
@@ -44,15 +45,15 @@ def _others(k: int, i: int) -> tuple[int, ...]:
     return tuple(j for j in range(k) if j != i)
 
 
-def _check_dims(dims) -> tuple[int, ...]:
-    """dims as a tuple of ints, which must be a non-empty sequence of integers >= 1."""
+def _check_edge(i, j, k: int) -> tuple[int, int]:
+    """The ends of an edge among k players as ints: two distinct integers in [0, k)."""
     try:
-        out = tuple(map(index, dims))
-    except TypeError:   # not a sequence, or an entry that is not an integer
-        out = ()
-    if not out or min(out) < 1:
-        raise ValueError(f"dims must be a non-empty sequence of integers >= 1, got {dims!r}")
-    return out
+        ends = _check_ints((i, j), low=0, high=k)
+    except ValueError:
+        ends = None
+    if ends is None or ends[0] == ends[1]:
+        raise ValueError(f"invalid edge ({i}, {j})")
+    return ends
 
 
 def _arrange(r: np.ndarray, dims: Sequence[int], regs: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
@@ -103,7 +104,7 @@ class Game:
     terms: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
-        dims = _check_dims(self.dims)
+        dims = _check_ints(self.dims)
         k = len(dims)
         if len(self.terms) != k:
             raise ValueError(f"{len(self.terms)} payoffs for {k} players")
@@ -115,9 +116,7 @@ class Game:
                     raise ValueError(f"player {i}'s term reads {regs}: not distinct registers in [0, {k}) with {i}")
                 if r.shape != (prod(dims[x] for x in regs),) * 2:
                     raise ValueError(f"term tensor shape {r.shape} does not match the dims of registers {regs}")
-                if not is_hermitian(r):
-                    raise ValueError("utility tensors must be Hermitian")
-                terms[i].append((regs, _freeze(herm(r))))
+                terms[i].append((regs, _freeze(_checked_herm(r, "utility tensors must be Hermitian"))))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", tuple(map(tuple, terms)))
 
@@ -179,7 +178,7 @@ class Game:
 
 def QuantumGame(dims: Sequence[int], tensors: Sequence[np.ndarray]) -> Game:
     """The dense game: one Hermitian tensor per player, a term on every register."""
-    dims = _check_dims(dims)
+    dims = _check_ints(dims)
     return Game(dims, tuple(((tuple(range(len(dims))), r),) for r in tensors))
 
 
@@ -190,11 +189,10 @@ def PolymatrixGame(dims: Sequence[int], edges) -> Game:
     orientation; a pair given twice is rejected.  Each player gets one term per
     incident edge, in the order given, its own register first.
     """
-    dims = _check_dims(dims)
+    dims = _check_ints(dims)
     terms = [[] for _ in dims]
     for (i, j), (r_ij, r_ji) in edges.items() if isinstance(edges, dict) else edges:
-        if not (0 <= i < len(dims) and 0 <= j < len(dims)) or i == j:
-            raise ValueError(f"invalid edge ({i}, {j})")
+        i, j = _check_edge(i, j, len(dims))
         pair = (min(i, j), max(i, j))
         if any(regs == (i, j) for regs, _ in terms[i]):
             raise ValueError(f"duplicate edge {pair}")
@@ -306,7 +304,7 @@ def random_game(dims: Sequence[int], seed: int, kind: str = "general") -> Game:
     scaled so ``||R_i||_spec = 1``, which bounds every achievable utility in
     [-1, 1].  Identical seeds produce bitwise-identical games.
     """
-    dims = _check_dims(dims)
+    dims = _check_ints(dims)
     n = prod(dims)
     rng = np.random.default_rng(seed)
     if kind == "general":
@@ -348,12 +346,10 @@ def random_polymatrix(
     satisfies R_ji = -swap(R_ij), a sufficient (strictly stronger than
     necessary) construction for the global zero-sum property.
     """
-    dims = _check_dims(dims)
+    dims = _check_ints(dims)
     if not edges:
         raise ValueError("a random polymatrix game needs at least one edge")
-    for (i, j) in edges:
-        if not (0 <= i < len(dims) and 0 <= j < len(dims)) or i == j:
-            raise ValueError(f"invalid edge ({i}, {j}) for {len(dims)} players")
+    edges = [_check_edge(i, j, len(dims)) for i, j in edges]
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.bincount(np.ravel(edges)).max()   # 1 / the largest degree
     built = []

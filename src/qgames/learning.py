@@ -36,6 +36,7 @@ from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name l
 from .tensor import (
     DEFAULT_HERM_TOL,
     _check_distribution,
+    _check_int,
     bloch_vectors,
     check_density,
     dagger,
@@ -48,6 +49,7 @@ from .tensor import (
 )
 
 DEVIATION_DETECT_TOL = 1e-9
+_MAX_HORIZON = 2**63 - 1   # the checkpoint rounds are an int64 array
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,9 @@ def _state_shape(dim: int, batch: int | None) -> tuple[int, ...]:
     """(d, d) for a single learner, (B, d, d) for a batch of B independent ones."""
     if batch is None:
         return (dim, dim)
-    if batch < 1:
+    if (batch := _check_int(batch, "batch size")) < 1:
         raise ValueError("batch size must be >= 1")
-    return (int(batch), dim, dim)
+    return (batch, dim, dim)
 
 
 def _check_gain(gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -148,7 +150,7 @@ class MMWU:
     """
 
     def __init__(self, dim: int, schedule: Schedule, batch: int | None = None):
-        self.dim = int(dim)
+        self.dim = _check_int(dim, "dim")
         self.schedule = schedule
         self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
         self._epoch = 0
@@ -246,7 +248,7 @@ class ScriptedNoRegret:
         weights = _check_distribution(weights, 1)
         if len(profiles) != len(weights):
             raise ValueError("one strategy profile per mixture component required")
-        self.player = int(player)
+        self.player = _check_int(player, "player")
         self.weights = weights
         self.profiles = [[check_density(np.asarray(r, dtype=complex)) for r in prof] for prof in profiles]
         self.dim = self.profiles[0][self.player].shape[0]
@@ -306,7 +308,7 @@ def horizon_for_epsilon(game: Game, epsilon: float) -> tuple[float, int]:
     """Stepsize and horizon guaranteeing ``game`` its epsilon-certificate by time T.
 
     With s the certificate's bound scale and d the largest register dimension,
-    eta = eps/(2s) and T = ceil(4 s^2 ln d / eps^2), for 0 < eps <= 2s.
+    eta = eps/(2s) and T = ceil(4 s^2 ln d / eps^2), for 0 < eps <= 2s and T <= 2**63 - 1.
     """
     _, scale = _certificate(game)
     dim = max(game.dims)
@@ -314,7 +316,10 @@ def horizon_for_epsilon(game: Game, epsilon: float) -> tuple[float, int]:
         raise ValueError("register dimension must be >= 2")
     if not 0 < epsilon <= 2 * scale:
         raise ValueError(f"epsilon must be in (0, {2 * scale:g}] for this game")
-    return epsilon / (2.0 * scale), ceil(4.0 * scale**2 * log(dim) / epsilon**2)
+    horizon = 4.0 * scale**2 * log(dim) / epsilon**2 if epsilon**2 else float("inf")   # eps**2 is 0 below ~1e-162
+    if horizon > _MAX_HORIZON:
+        raise ValueError(f"epsilon {epsilon} needs a horizon over 2**63 - 1 rounds")
+    return epsilon / (2.0 * scale), ceil(horizon)
 
 
 @dataclass
@@ -337,6 +342,7 @@ class Trajectory:
 
     dims: tuple[int, ...]
     T: int
+    stride: int                  # checkpoints fall every stride rounds, plus round T
     gap_mode: str
     bound_scale: float
     checkpoints: np.ndarray
@@ -595,8 +601,9 @@ def run_game(
             raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {dims[i]}")
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    if stride is None:
-        stride = max(1, T // 1000)
+    if T > _MAX_HORIZON:
+        raise ValueError(f"horizon must be <= 2**63 - 1, got {T}")
+    stride = max(1, T // 1000) if stride is None else _check_int(stride, "checkpoint stride")
     if stride < 1:
         raise ValueError("checkpoint stride must be >= 1")
 
@@ -717,6 +724,7 @@ def run_game(
         Trajectory(
             dims=dims,
             T=T,
+            stride=stride,
             gap_mode=gap_mode,
             bound_scale=bound_scale,
             checkpoints=ts.copy(),

@@ -23,7 +23,7 @@ import numpy as np
 from .equilibria import EquilibriumReport, ValueCertificate
 from .games import Game, PolymatrixGame, QuantumGame, tensors_cancel
 from .learning import Trajectory
-from .tensor import spectral_norm
+from .tensor import _check_ints, _check_layout, spectral_norm
 
 
 def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarray:
@@ -129,10 +129,7 @@ def game_to_obj(game: Game, seed: int | None = None) -> dict:
 
 def _read_dims(obj: Any) -> tuple[int, ...]:
     """The "dims" of a game or state object, which must be a non-empty list of integers >= 2, as for ``--dims``."""
-    dims = obj.get("dims") if isinstance(obj, dict) else None
-    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 2 for d in dims)):
-        raise ValueError(f"dims must be a non-empty list of integers >= 2, got {dims!r}")
-    return tuple(dims)
+    return _check_ints(obj.get("dims") if isinstance(obj, dict) else None, low=2)
 
 
 def _field(obj: dict, key: str, what: str) -> Any:
@@ -193,7 +190,7 @@ def load_game(path) -> tuple[str, Game]:
 
 
 def save_state(path, rho: np.ndarray, dims) -> None:
-    write_json(path, {"dims": [int(d) for d in dims], "matrix": np.asarray(rho, dtype=complex)})
+    write_json(path, {"dims": list(_check_layout(rho, dims)), "matrix": np.asarray(rho, dtype=complex)})
 
 
 def load_state(path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -12,13 +12,16 @@ Conventions shared by every module in this package:
 * Anything that is nominally Hermitian gets symmetrized with
   ``(m + m^dag) / 2`` before it is returned, so rounding drift never reaches
   the eigensolvers.
-* Tolerances come in two tiers: 1e-9 .. 1e-12 for exact algebra, 1e-6 for
-  spectra of iterated or time-averaged states.
+* Tolerances come in three tiers: 1e-12 .. 1e-9 for exact algebra, 1e-8 for
+  checks on given operators and states, 1e-6 for spectra of iterated or
+  time-averaged states.  Sizes and register indices go through
+  ``operator.index``, so a float is refused, never truncated.
 """
 
 from __future__ import annotations
 
 from math import prod
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 DEFAULT_HERM_TOL = 1e-8
+_DENSITY_TOL = 1e-9
 _PHASE_EPS = 1e-12
 
 
@@ -47,9 +51,9 @@ def herm(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and maxabs(m - dagger(m)) <= tol
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and maxabs(m - dagger(m)) <= DEFAULT_HERM_TOL
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -69,10 +73,27 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_ints(xs, what: str = "dims", low: int = 1, high: int | None = None, empty: bool = False) -> tuple[int, ...]:
+    """``xs`` as a tuple of ints, if a sequence of integers (``operator.index``) in [low, high), non-empty unless ``empty``."""
+    try:
+        out = tuple(map(index, xs))
+    except TypeError:   # not a sequence, or an entry that is not an integer
+        out = None
+    if out is None or not (out or empty) or any(x < low or (high is not None and x >= high) for x in out):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{what} must be a {'' if empty else 'non-empty '}sequence of integers {bounds}, got {xs!r}")
+    return out
+
+
+def _check_int(x, what: str) -> int:   # a scalar size or index, by the rule of _check_ints
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def _check_layout(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"register dimensions must be positive, got {dims}")
+    dims = _check_ints(dims, empty=True)
     n = prod(dims)
     m = np.asarray(m)
     if m.shape != (n, n):
@@ -104,11 +125,8 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     returns the 1x1 matrix holding ``Tr(m)``.
     """
     dims = _check_layout(m, dims)
-    k = len(dims)
-    keep_sorted = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= k for i in keep_sorted):
-        raise ValueError(f"keep indices {keep_sorted} out of range for {k} registers")
-    return _reduced(np.asarray(m, dtype=complex), dims, keep_sorted)
+    keep = sorted(set(_check_ints(keep, "keep", 0, len(dims), empty=True)))
+    return _reduced(np.asarray(m, dtype=complex), dims, keep)
 
 
 def permute_registers(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -120,7 +138,7 @@ def permute_registers(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -
     """
     dims = _check_layout(m, dims)
     k = len(dims)
-    perm = tuple(int(p) for p in perm)
+    perm = _check_ints(perm, "perm", 0, empty=True)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"perm {perm} is not a bijection on {k} registers")
     return _reduced(np.asarray(m, dtype=complex), dims, perm)
@@ -130,6 +148,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], factor: int) -> np.nda
     """Transpose a single tensor factor in place, leaving the others alone."""
     dims = _check_layout(m, dims)
     k = len(dims)
+    factor = _check_int(factor, "factor")
     if not 0 <= factor < k:
         raise ValueError(f"factor {factor} out of range for {k} registers")
     n = prod(dims)
@@ -139,14 +158,15 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], factor: int) -> np.nda
     return np.ascontiguousarray(t.transpose(axes).reshape(n, n))
 
 
-def _checked_herm(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+def _checked_herm(h: np.ndarray, message: str = "matrix is not Hermitian within tolerance") -> np.ndarray:
+    """The one Hermitian gate: ``herm(h)`` if ``h`` is a Hermitian matrix within ``DEFAULT_HERM_TOL``, else ``message``."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if not is_hermitian(h):
+        raise ValueError(message)
     return herm(h)
 
 
-def herm_eig(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
 
     Returns ``(vals, vecs)`` with eigenvalues sorted descending (stable sort,
@@ -154,7 +174,7 @@ def herm_eig(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> tuple[np.ndarray, 
     making its first component of magnitude > 1e-12 real and positive.
     Satisfies ``h = vecs @ diag(vals) @ vecs^dag`` to 1e-9.
     """
-    vals, vecs = np.linalg.eigh(_checked_herm(h, tol))
+    vals, vecs = np.linalg.eigh(_checked_herm(h))
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -332,17 +352,17 @@ def project_to_density_stack(h: np.ndarray) -> np.ndarray:
     return _reassemble(vecs, simplex_projection(shifted))
 
 
-def check_density(rho: np.ndarray, trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> np.ndarray:
-    """Validate trace-1 and positive semidefiniteness, returning the input."""
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """Validate trace-1 and positive semidefiniteness within ``_DENSITY_TOL``, returning the input."""
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho):
         raise ValueError("density matrix must be Hermitian")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} is not 1 within {trace_tol}")
+    if abs(tr - 1.0) > _DENSITY_TOL:
+        raise ValueError(f"density matrix trace {tr} is not 1 within {_DENSITY_TOL}")
     lo = lambda_min(rho)
-    if lo < -eig_tol:
-        raise ValueError(f"density matrix has eigenvalue {lo} below -{eig_tol}")
+    if lo < -_DENSITY_TOL:
+        raise ValueError(f"density matrix has eigenvalue {lo} below -{_DENSITY_TOL}")
     return rho
 
 

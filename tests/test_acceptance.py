@@ -182,7 +182,7 @@ def test_criterion_07_maxent_entangled_qcce():
             lam = rng.random((2, 2))
             lam /= lam.sum()
             rho = sum(lam[p, q] * qg.bell_projector(p, q) for p in range(2) for q in range(2))
-            scalar = qg.maxent_qcce_condition(pa, pb, lam, tol=1e-8)
+            scalar = qg.maxent_qcce_condition(pa, pb, lam)
             spectral = qg.is_qcce(qg.maxent_game(pa, pb), rho, tol=1e-8).verdict
             assert scalar == spectral
             agree += 1

@@ -175,3 +175,33 @@ def test_lifted_cptp_channels_preserve_densities():
                 out = lifted(qg.random_density(4, rng))
                 assert abs(np.trace(out).real - 1.0) < 1e-9
                 assert qg.lambda_min(out) >= -1e-8
+
+
+def _lift_by_permuting(c, dims, i, rho):
+    """Reference lift: move register i to the front, apply the channel blockwise, move it back."""
+    k, d = len(dims), dims[i]
+    rest = int(np.prod(dims)) // d
+    front = (i,) + tuple(j for j in range(k) if j != i)
+    rho_f = qg.permute_registers(rho, dims, front).reshape(d, rest, d, rest)
+    out = np.einsum("cadb,arbs->crds", c.matrix.reshape(d, d, d, d), rho_f).reshape(d * rest, d * rest)
+    return qg.permute_registers(out, [dims[p] for p in front], [front.index(r) for r in range(k)])
+
+
+def _random_cptp(d, seed):
+    """A random CPTP map on C^d: d Kraus operators, the blocks of a Haar isometry."""
+    kraus = haar_unitary(d * d, seed)[:, :d].reshape(d, d, d)
+    return qg.ChoiMatrix(qg.choi_of_map(lambda x: sum(k @ x @ dagger(k) for k in kraus), d), d, d)
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 3)])
+def test_lift_in_place_equals_the_permuted_lift(dims):
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    n = int(np.prod(dims))
+    for i, d in enumerate(dims):
+        c = _random_cptp(d, 100 * i + n)
+        assert qg.is_cptp(c)
+        lifted = qg.lift_channel(c, dims, i)
+        rho = qg.random_density(n, rng)
+        assert maxabs(lifted(rho) - _lift_by_permuting(c, dims, i, rho)) <= 1e-15
+        with pytest.raises(ValueError):
+            lifted(np.eye(n + 1) / (n + 1))

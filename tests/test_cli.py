@@ -119,6 +119,21 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
 
 
+@pytest.mark.parametrize("T, stride", [(2500, "2"), (999, "1"), (5, "7")])
+def test_manifest_writes_the_stride_the_run_used(tmp_path, T, stride):
+    # run_game alone picks the default stride, max(1, T // 1000); the manifest reads it off the trajectory
+    outs = {}
+    for name, flags in (("default", []), ("given", ["--stride", stride])):
+        outs[name] = tmp_path / name
+        assert main(["run", "--kind", "general", "--dims", "2,2", "--T", str(T), "--eta", "0.1", *flags,
+                     "--out", str(outs[name])]) == 0
+    manifest = json.loads((outs["given"] / "manifest.json").read_text())
+    assert manifest["stride"] == int(stride)
+    same = max(1, T // 1000) == int(stride)
+    for name in ("manifest.json", "trajectory.csv"):
+        assert ((outs["default"] / name).read_bytes() == (outs["given"] / name).read_bytes()) == same, name
+
+
 def test_run_flag_validation(tmp_path, capsys):
     game = tmp_path / "g.json"
     main(["gen", "--kind", "general", "--dims", "2,2", "--seed", "2", "--out", str(game)])
@@ -474,12 +489,16 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
         (["--T", "5", "--eta", "1e308"], "stepsize 1e+308 gives a regret bound over 5 rounds that is not finite"),
         (["--dims", "3,3", "--T", "5", "--eta", "1e308"],
          "stepsize 1e+308 gives a regret bound over 5 rounds that is not finite"),
+        # horizons no run can play: eps**2 underflows to 0, T ~ 2.8e300, and T = 1e20 > 2**63 - 1
+        (["--epsilon", "1e-200"], "epsilon 1e-200 needs a horizon over 2**63 - 1 rounds"),
+        (["--epsilon", "1e-150"], "epsilon 1e-150 needs a horizon over 2**63 - 1 rounds"),
+        (["--T", "100000000000000000000", "--eta", "0.1"], "horizon must be <= 2**63 - 1, got 100000000000000000000"),
     ],
     ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative",
          "game-with-kind", "game-with-dims", "game-with-graph", "graph-without-polymatrix",
          "pairwise-without-polymatrix", "epsilon-with-eta", "epsilon-with-doubling", "learner-unknown",
          "graph-unparsable", "graph-size-mismatch", "no-game", "dims-unallocatable", "eta-bound-overflow-qubits",
-         "eta-bound-overflow-qutrits"],
+         "eta-bound-overflow-qutrits", "epsilon-squared-underflows", "epsilon-horizon-over-int64", "T-over-int64"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"

@@ -247,7 +247,7 @@ def test_maxent_condition_agrees_with_spectrahedral_check():
         lam = rng.random((2, 2))
         lam /= lam.sum()
         rho = sum(lam[p, q] * qg.bell_projector(p, q) for p in range(2) for q in range(2))
-        scalar = qg.maxent_qcce_condition(a, b, lam, tol=1e-8)
+        scalar = qg.maxent_qcce_condition(a, b, lam)
         spectra = qg.is_qcce(qg.maxent_game(a, b), rho, tol=1e-8).verdict
         assert scalar == spectra
 

@@ -174,6 +174,10 @@ def test_horizon_range_validation():
         qg.horizon_for_epsilon(qg.random_game((2, 2), 1), 0.0)
     with pytest.raises(ValueError, match="register dimension must be >= 2"):
         qg.horizon_for_epsilon(qg.QuantumGame((1, 1), (np.eye(1), -np.eye(1))), 0.2)
+    # epsilon**2 underflows to 0 (1e-200) or leaves a horizon beyond int64 (1e-150): no division, no endless run
+    for eps in (1e-200, 1e-160, 1e-150):
+        with pytest.raises(ValueError, match=r"needs a horizon over 2\*\*63 - 1 rounds"):
+            qg.horizon_for_epsilon(qg.random_game((2, 2), 1), eps)
 
 
 # (game, its zero_sum, its certificate, (eta, T) at eps 0.3 and at eps 0.7): the values the command
@@ -280,6 +284,9 @@ def test_run_game_validation():
         qg.run_game(g, learners[:1], 10)
     with pytest.raises(ValueError):
         qg.run_game(g, learners, 0)
+    for T in (2**63, 10**20):   # past the int64 checkpoint rounds
+        with pytest.raises(ValueError, match=r"^horizon must be <= 2\*\*63 - 1"):
+            qg.run_game(g, learners, T)
     with pytest.raises(ValueError):
         qg.run_game(g, [qg.MMWU(3, qg.fixed_schedule(0.1)) for _ in range(2)], 10)
     # one learner object for two players would feed both players' gains into one sum
