@@ -43,9 +43,9 @@ class ChoiMatrix:
     in_dim: int
 
     def __post_init__(self):
-        n = self.out_dim * self.in_dim
+        out_dim, in_dim = _check_ints((self.out_dim, self.in_dim), "Choi matrix out and in dims")
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (n, n):
+        if m.shape != (out_dim * in_dim,) * 2:
             raise ValueError(f"Choi matrix shape {m.shape} does not match out {self.out_dim} x in {self.in_dim}")
         m = _checked_herm(m, "Choi matrix must be Hermitian (Hermiticity-preserving maps only)")
         m.setflags(write=False)
@@ -142,9 +142,7 @@ def lift_channel(c: ChoiMatrix, dims: Sequence[int], i: int) -> Callable[[np.nda
     """
     dims = _check_ints(dims)
     k = len(dims)
-    i = _check_int(i, "player index")
-    if not 0 <= i < k:
-        raise ValueError(f"player index {i} out of range")
+    i = _check_int(i, "player index", k)
     if c.in_dim != dims[i] or c.out_dim != dims[i]:
         raise ValueError(f"channel dims ({c.out_dim}, {c.in_dim}) do not match register {i} dim {dims[i]}")
     if not is_cptp(c):

@@ -30,6 +30,7 @@ from .channels import ChoiMatrix, apply_adjoint, apply_superop, lift_channel
 from .games import Game, _others, gain_matrix, utility
 from .tensor import (
     _check_distribution,
+    _check_int,
     _check_ints,
     _reduced,
     check_density,
@@ -214,7 +215,8 @@ def brute_force_gap(
     Every payoff is read off the dense lift ``g.tensors``, so the estimate
     stays independent of the game's terms too.
     """
-    if n_samples < 1:
+    i = _check_int(i, "player", g.n_players)
+    if _check_int(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be >= 1")
     k = g.n_players
     d = g.dims[i]

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .tensor import (
+    _check_int,
     _check_ints,
     _checked_herm,
     _reduced,
@@ -111,11 +111,11 @@ class Game:
         terms = [[] for _ in dims]
         for i, payoff in enumerate(self.terms):
             for regs, r in payoff:
-                regs, r = tuple(map(index, regs)), np.asarray(r, dtype=complex)
-                if i not in regs or len(set(regs)) != len(regs) or not all(0 <= x < k for x in regs):
-                    raise ValueError(f"player {i}'s term reads {regs}: not distinct registers in [0, {k}) with {i}")
-                if r.shape != (prod(dims[x] for x in regs),) * 2:
-                    raise ValueError(f"term tensor shape {r.shape} does not match the dims of registers {regs}")
+                regs = _check_ints(regs, f"the registers player {i}'s term reads", 0, k)
+                if i not in regs or len(set(regs)) != len(regs):
+                    raise ValueError(f"player {i}'s term reads {regs}: not distinct registers with {i}")
+                if np.shape(r) != (prod(dims[x] for x in regs),) * 2:
+                    raise ValueError(f"term tensor shape {np.shape(r)} does not match the dims of registers {regs}")
                 terms[i].append((regs, _freeze(_checked_herm(r, "utility tensors must be Hermitian"))))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", tuple(map(tuple, terms)))
@@ -264,6 +264,7 @@ def maxent_game(a: np.ndarray, b: np.ndarray) -> Game:
 
 def utility(g: Game, rho: np.ndarray, i: int) -> float:
     """Player i's payoff at the joint state rho: ``sum Tr(R rho_regs)`` over their terms, rho_regs a marginal."""
+    i = _check_int(i, "player", g.n_players)
     rho = np.asarray(rho, dtype=complex)
     n = g.joint_dim
     if rho.shape != (n, n):
@@ -279,6 +280,7 @@ def gain_matrix(g: Game, i: int, rho_others: np.ndarray) -> np.ndarray:
     ascending order: the sum over ``g.gain_terms[i]`` of each term's
     contraction with the marginal of rho_others on the term's registers.
     """
+    i = _check_int(i, "player", g.n_players)
     d = g.dims[i]
     rest = g.joint_dim // d
     rho_others = np.asarray(rho_others, dtype=complex)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from math import ceil, isfinite, log, prod, sqrt
+from math import ceil, isfinite, isinf, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +98,7 @@ class Schedule:
             t_e = self.epoch_length(epoch)
             eta_e = self.epoch_eta(epoch, dim)
             used = min(remaining, t_e)
-            total += eta_e * used + log(dim) / eta_e
+            total += eta_e * used + (log(dim) / eta_e if dim > 1 else 0.0)   # ln 1 / eta_e is 0 / 0
             remaining -= used
             epoch += 1
         return total
@@ -248,7 +248,7 @@ class ScriptedNoRegret:
         weights = _check_distribution(weights, 1)
         if len(profiles) != len(weights):
             raise ValueError("one strategy profile per mixture component required")
-        self.player = _check_int(player, "player")
+        self.player = _check_int(player, "player", len(profiles[0]))
         self.weights = weights
         self.profiles = [[check_density(np.asarray(r, dtype=complex)) for r in prof] for prof in profiles]
         self.dim = self.profiles[0][self.player].shape[0]
@@ -540,7 +540,8 @@ def run_game(
     :func:`~qgames.equilibria.is_qcce` and ``is_qne`` (``verify``) stay the
     independent certificates.  Checkpoints
     fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
-    final round.  The run is deterministic given the game and learners.
+    final round.  The run is deterministic given the game and learners.  Each
+    learner's ``average_regret_bound(T)`` must be finite, or NaN for no bound.
 
     The round works on player groups, the players of one register
     dimension, each held as one ``(m, B, d, d)`` stack of strategies, gains
@@ -603,6 +604,9 @@ def run_game(
         raise ValueError("horizon must be >= 1")
     if T > _MAX_HORIZON:
         raise ValueError(f"horizon must be <= 2**63 - 1, got {T}")
+    for ln in learners:   # the bound column; NaN states no bound, and only a stepsize makes one infinite
+        if isinf(ln.average_regret_bound(T)):
+            raise ValueError(f"stepsize {ln.schedule.eta} gives a regret bound over {T} rounds that is not finite")
     stride = max(1, T // 1000) if stride is None else _check_int(stride, "checkpoint stride")
     if stride < 1:
         raise ValueError("checkpoint stride must be >= 1")

@@ -7,7 +7,8 @@ identical double and identical inputs always produce byte-identical files.
 CSV output is UTF-8 with LF line endings and a fixed, documented header row.
 Writers stream their files, JSON 128 pairs and CSV one row at a time, so their
 memory does not grow with the file, and ``write_json`` returns the SHA-256 of
-the bytes it wrote.
+the bytes it wrote.  Readers decode the matrices and leave every other check to
+the constructors they hand them to; writers refuse what readers refuse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import chain
-from math import prod
+from math import isqrt, prod
 from typing import Any, Iterator
 
 import numpy as np
@@ -23,14 +24,16 @@ import numpy as np
 from .equilibria import EquilibriumReport, ValueCertificate
 from .games import Game, PolymatrixGame, QuantumGame, tensors_cancel
 from .learning import Trajectory
-from .tensor import _check_ints, _check_layout, spectral_norm
+from .tensor import _check_int, _check_ints, _check_layout, spectral_norm
 
 
-def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarray:
+def decode_matrix(entries: list[list[float]]) -> np.ndarray:
+    """The n x n matrix of n^2 row-major ``[re, im]`` pairs of finite numbers, not booleans."""
     if not isinstance(entries, list):
         raise ValueError(f"a matrix must be a list of [re, im] pairs, got {type(entries).__name__}")
-    if len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+    n = isqrt(len(entries))
+    if n * n != len(entries):
+        raise ValueError(f"a square matrix has a square number of entries, got {len(entries)}")
     try:
         # complex() takes booleans as 1 and 0, so they are filtered out and counted as bad entries
         flat = np.array(
@@ -40,9 +43,13 @@ def decode_matrix(entries: list[list[float]], rows: int, cols: int) -> np.ndarra
         raise ValueError(f"matrix entries must be [re, im] pairs of numbers: {exc}") from None
     if len(flat) != len(entries):
         raise ValueError("matrix entries must be [re, im] pairs of numbers, not booleans")
-    if not np.isfinite(flat).all():
+    return _check_finite(flat).reshape(n, n)
+
+
+def _check_finite(m: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return m
 
 
 def _blocks(obj: Any, indent: str = "") -> Iterator[str]:
@@ -121,19 +128,21 @@ def game_to_obj(game: Game, seed: int | None = None) -> dict:
         mats = [r for pair in edges.values() for r in pair]
         obj = {"kind": "polymatrix",
                "edges": [{"i": i, "j": j, "r_ij": a, "r_ji": b} for (i, j), (a, b) in edges.items()]}
-    obj.update(dims=list(game.dims), spectral_norms=[spectral_norm(r) for r in mats])
+    obj.update(dims=list(_file_dims(game.dims)), spectral_norms=[spectral_norm(r) for r in mats])
     if seed is not None:
-        obj["seed"] = seed
+        obj["seed"] = _check_int(seed, "seed")   # json writes a Python int, and stops at a numpy int mid-file
     return obj
 
 
-def _read_dims(obj: Any) -> tuple[int, ...]:
-    """The "dims" of a game or state object, which must be a non-empty list of integers >= 2, as for ``--dims``."""
-    return _check_ints(obj.get("dims") if isinstance(obj, dict) else None, low=2)
+def _file_dims(dims: Any) -> tuple[int, ...]:
+    """The "dims" of a game or state file, which must be a non-empty list of integers >= 2, as for ``--dims``."""
+    return _check_ints(dims, low=2)
 
 
 def _field(obj: dict, key: str, what: str) -> Any:
-    """``obj[key]``, or a ValueError that names the missing field and what lacks it."""
+    """``obj[key]``, or a ValueError that names the missing field and what lacks it, or says ``obj`` is no object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f'{what} has no "{key}" field')
     return obj[key]
@@ -146,31 +155,16 @@ def _read_list(obj: dict, key: str) -> list:
     return val
 
 
-def _read_edge_ends(e: Any, k: int) -> tuple[int, int]:
-    """The (i, j) of a polymatrix edge object: two distinct player indices below k."""
-    ends = (e.get("i"), e.get("j")) if isinstance(e, dict) else None
-    if ends is None or not all(type(p) is int and 0 <= p < k for p in ends) or ends[0] == ends[1]:
-        raise ValueError(f"edge ends must be two distinct players in [0, {k}), got {ends!r}")
-    return ends
-
-
 def obj_to_game(obj: dict) -> Game:
-    dims = _read_dims(obj)
+    dims = _file_dims(_field(obj, "dims", "game file"))
     kind = _field(obj, "kind", "game file")
     if kind not in ("general", "zero_sum", "polymatrix"):
         raise ValueError(f"unknown game kind {kind!r}")
     if kind == "polymatrix":
-        edges = []
-        for e in _read_list(obj, "edges"):
-            i, j = _read_edge_ends(e, len(dims))
-            nij = dims[i] * dims[j]
-            edges.append(((i, j), (
-                decode_matrix(_field(e, "r_ij", "game file edge"), nij, nij),
-                decode_matrix(_field(e, "r_ji", "game file edge"), nij, nij),
-            )))
-        return PolymatrixGame(dims, edges)
-    n = prod(dims)
-    game = QuantumGame(dims, tuple(decode_matrix(t, n, n) for t in _read_list(obj, "tensors")))
+        edges = [[_field(e, key, "game file edge") for key in ("i", "j", "r_ij", "r_ji")]
+                 for e in _read_list(obj, "edges")]
+        return PolymatrixGame(dims, [((i, j), (decode_matrix(a), decode_matrix(b))) for i, j, a, b in edges])
+    game = QuantumGame(dims, tuple(map(decode_matrix, _read_list(obj, "tensors"))))
     if kind == "zero_sum" and not game.zero_sum:
         raise ValueError("zero_sum flag set but tensors do not cancel")
     return game
@@ -190,14 +184,16 @@ def load_game(path) -> tuple[str, Game]:
 
 
 def save_state(path, rho: np.ndarray, dims) -> None:
-    write_json(path, {"dims": list(_check_layout(rho, dims)), "matrix": np.asarray(rho, dtype=complex)})
+    """Write ``{dims, matrix}``, refusing what :func:`load_state` refuses before the file is opened."""
+    dims = _check_layout(rho, _file_dims(dims))
+    write_json(path, {"dims": list(dims), "matrix": _check_finite(np.asarray(rho, dtype=complex))})
 
 
 def load_state(path) -> tuple[tuple[int, ...], np.ndarray]:
     obj = read_json(path)
-    dims = _read_dims(obj)
-    n = prod(dims)
-    return dims, decode_matrix(_field(obj, "matrix", "state file"), n, n)
+    dims = _file_dims(_field(obj, "dims", "state file"))
+    rho = decode_matrix(_field(obj, "matrix", "state file"))
+    return _check_layout(rho, dims), rho
 
 
 # -- reports --------------------------------------------------------------

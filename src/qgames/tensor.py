@@ -15,12 +15,12 @@ Conventions shared by every module in this package:
 * Tolerances come in three tiers: 1e-12 .. 1e-9 for exact algebra, 1e-8 for
   checks on given operators and states, 1e-6 for spectra of iterated or
   time-averaged states.  Sizes and register indices go through
-  ``operator.index``, so a float is refused, never truncated.
+  ``operator.index``, so a float is refused, never truncated, and so is a bool.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import inf, prod
 from operator import index
 from typing import Iterable, Sequence
 
@@ -74,9 +74,9 @@ def kron(*mats: np.ndarray) -> np.ndarray:
 
 
 def _check_ints(xs, what: str = "dims", low: int = 1, high: int | None = None, empty: bool = False) -> tuple[int, ...]:
-    """``xs`` as a tuple of ints, if a sequence of integers (``operator.index``) in [low, high), non-empty unless ``empty``."""
+    """``xs`` as ints, if a sequence of integers (``operator.index``, not bool) in [low, high), non-empty unless ``empty``."""
     try:
-        out = tuple(map(index, xs))
+        out = tuple(index(None if isinstance(x, bool) else x) for x in xs)
     except TypeError:   # not a sequence, or an entry that is not an integer
         out = None
     if out is None or not (out or empty) or any(x < low or (high is not None and x >= high) for x in out):
@@ -85,11 +85,12 @@ def _check_ints(xs, what: str = "dims", low: int = 1, high: int | None = None, e
     return out
 
 
-def _check_int(x, what: str) -> int:   # a scalar size or index, by the rule of _check_ints
+def _check_int(x, what: str, high: int | None = None) -> int:
+    """A scalar size, or with ``high`` an index in [0, high), by the rule of :func:`_check_ints`."""
     try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+        return _check_ints((x,), what, -inf if high is None else 0, high)[0]
+    except ValueError:
+        raise ValueError(f"{what} must be an integer{'' if high is None else f' in [0, {high})'}, got {x!r}") from None
 
 
 def _check_layout(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -148,9 +149,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], factor: int) -> np.nda
     """Transpose a single tensor factor in place, leaving the others alone."""
     dims = _check_layout(m, dims)
     k = len(dims)
-    factor = _check_int(factor, "factor")
-    if not 0 <= factor < k:
-        raise ValueError(f"factor {factor} out of range for {k} registers")
+    factor = _check_int(factor, "factor", k)
     n = prod(dims)
     t = np.asarray(m, dtype=complex).reshape(dims + dims)
     axes = list(range(2 * k))

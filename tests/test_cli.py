@@ -277,6 +277,12 @@ def _duplicate_edge(obj):
     return {**obj, "edges": obj["edges"] + [{**e, "i": e["j"], "j": e["i"]}]}
 
 
+def _bool_edge_end(obj):
+    # the first edge is (0, 1): read as the integer 1, true would give back the file unchanged
+    assert obj["edges"][0]["j"] == 1
+    return {**obj, "edges": [{**obj["edges"][0], "j": True}] + obj["edges"][1:]}
+
+
 def _unknown_kind(obj):
     return {**obj, "kind": "potential"}
 
@@ -303,13 +309,14 @@ def _bool_matrix_entry(obj):
         ("polymatrix", _null_edges),
         ("polymatrix", _edge_out_of_range),
         ("polymatrix", _duplicate_edge),
+        ("polymatrix", _bool_edge_end),
         ("general", _unknown_kind),
         ("general", _matrix_not_a_list),
         ("polymatrix", _bad_matrix_entry),
         ("general", _bool_matrix_entry),
     ],
     ids=[
-        "null-tensors", "null-edges", "edge-out-of-range", "duplicate-edge",
+        "null-tensors", "null-edges", "edge-out-of-range", "duplicate-edge", "bool-edge-end",
         "unknown-kind", "matrix-not-a-list", "bad-matrix-entry", "bool-matrix-entry",
     ],
 )
@@ -493,12 +500,16 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
         (["--epsilon", "1e-200"], "epsilon 1e-200 needs a horizon over 2**63 - 1 rounds"),
         (["--epsilon", "1e-150"], "epsilon 1e-150 needs a horizon over 2**63 - 1 rounds"),
         (["--T", "100000000000000000000", "--eta", "0.1"], "horizon must be <= 2**63 - 1, got 100000000000000000000"),
+        # too large for a float: the regret bound cannot be computed, so the horizon is checked first
+        (["--T", "1" + "0" * 400, "--eta", "0.1"], "horizon must be <= 2**63 - 1, got 1" + "0" * 400),
+        (["--T", "1" + "0" * 400, "--schedule", "doubling"], "horizon must be <= 2**63 - 1, got 1" + "0" * 400),
     ],
     ids=["stride-0", "T-0", "learner-count", "T-without-eta", "ftrl-doubling", "eta-with-doubling", "seed-negative",
          "game-with-kind", "game-with-dims", "game-with-graph", "graph-without-polymatrix",
          "pairwise-without-polymatrix", "epsilon-with-eta", "epsilon-with-doubling", "learner-unknown",
          "graph-unparsable", "graph-size-mismatch", "no-game", "dims-unallocatable", "eta-bound-overflow-qubits",
-         "eta-bound-overflow-qutrits", "epsilon-squared-underflows", "epsilon-horizon-over-int64", "T-over-int64"],
+         "eta-bound-overflow-qutrits", "epsilon-squared-underflows", "epsilon-horizon-over-int64", "T-over-int64",
+         "T-over-float", "T-over-float-doubling"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"

@@ -1,9 +1,10 @@
-"""One rule per input: sizes and register indices are integers, never truncated floats.
+"""One rule per input: sizes and register indices are integers, never truncated floats or booleans.
 
 Every entry point that takes a register size or index sends it through
 ``operator.index`` (``tensor._check_ints`` for sequences, ``tensor._check_int``
 for scalars), so a float raises ``ValueError`` where ``int()`` used to cut it
-down, and numpy integers pass as Python ints do.
+down, a ``bool`` raises it too, and numpy integers pass as Python ints do.
+A player index lies in [0, k).
 """
 
 import json
@@ -16,6 +17,7 @@ from qgames import serialize as ser
 
 RHO = np.eye(4, dtype=complex) / 4
 HALF = np.eye(2, dtype=complex) / 2
+GAME = qg.random_game((2, 2), 1)
 
 
 FLOAT_SIZES_AND_INDICES = {
@@ -34,6 +36,10 @@ FLOAT_SIZES_AND_INDICES = {
     "PolymatrixGame edge": lambda _: qg.PolymatrixGame((2, 2), [((0.0, 1), (np.eye(4), np.eye(4)))]),
     "random_polymatrix edge": lambda _: qg.random_polymatrix((2, 2), [(0, 1.0)], seed=1),
     "save_state dims": lambda tmp_path: ser.save_state(tmp_path / "s.json", RHO, (2.5, 2)),
+    "Game regs": lambda _: qg.Game((2, 2), [[((0, 1.0), np.eye(4))], [((1, 0), np.eye(4))]]),
+    "ChoiMatrix sizes": lambda _: qg.ChoiMatrix(np.eye(4), 2.0, 2.0),
+    "utility player": lambda _: qg.utility(GAME, RHO, 1.0),
+    "brute_force_gap n_samples": lambda _: qg.brute_force_gap(GAME, 0, RHO, 2.5, seed=1),
 }
 
 
@@ -42,6 +48,48 @@ def test_a_float_size_or_index_is_rejected(tmp_path, name):
     with pytest.raises(ValueError):
         FLOAT_SIZES_AND_INDICES[name](tmp_path)
     assert not (tmp_path / "s.json").exists()
+
+
+BOOL_SIZES_AND_INDICES = {
+    # each would pass as the integer 1 (True) or 0 (False): the shapes and ranges all fit
+    "QuantumGame dims": lambda: qg.QuantumGame((True, 2), (np.eye(2), np.eye(2))),
+    "partial_trace keep": lambda: qg.partial_trace(RHO, (2, 2), keep=(True,)),
+    "partial_transpose factor": lambda: qg.partial_transpose(RHO, (2, 2), False),
+    "PolymatrixGame edge": lambda: qg.PolymatrixGame((2, 2), [((True, 0), (np.eye(4), np.eye(4)))]),
+    "Game regs": lambda: qg.Game((2, 2), [[((0, True), np.eye(4))], [((1, 0), np.eye(4))]]),
+    "ChoiMatrix sizes": lambda: qg.ChoiMatrix(np.eye(1), True, True),
+    "MMWU dim": lambda: qg.MMWU(True, qg.fixed_schedule(0.1)),
+    "MMWU batch": lambda: qg.MMWU(2, qg.fixed_schedule(0.1), batch=True),
+    "utility player": lambda: qg.utility(GAME, RHO, True),
+    "lift_channel register": lambda: qg.lift_channel(qg.choi_of_identity(2), (2, 2), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_SIZES_AND_INDICES))
+def test_a_bool_size_or_index_is_rejected(name):
+    with pytest.raises(ValueError):
+        BOOL_SIZES_AND_INDICES[name]()
+
+
+PLAYER_INDEX_CALLS = {
+    "utility": lambda i: qg.utility(GAME, RHO, i),
+    "gain_matrix": lambda i: qg.gain_matrix(GAME, i, HALF),
+    "best_response": lambda i: qg.best_response(GAME, i, HALF),
+    "exploitability": lambda i: qg.exploitability(GAME, i, RHO),
+    "brute_force_gap": lambda i: qg.brute_force_gap(GAME, i, RHO, 4, seed=1),
+    "ScriptedNoRegret": lambda i: qg.ScriptedNoRegret(i, [1.0], [[HALF, HALF]]),
+    "lift_channel": lambda i: qg.lift_channel(qg.choi_of_identity(2), (2, 2), i),
+    "partial_transpose": lambda i: qg.partial_transpose(RHO, (2, 2), i),
+}
+
+
+@pytest.mark.parametrize("i", [-1, 2, 10**400, 1.0, "1", None])
+@pytest.mark.parametrize("name", sorted(PLAYER_INDEX_CALLS))
+def test_a_player_index_is_an_integer_in_range(name, i):
+    # -1 once read the last player's payoff, and the others died in a numpy reshape or with a TypeError
+    with pytest.raises(ValueError, match=r" must be an integer in \[0, 2\), got "):
+        PLAYER_INDEX_CALLS[name](i)
+    PLAYER_INDEX_CALLS[name](np.int64(1))
 
 
 def test_numpy_integers_pass_as_ints(tmp_path):
@@ -60,6 +108,8 @@ def test_numpy_integers_pass_as_ints(tmp_path):
     assert qg.random_game(dims, 1).dims == (2, 2)
     ser.save_state(tmp_path / "s.json", rho, dims)
     assert json.loads((tmp_path / "s.json").read_text())["dims"] == [2, 2]
+    ser.save_game(tmp_path / "g.json", qg.random_game(dims, 1), seed=np.int64(1))   # json cannot write a numpy int
+    assert json.loads((tmp_path / "g.json").read_text())["seed"] == 1
     assert ser.load_state(tmp_path / "s.json")[0] == (2, 2)
 
 
@@ -83,7 +133,7 @@ def test_out_of_range_indices_are_rejected():
         qg.partial_trace(RHO, (2, 2), keep=(0, 2))
     with pytest.raises(ValueError, match="^perm"):
         qg.permute_registers(RHO, (2, 2), (-1, 0))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^player index must be an integer in \[0, 2\), got 2$"):
         qg.lift_channel(qg.choi_of_identity(2), (2, 2), 2)
 
 

@@ -227,6 +227,29 @@ def test_doubling_schedule_bound_walk():
     assert abs(sched.cumulative_bound(12, d) - expected) < 1e-12
 
 
+def test_doubling_bound_on_a_dim_one_register():
+    # ln 1 = 0, so the ln d / eta term is 0 where eta_e = sqrt(ln 1 / T_e) is 0 too; a run with such a register plays
+    assert qg.doubling_schedule().cumulative_bound(100, 1) == 0.0
+    g = qg.QuantumGame((1, 2), (np.eye(2), qg.kron(np.eye(1), qg.PAULI_Z)))
+    learners = [qg.MMWU(1, qg.doubling_schedule()), qg.MMWU(2, qg.doubling_schedule())]
+    traj = qg.run_game(g, learners, 5)
+    assert [float(b) for b in traj.bound] == [learners[1].average_regret_bound(t) for t in range(1, 6)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_doubling_bound_keeps_its_bits_for_d_at_least_2(d):
+    sched, ln_d = qg.doubling_schedule(3), np.log(d)
+    for t in (1, 3, 4, 100, 12345):
+        total, remaining, epoch = 0.0, t, 0
+        while remaining > 0:
+            t_e = 3 * 2**epoch
+            eta_e = float(np.sqrt(ln_d / t_e))
+            used = min(remaining, t_e)
+            total += eta_e * used + float(ln_d) / eta_e
+            remaining, epoch = remaining - used, epoch + 1
+        assert sched.cumulative_bound(t, d) == total
+
+
 def test_doubling_mmwu_meets_anytime_bound():
     g = qg.random_game((2, 2), 3)
     sched = qg.doubling_schedule()
@@ -289,6 +312,12 @@ def test_run_game_validation():
             qg.run_game(g, learners, T)
     with pytest.raises(ValueError):
         qg.run_game(g, [qg.MMWU(3, qg.fixed_schedule(0.1)) for _ in range(2)], 10)
+    # a bound that overflows is refused before the first round (FTRL's NaN states none); a too-long horizon comes first
+    huge = [qg.MMWU(2, qg.fixed_schedule(1e308)), qg.FrobeniusFTRL(2, 1e308)]
+    with pytest.raises(ValueError, match=r"^stepsize 1e\+308 gives a regret bound over 5 rounds that is not finite$"):
+        qg.run_game(g, huge, 5)
+    with pytest.raises(ValueError, match=r"^horizon must be <= 2\*\*63 - 1"):
+        qg.run_game(g, huge, 10**400)
     # one learner object for two players would feed both players' gains into one sum
     shared = qg.MMWU(2, qg.fixed_schedule(0.2))
     with pytest.raises(ValueError, match="learner object of its own"):
@@ -501,6 +530,9 @@ def test_scripted_validation():
         qg.ScriptedNoRegret(0, [np.nan, 1.0], profiles)
     with pytest.raises(ValueError, match="probability distribution"):
         qg.ScriptedNoRegret(0, [], profiles)
+    for player in (-1, 2, True, 1.0):   # an index of one of the profile's two players
+        with pytest.raises(ValueError, match=r"^player must be an integer in \[0, 2\), got "):
+            qg.ScriptedNoRegret(player, [0.5, 0.5], profiles)
 
 
 def test_run_game_is_deterministic():

@@ -19,13 +19,15 @@ def test_matrix_roundtrip_is_bit_exact():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     text = ser.dumps_canonical(m)
-    back = ser.decode_matrix(json.loads(text), 3, 3)
+    back = ser.decode_matrix(json.loads(text))
     assert np.array_equal(back, m)
 
 
 def test_decode_matrix_length_check():
-    with pytest.raises(ValueError):
-        ser.decode_matrix([[0.0, 0.0]], 2, 2)
+    # a matrix file holds a square matrix of any size, so only a count that is not a square is refused here
+    with pytest.raises(ValueError, match="^a square matrix has a square number of entries, got 3$"):
+        ser.decode_matrix([[0.0, 0.0]] * 3)
+    assert ser.decode_matrix([[0.0, 0.0]] * 9).shape == (3, 3)
 
 
 def test_game_file_roundtrip(tmp_path):
@@ -325,6 +327,60 @@ def test_file_objects_dump_like_json_dumps(tmp_path_factory, game_seed, bound_sc
     for obj in objs:
         assert ser.dumps_canonical(obj) == reference_dumps(obj)
         assert_writes_canonical(obj, tmp_path_factory.getbasetemp() / "file_object.json")
+
+
+# -- every file a writer accepts loads back bit for bit -------------------------------
+
+
+file_dims = st.lists(st.sampled_from([True, 1, 2, 3, 2.0]), min_size=1, max_size=3)
+entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([nan, inf, -inf])
+
+
+@st.composite
+def states(draw):
+    """Dims drawn from legal and illegal entries, and a matrix of their joint size, some of its entries not finite."""
+    dims = draw(file_dims)
+    n = int(np.prod([int(d) for d in dims]))
+    values = draw(st.lists(entries, min_size=2 * n * n, max_size=2 * n * n))
+    return dims, np.array(values).view(complex).reshape(n, n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(states())
+@example(([1, 2], np.eye(2) / 2))   # a register of dimension 1, which the library allows
+@example(([2], np.array([[0.5, nan], [nan, 0.5]])))
+def test_save_state_writes_only_what_load_state_reads_back(tmp_path_factory, dims_rho):
+    dims, rho = dims_rho
+    path = tmp_path_factory.getbasetemp() / "roundtrip_state.json"
+    path.unlink(missing_ok=True)
+    try:
+        ser.save_state(path, rho, dims)
+    except ValueError:
+        assert not path.exists()
+        return
+    back_dims, back = ser.load_state(path)
+    assert back_dims == tuple(dims) and back.view(float).tobytes() == rho.view(float).tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3), st.booleans(), st.integers(0, 2**16))
+@example([1, 2], False, 0)
+def test_save_game_writes_only_what_load_game_reads_back(tmp_path_factory, dims, polymatrix, seed):
+    # the library allows registers of dimension 1; a file does not, so a game with one is refused before writing
+    game = (qg.random_polymatrix(dims, qg.graph_edges("path", len(dims)), seed) if polymatrix
+            else qg.random_game(dims, seed))
+    path = tmp_path_factory.getbasetemp() / "roundtrip_game.json"
+    path.unlink(missing_ok=True)
+    try:
+        ser.save_game(path, game, seed=seed)
+    except ValueError:
+        assert 1 in dims and not path.exists()
+        return
+    _, back = ser.load_game(path)
+    assert back.dims == game.dims
+    for mine, theirs in zip(game.terms, back.terms, strict=True):
+        for (regs, r), (back_regs, back_r) in zip(mine, theirs, strict=True):
+            assert regs == back_regs and r.tobytes() == back_r.tobytes()
 
 
 def reference_csv(traj):
