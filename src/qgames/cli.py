@@ -167,7 +167,8 @@ def cmd_run(args) -> int:
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
     schedule, horizon = _run_setup(games[0], args)
     names, learners = _make_learners(args.learners, games[0], schedule, batch=args.runs)
-    trajs = run_game(games, learners, horizon, stride=args.stride)
+    with np.errstate(over="raise", invalid="raise"):   # a stepsize that overflows the learner's state
+        trajs = run_game(games, learners, horizon, stride=args.stride)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
     for outdir, seed, game, traj in zip(outdirs, seeds, games, trajs):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -285,7 +286,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, MemoryError) as exc:   # MemoryError: a size numpy refuses to allocate
+    # MemoryError: a size numpy refuses to allocate; FloatingPointError: a run whose numbers overflow
+    except (ValueError, KeyError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

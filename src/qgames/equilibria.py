@@ -216,8 +216,7 @@ def brute_force_gap(
     stays independent of the game's terms too.
     """
     i = _check_int(i, "player", g.n_players)
-    if _check_int(n_samples, "n_samples") < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _check_int(n_samples, "n_samples", low=1)
     k = g.n_players
     d = g.dims[i]
     n = g.joint_dim

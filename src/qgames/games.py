@@ -308,7 +308,7 @@ def random_game(dims: Sequence[int], seed: int, kind: str = "general") -> Game:
     """
     dims = _check_ints(dims)
     n = prod(dims)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", low=0))
     if kind == "general":
         tensors = tuple(random_hermitian(n, rng, norm=1.0) for _ in dims)
         return QuantumGame(dims, tensors)
@@ -321,9 +321,8 @@ def random_game(dims: Sequence[int], seed: int, kind: str = "general") -> Game:
 
 
 def graph_edges(name: str, k: int) -> list[tuple[int, int]]:
-    """Named interaction graphs: cycle, path, complete."""
-    if k < 2:
-        raise ValueError("graphs need at least two players")
+    """Named interaction graphs on k >= 2 players: cycle, path, complete."""
+    k = _check_int(k, "graph size", low=2)
     if name == "cycle":
         if k == 2:
             return [(0, 1)]
@@ -352,7 +351,7 @@ def random_polymatrix(
     if not edges:
         raise ValueError("a random polymatrix game needs at least one edge")
     edges = [_check_edge(i, j, len(dims)) for i, j in edges]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", low=0))
     scale = 1.0 / np.bincount(np.ravel(edges)).max()   # 1 / the largest degree
     built = []
     for i, j in map(sorted, edges):

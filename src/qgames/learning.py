@@ -3,12 +3,12 @@
 Learners implement a two-method protocol: ``strategy`` is the density played
 this round (the maximally mixed state before any feedback), and
 ``observe(gain, profile)`` absorbs the round's gain matrix.  :func:`run_game`
-plays like :class:`MMWU`-family learners as one batched team, and every other
-learner as a soloist that gets the round's states as ``profile``, one entry
-per register (the scripted learner checks its opponents' entries).  The
-runner is round-synchronous: all gains for round t are computed from round-t
-strategies before any learner advances, matching full-information
-simultaneous play.
+plays every learner as a team: like :class:`MMWU`-family learners as one
+batched team, and any other learner, or a lone MMWU one, as a team of itself.
+Each team gets the round's states as ``profile``, one entry per register (the
+scripted learner checks its opponents' entries).  The runner is
+round-synchronous: all gains for round t are computed from round-t strategies
+before any learner advances, matching full-information simultaneous play.
 
 Feedback is the exact gain matrix of each player (full-information online
 linear optimization), never a sampled payoff.
@@ -71,8 +71,7 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "fixed" and not (isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"stepsize must be positive and finite, got {self.eta}")
-        if self.base_epoch < 1:
-            raise ValueError("base epoch length must be >= 1")
+        _check_int(self.base_epoch, "base epoch length", low=1)
 
     def epoch_length(self, epoch: int) -> int:
         return self.base_epoch * (2 ** epoch)
@@ -117,11 +116,7 @@ def doubling_schedule(base_epoch: int = 8) -> Schedule:
 
 def _state_shape(dim: int, batch: int | None) -> tuple[int, ...]:
     """(d, d) for a single learner, (B, d, d) for a batch of B independent ones."""
-    if batch is None:
-        return (dim, dim)
-    if (batch := _check_int(batch, "batch size")) < 1:
-        raise ValueError("batch size must be >= 1")
-    return (batch, dim, dim)
+    return (dim, dim) if batch is None else (_check_int(batch, "batch size", low=1), dim, dim)
 
 
 def _check_gain(gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -150,7 +145,7 @@ class MMWU:
     """
 
     def __init__(self, dim: int, schedule: Schedule, batch: int | None = None):
-        self.dim = _check_int(dim, "dim")
+        self.dim = _check_int(dim, "dim", low=1)
         self.schedule = schedule
         self._sum = np.zeros(_state_shape(self.dim, batch), dtype=complex)
         self._epoch = 0
@@ -425,36 +420,40 @@ def _per_player(rows: list[np.ndarray], members: list[list[int]]) -> np.ndarray:
 def certify_checkpoints(
     ts: np.ndarray,
     dims: tuple[int, ...],
-    utils: list[np.ndarray],
-    realized: list[np.ndarray],
-    cum_gain: list[np.ndarray],
-    strategies: list[np.ndarray],
-    avg_spectra: np.ndarray,
-    pairings: list[np.ndarray] | None,
+    utils: Sequence[list[np.ndarray]],
+    realized: Sequence[list[np.ndarray]],
+    cum_gain: Sequence[list[np.ndarray]],
+    strategies: Sequence[list[np.ndarray]],
+    avg_spectra: Sequence[np.ndarray],
+    pairings: Sequence[list[np.ndarray]],
 ):
     """Every checkpoint row of a run, built from its records in stacked passes.
 
-    :func:`run_game` records raw state at each of the C checkpoint rounds ``ts``:
-    per player group (see :func:`_player_groups`) one array with leading axes
-    (C, m_g, B) of the round's utilities, of the running sums of utilities and
-    gains, of the round's strategies and, in "qne" mode, of the pairings
-    ``Re Tr(marginal_sum cum_gain)``, from which both gap columns are read
-    (see :func:`run_game`: each gain term of a "qne" game reads one opponent
-    register); and the (C, B, n) ascending spectra of the running joint
-    averages.  Each pass is the per-matrix LAPACK call or the elementwise
-    IEEE operation a checkpoint-by-checkpoint computation would make, so the
-    rows have its bits.
+    :func:`run_game` records raw state at each of the C checkpoint rounds ``ts``,
+    one entry per checkpoint as the run goes: per player group (see
+    :func:`_player_groups`) one (m_g, B, ...) array of the round's utilities,
+    of the running sums of utilities and gains, of the round's strategies and,
+    in "qne" mode, of the pairings ``Re Tr(marginal_sum cum_gain)`` (no
+    pairings in "qcce" mode), from which both gap columns are read (see
+    :func:`run_game`: each gain term of a "qne" game reads one opponent
+    register); and the (B, n) ascending spectrum of the running joint
+    averages.  The records are stacked to (C, m_g, B, ...) per group, and each
+    pass is the per-matrix LAPACK call or the elementwise IEEE operation a
+    checkpoint-by-checkpoint computation would make, so the rows have its bits.
 
     Returns the (C, B, ...) columns ``utils``, ``avg_regret``, ``gaps``,
     ``joint_eigs`` and ``avg_joint_eigs`` (spectra descending), and the
     (C, B, 3) Bloch vectors of each qubit player.
     """
     _, members, where = _player_groups(dims)
+    utils, realized, cum_gain, strategies, pairings = (
+        [np.stack(group) for group in zip(*record)] for record in (utils, realized, cum_gain, strategies, pairings)
+    )
     t = ts[:, None, None]
     best_fixed = _per_player([np.linalg.eigvalsh(c)[..., -1] for c in cum_gain], members)
     avg_regret = (best_fixed - _per_player(realized, members)) / t
     # qcce: the gap of the joint average is its average regret; qne: the gain at the marginal average is cum_gain / t
-    gaps = np.maximum(avg_regret if pairings is None else (best_fixed - _per_player(pairings, members) / t) / t, 0.0)
+    gaps = np.maximum((best_fixed - _per_player(pairings, members) / t) / t if pairings else avg_regret, 0.0)
     spectra = [np.linalg.eigvalsh(s) for s in strategies]
     joint_eigs = np.flip(kron_spectrum([spectra[g][:, s] for g, s in where]), axis=-1)
     bloch = {i: bloch_vectors(strategies[g][:, s]) for i, (g, s) in enumerate(where) if dims[i] == 2}
@@ -552,12 +551,13 @@ def run_game(
     registers, forms their kron and applies all its operators in one matmul,
     and one scatter-add per player group sums each player's terms in
     ``gain_terms`` order.  Utilities, running sums and the window then take
-    one call per player group.  A checkpoint only records: it folds the
-    window, writes the spectrum of the joint average, and copies each group's
-    utilities, realized and gain sums, strategies and, in "qne" mode, the
-    pairing of its marginal and gain sums into ``(C, m_g, B, ...)`` records;
-    after the last round :func:`certify_checkpoints` builds every row from
-    them.  Only the running joint average is joint-sized.
+    one call per player group.  A checkpoint, every ``stride``-th round and
+    round T, only records: it folds the window and appends one row of raw
+    state, the spectrum of the joint average and each group's utilities,
+    realized and gain sums, strategies and, in "qne" mode, the pairing of its
+    marginal and gain sums; the records grow by one row per checkpoint, and
+    after the last round :func:`certify_checkpoints` stacks them and builds
+    every row.  Only the running joint average is joint-sized.
     No joint product state is formed per round: each round's strategies are
     copied into a window, and at every checkpoint (and whenever the window
     is full) the window is folded into ``joint_sum`` as ``sum_s L_s (x) R_s``,
@@ -565,14 +565,17 @@ def run_game(
     a balanced cut.  The window's cap keeps it within the size of
     ``joint_sum`` (or a small fixed floor), whatever T and ``stride`` are.
 
-    :class:`MMWU` learners (subclasses such as :class:`FrobeniusFTRL`
-    included) of one class, schedule, epoch position and state shape play as
-    one team, a copy of the first whose ``_sum`` stacks theirs: one
-    ``strategy`` read and one ``_update`` per round, bit-identical per slot to
-    the learner played alone; after the run each member takes back its slot
-    and the epoch counters.  Any other learner, a soloist, plays alone and
-    gets ``_update(gain, profile)`` with the round's states, one per register
-    in its own batch shape.  A learner object may play only one player.
+    Every learner plays in a team, and each round a team's ``strategy`` is
+    read once into its players' slots and its ``_update(gain, profile)`` is
+    called once, ``profile`` being the round's states, one per register in
+    the members' batch shape.  :class:`MMWU` learners (subclasses such as
+    :class:`FrobeniusFTRL` included) of one class, schedule, epoch position
+    and state shape form one team, a copy of the first whose ``_sum`` stacks
+    theirs, bit-identical per slot to the learner played alone; after the run
+    each member takes back its slot and the epoch counters.  A learner that
+    no other learner joins, any other learner or a lone MMWU one, is a team of
+    itself: it plays as itself, with no copy and no write-back.  A learner
+    object may play only one player.
 
     ``g`` may also be a sequence of B games that share register dims,
     gain-term layout (each player's terms read the same registers, so a
@@ -600,16 +603,12 @@ def run_game(
     for i, ln in enumerate(learners):
         if ln.dim != dims[i]:
             raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {dims[i]}")
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-    if T > _MAX_HORIZON:
+    if (T := _check_int(T, "horizon", low=1)) > _MAX_HORIZON:
         raise ValueError(f"horizon must be <= 2**63 - 1, got {T}")
-    for ln in learners:   # the bound column; NaN states no bound, and only a stepsize makes one infinite
+    for i, ln in enumerate(learners):   # the bound column; NaN states no bound
         if isinf(ln.average_regret_bound(T)):
-            raise ValueError(f"stepsize {ln.schedule.eta} gives a regret bound over {T} rounds that is not finite")
-    stride = max(1, T // 1000) if stride is None else _check_int(stride, "checkpoint stride")
-    if stride < 1:
-        raise ValueError("checkpoint stride must be >= 1")
+            raise ValueError(f"learner {i}'s regret bound over {T} rounds is not finite")
+    stride = max(1, T // 1000) if stride is None else _check_int(stride, "checkpoint stride", low=1)
 
     # a learner's own batch shape: () for a single learner, (B,) for a batch; a spectral
     # (MMWU-family) learner's strategy has the shape of its sum, so only the others are asked to play
@@ -647,46 +646,35 @@ def run_game(
     cum_gain = [np.zeros(shape, dtype=complex) for shape in shapes]
     realized = [np.zeros((m, B)) for m, *_ in shapes]
 
-    # the checkpoint rounds and their raw state, certified after the loop by certify_checkpoints: one (C, m_g, B, ...)
-    # record per group of the utilities, realized and gain sums, strategies and, in qne mode, Re Tr(marginal_sum cum_gain)
-    ts = np.arange(stride, T + 1, stride)
-    if T % stride:
-        ts = np.append(ts, T)
-    C = len(ts)
-    rec_utils = [np.empty((C, m, B)) for m, *_ in shapes]
-    rec_realized = [np.empty((C, m, B)) for m, *_ in shapes]
-    rec_cum = [np.empty((C,) + shape, dtype=complex) for shape in shapes]
-    rec_strategies = [np.empty((C,) + shape, dtype=complex) for shape in shapes]
-    rec_pairings = [np.empty((C, m, B)) for m, *_ in shapes] if gap_mode == "qne" else None
-    avg_spectra = np.empty((C, B, n))
-    bound = np.empty(C)
-
-    # MMWU-family learners of one class, schedule, epoch position and state shape play as one
-    # team, a copy of the first holding their sums stacked; any other learner is a soloist
+    # MMWU-family learners of one class, schedule, epoch position and state shape play as one team, a copy
+    # of the first holding their sums stacked; any other learner, and a lone MMWU one, is a team of itself
     by_key = {}
     for i, ln in enumerate(learners):
-        if isinstance(ln, MMWU):
-            by_key.setdefault((type(ln), ln.schedule, ln._epoch, ln._in_epoch, ln._sum.shape), []).append(i)
-    teams = []
-    for ids in by_key.values():
-        team = copy(learners[ids[0]])
-        team._sum = np.stack([learners[i]._sum for i in ids])
-        teams.append((team, ids, where[ids[0]][0], np.array([where[i][1] for i in ids])))
+        key = (type(ln), ln.schedule, ln._epoch, ln._in_epoch, ln._sum.shape) if isinstance(ln, MMWU) else i
+        by_key.setdefault(key, []).append(i)
     strategies = [np.empty(shape, dtype=complex) for shape in shapes]
-    # a soloist's profile: views of the round's strategies, each in the soloist's batch shape
-    soloists = [(i, [player(strategies, j).reshape(leads[i] + (d, d)) for j, d in enumerate(dims)])
-                for i, ln in enumerate(learners) if not isinstance(ln, MMWU)]
+    teams, copies = [], []
+    for ids in by_key.values():
+        i, lead = ids[0], leads[ids[0]]
+        team, stack = learners[i], ()
+        if len(ids) > 1:
+            team, stack = copy(team), (len(ids),)
+            team._sum = np.stack([learners[j]._sum for j in ids])
+            copies.append((team, ids))
+        # a team's profile: views of the round's strategies, each in its members' batch shape
+        profile = [player(strategies, j).reshape(lead + (d, d)) for j, d in enumerate(dims)]
+        gain_shape = stack + lead + (dims[i], dims[i])
+        teams.append((team, where[i][0], np.array([where[j][1] for j in ids]), gain_shape, profile))
 
-    filled = c = 0
+    rows = []   # per checkpoint the round, the bound and the raw state that certify_checkpoints reads
+    filled = 0
     for t in range(1, T + 1):
-        for team, _, g, slots in teams:
+        for team, g, slots, _, _ in teams:
             strategies[g][slots] = team.strategy.reshape((-1,) + shapes[g][1:])
-        for i, profile in soloists:
-            profile[i][...] = learners[i].strategy
         for buf, s in zip(window, strategies):
             buf[:, :, filled] = s
         filled += 1
-        checkpoint = t == ts[c]    # the last checkpoint is round T, so c stays in range
+        checkpoint = t % stride == 0 or t == T
         if checkpoint or filled == window[0].shape[2]:
             fold(filled)
             filled = 0
@@ -696,33 +684,23 @@ def run_game(
             msum += s
             cum += gain
             r += u
-
         if checkpoint:
-            avg_spectra[c] = np.linalg.eigvalsh(joint_sum / t)
-            for records, now in zip((rec_utils, rec_realized, rec_cum, rec_strategies),
-                                    (utils, realized, cum_gain, strategies)):
-                for rec, x in zip(records, now):
-                    rec[c] = x
-            if gap_mode == "qne":
-                for rec, msum, cum in zip(rec_pairings, marginal_sums, cum_gain):
-                    rec[c] = _pairing(msum, cum)
             finite = [b for b in (ln.average_regret_bound(t) for ln in learners) if not np.isnan(b)]
-            bound[c] = bound_scale * max(finite) if finite else float("nan")
-            c += 1
+            pairings = [_pairing(m, c) for m, c in zip(marginal_sums, cum_gain)] if gap_mode == "qne" else []
+            rows.append((t, bound_scale * max(finite) if finite else float("nan"), utils,
+                         [r.copy() for r in realized], [c.copy() for c in cum_gain], [s.copy() for s in strategies],
+                         np.linalg.eigvalsh(joint_sum / t), pairings))
+        for team, g, slots, gain_shape, profile in teams:
+            team._update(gains[g][slots].reshape(gain_shape), profile)
 
-        for team, _, g, slots in teams:
-            team._update(gains[g][slots].reshape(team._sum.shape))
-        for i, profile in soloists:
-            learners[i]._update(player(gains, i).reshape(profile[i].shape), profile)
-
-    for team, ids, *_ in teams:
+    for team, ids in copies:   # each member of a team of several takes back its slot and the epoch counters
         for j, i in enumerate(ids):
             learners[i]._sum, learners[i]._epoch, learners[i]._in_epoch = team._sum[j], team._epoch, team._in_epoch
 
-    # per-checkpoint rows are (C, B, ...); game b reads slice [:, b]
-    utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(
-        ts, dims, rec_utils, rec_realized, rec_cum, rec_strategies, avg_spectra, rec_pairings
-    )
+    ts, bound, *records = zip(*rows)
+    ts, bound = np.array(ts), np.array(bound)
+    # the certified columns are (C, B, ...); game b reads slice [:, b]
+    utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(ts, dims, *records)
     realized = _per_player(realized, members)
     trajs = [
         Trajectory(
@@ -738,7 +716,7 @@ def run_game(
             bound=bound.copy(),
             joint_eigs=joint_eigs[:, b],
             avg_joint_eigs=avg_joint_eigs[:, b],
-            bloch={i: rows[:, b] for i, rows in bloch.items()},
+            bloch={i: v[:, b] for i, v in bloch.items()},
             joint_sum=joint_sum[b],
             marginal_sums=[player(marginal_sums, i)[b] for i in range(k)],
             cum_gain=[player(cum_gain, i)[b] for i in range(k)],

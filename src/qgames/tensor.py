@@ -85,12 +85,13 @@ def _check_ints(xs, what: str = "dims", low: int = 1, high: int | None = None, e
     return out
 
 
-def _check_int(x, what: str, high: int | None = None) -> int:
-    """A scalar size, or with ``high`` an index in [0, high), by the rule of :func:`_check_ints`."""
+def _check_int(x, what: str, high: int | None = None, low: int | None = None) -> int:
+    """A scalar, >= ``low`` if given or with ``high`` an index in [0, high), by the rule of :func:`_check_ints`."""
     try:
-        return _check_ints((x,), what, -inf if high is None else 0, high)[0]
+        return _check_ints((x,), what, 0 if high is not None else -inf if low is None else low, high)[0]
     except ValueError:
-        raise ValueError(f"{what} must be an integer{'' if high is None else f' in [0, {high})'}, got {x!r}") from None
+        bounds = f" in [0, {high})" if high is not None else "" if low is None else f" >= {low}"
+        raise ValueError(f"{what} must be an integer{bounds}, got {x!r}") from None
 
 
 def _check_layout(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

@@ -469,8 +469,8 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--T", "5", "--eta", "0.1", "--stride", "0"], "checkpoint stride must be >= 1"),
-        (["--T", "0", "--eta", "0.1"], "horizon must be >= 1"),
+        (["--T", "5", "--eta", "0.1", "--stride", "0"], "checkpoint stride must be an integer >= 1, got 0"),
+        (["--T", "0", "--eta", "0.1"], "horizon must be an integer >= 1, got 0"),
         (["--T", "5", "--eta", "0.1", "--learners", "mmwu"], "need 2 learner kinds, got 1"),
         (["--T", "5"], "--T needs --eta"),
         (["--T", "5", "--schedule", "doubling", "--learners", "ftrl,mmwu"], "ftrl supports only fixed stepsizes"),
@@ -493,9 +493,11 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
         (["NO-GAME", "--dims", "2,2", "--T", "5", "--eta", "0.1"], "either --game or an inline --kind spec is required"),
         # a joint dim of ~1e8 asks for petabytes, which numpy refuses at once
         (["--dims", "9999,9999", "--T", "5", "--eta", "0.1"], "Unable to allocate"),
-        (["--T", "5", "--eta", "1e308"], "stepsize 1e+308 gives a regret bound over 5 rounds that is not finite"),
+        (["--T", "5", "--eta", "1e308"], "learner 0's regret bound over 5 rounds is not finite"),
         (["--dims", "3,3", "--T", "5", "--eta", "1e308"],
-         "stepsize 1e+308 gives a regret bound over 5 rounds that is not finite"),
+         "learner 0's regret bound over 5 rounds is not finite"),
+        # FTRL states no bound, so its stepsize passes; the overflow in its kernel stops the run
+        (["--learners", "ftrl,ftrl", "--T", "5", "--eta", "1e308"], "overflow encountered"),
         # horizons no run can play: eps**2 underflows to 0, T ~ 2.8e300, and T = 1e20 > 2**63 - 1
         (["--epsilon", "1e-200"], "epsilon 1e-200 needs a horizon over 2**63 - 1 rounds"),
         (["--epsilon", "1e-150"], "epsilon 1e-150 needs a horizon over 2**63 - 1 rounds"),
@@ -508,8 +510,8 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path, capsys, kind, tol):
          "game-with-kind", "game-with-dims", "game-with-graph", "graph-without-polymatrix",
          "pairwise-without-polymatrix", "epsilon-with-eta", "epsilon-with-doubling", "learner-unknown",
          "graph-unparsable", "graph-size-mismatch", "no-game", "dims-unallocatable", "eta-bound-overflow-qubits",
-         "eta-bound-overflow-qutrits", "epsilon-squared-underflows", "epsilon-horizon-over-int64", "T-over-int64",
-         "T-over-float", "T-over-float-doubling"],
+         "eta-bound-overflow-qutrits", "ftrl-eta-overflow", "epsilon-squared-underflows", "epsilon-horizon-over-int64",
+         "T-over-int64", "T-over-float", "T-over-float-doubling"],
 )
 def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     out = tmp_path / "o"
@@ -523,7 +525,7 @@ def test_rejected_run_writes_nothing(tmp_path, capsys, flags, message, runs):
     rc = main(["run", *spec, "--runs", str(runs), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith(f"error: {message}") and "Traceback" not in err, err
-    assert not out.exists()
+    assert err.count("\n") == 1 and not out.exists(), err
 
 
 def test_game_and_state_files_take_the_dims_rule(tmp_path, capsys):

@@ -40,6 +40,11 @@ FLOAT_SIZES_AND_INDICES = {
     "ChoiMatrix sizes": lambda _: qg.ChoiMatrix(np.eye(4), 2.0, 2.0),
     "utility player": lambda _: qg.utility(GAME, RHO, 1.0),
     "brute_force_gap n_samples": lambda _: qg.brute_force_gap(GAME, 0, RHO, 2.5, seed=1),
+    "run_game T": lambda _: qg.run_game(GAME, [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)], 5.0),
+    "Schedule base_epoch": lambda _: qg.doubling_schedule(1.5),
+    "random_game seed": lambda _: qg.random_game((2, 2), 1.5),
+    "random_polymatrix seed": lambda _: qg.random_polymatrix((2, 2), [(0, 1)], seed=1.5),
+    "graph_edges size": lambda _: qg.graph_edges("cycle", 3.0),
 }
 
 
@@ -62,6 +67,9 @@ BOOL_SIZES_AND_INDICES = {
     "MMWU batch": lambda: qg.MMWU(2, qg.fixed_schedule(0.1), batch=True),
     "utility player": lambda: qg.utility(GAME, RHO, True),
     "lift_channel register": lambda: qg.lift_channel(qg.choi_of_identity(2), (2, 2), False),
+    "run_game T": lambda: qg.run_game(GAME, [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)], True),
+    "Schedule base_epoch": lambda: qg.doubling_schedule(True),
+    "random_game seed": lambda: qg.random_game((2, 2), True),
 }
 
 
@@ -69,6 +77,29 @@ BOOL_SIZES_AND_INDICES = {
 def test_a_bool_size_or_index_is_rejected(name):
     with pytest.raises(ValueError):
         BOOL_SIZES_AND_INDICES[name]()
+
+
+BELOW_THE_FLOOR = {
+    # sizes below their floor: each once constructed, played a schedule its bound did not describe, or died in numpy
+    "MMWU dim": (lambda: qg.MMWU(0, qg.fixed_schedule(0.1)), 1),
+    "MMWU negative dim": (lambda: qg.MMWU(-1, qg.fixed_schedule(0.1)), 1),
+    "FrobeniusFTRL dim": (lambda: qg.FrobeniusFTRL(0, 0.1), 1),
+    "MMWU batch": (lambda: qg.MMWU(2, qg.fixed_schedule(0.1), batch=0), 1),
+    "run_game T": (lambda: qg.run_game(GAME, [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)], 0), 1),
+    "run_game stride": (lambda: qg.run_game(GAME, [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)], 5, 0), 1),
+    "brute_force_gap n_samples": (lambda: qg.brute_force_gap(GAME, 0, RHO, 0, seed=1), 1),
+    "Schedule base_epoch": (lambda: qg.doubling_schedule(0), 1),
+    "random_game seed": (lambda: qg.random_game((2, 2), -1), 0),
+    "random_polymatrix seed": (lambda: qg.random_polymatrix((2, 2), [(0, 1)], seed=-1), 0),
+    "graph_edges size": (lambda: qg.graph_edges("path", 1), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BELOW_THE_FLOOR))
+def test_a_size_below_its_floor_is_rejected(name):
+    call, low = BELOW_THE_FLOOR[name]
+    with pytest.raises(ValueError, match=rf" must be an integer >= {low}, got -?\d+$"):
+        call()
 
 
 PLAYER_INDEX_CALLS = {

@@ -1,16 +1,17 @@
 """The runner's windowed joint fold and stacked learner play against round-by-round references.
 
-``OneAtATime`` wraps a learner so that ``run_game`` plays it as a soloist (it
-is neither an MMWU nor an FTRL learner, so it joins no team) and records the
-strategy it plays each round.  The joint running sum must equal the sum of
-the recorded product states, and stacked play must give the same bits as the
-wrapped play.
+``OneAtATime`` wraps a learner so that ``run_game`` plays it as a team of
+itself (it is neither an MMWU nor an FTRL learner, so no other learner joins
+it) and records the strategy it plays each round.  The joint running sum must
+equal the sum of the recorded product states, and stacked play must give the
+same bits as the wrapped play.
 """
 
 import dataclasses
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,22 @@ def test_scripted_team_member_plays_alone_next_to_stacked_learners():
     assert stacked_team[0]._fallback is not None
     assert_same_bits(traj, qg.run_game(g, [OneAtATime(ln) for ln in team()], 60, stride=10))
 
+
+def test_a_protocol_learner_with_an_infinite_bound_is_refused():
+    # the bound check names the learner by its index: a learner without a schedule is refused like an MMWU one
+    g = qg.random_game((2, 2), 5)
+    learners = [OneAtATime(qg.MMWU(2, qg.fixed_schedule(1e308))), qg.MMWU(2, qg.fixed_schedule(0.1))]
+    with pytest.raises(ValueError, match=r"^learner 0's regret bound over 5 rounds is not finite$"):
+        qg.run_game(g, learners, 5)
+
+
+def test_a_lone_learner_plays_as_itself(monkeypatch):
+    # no other learner shares its team key, so the runner advances the learner itself: no copy, no write-back
+    monkeypatch.setattr(qg.learning, "copy", lambda ln: pytest.fail("a lone learner was copied"))
+    learners = [qg.MMWU(2, qg.doubling_schedule()), qg.FrobeniusFTRL(3, 0.2)]
+    qg.run_game(qg.random_game((2, 3), 6), learners, 20, stride=7)
+    assert (learners[0]._epoch, learners[0]._in_epoch) == (1, 12)   # epochs of 8 and 16 rounds
+    assert learners[1]._sum.base is None and np.any(learners[1]._sum)
 
 
 def test_fixed_schedule_learners_of_different_ages_play_as_one_team(monkeypatch):
