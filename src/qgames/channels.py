@@ -58,6 +58,7 @@ class ChoiMatrix:
 
 def choi_of_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int) -> np.ndarray:
     """Assemble sum_ij fn(E_ij) (x) E_ij column by column."""
+    in_dim = _check_int(in_dim, "input dim", low=1)
     probe = np.zeros((in_dim, in_dim), dtype=complex)
     probe[0, 0] = 1.0
     out_dim = np.asarray(fn(probe)).shape[0]
@@ -72,8 +73,7 @@ def choi_of_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int) -> np.ndarr
 
 def choi_of_identity(dim: int) -> ChoiMatrix:
     """Identity channel: rank one, trace ``dim``, positive semidefinite."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    dim = _check_int(dim, "dim", low=1)
     u = np.eye(dim, dtype=complex).reshape(-1)
     return ChoiMatrix(np.outer(u, u.conj()), dim, dim)
 

@@ -167,8 +167,7 @@ def cmd_run(args) -> int:
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
     schedule, horizon = _run_setup(games[0], args)
     names, learners = _make_learners(args.learners, games[0], schedule, batch=args.runs)
-    with np.errstate(over="raise", invalid="raise"):   # a stepsize that overflows the learner's state
-        trajs = run_game(games, learners, horizon, stride=args.stride)
+    trajs = run_game(games, learners, horizon, stride=args.stride)
     schedule_obj = {"kind": schedule.kind, "eta": schedule.eta, "base_epoch": schedule.base_epoch}
     for outdir, seed, game, traj in zip(outdirs, seeds, games, trajs):
         outdir.mkdir(parents=True, exist_ok=True)

@@ -223,7 +223,7 @@ def brute_force_gap(
     others = _others(k, i)
     opp = partial_trace(rho, g.dims, keep=others)
     base = float(np.vdot(g.tensors[i], np.asarray(rho, dtype=complex)).real)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", low=0))
     psi = random_pure_states(d, n_samples, rng)
     projectors = psi[:, :, None] * psi[:, None, :].conj()
     # Batched kron(rho'_n, opp) in player-i-first layout, moved back to register order

@@ -1,14 +1,13 @@
 """No-regret learners over density matrices and the repeated-game runner.
 
-Learners implement a two-method protocol: ``strategy`` is the density played
-this round (the maximally mixed state before any feedback), and
-``observe(gain, profile)`` absorbs the round's gain matrix.  :func:`run_game`
-plays every learner as a team: like :class:`MMWU`-family learners as one
-batched team, and any other learner, or a lone MMWU one, as a team of itself.
-Each team gets the round's states as ``profile``, one entry per register (the
-scripted learner checks its opponents' entries).  The runner is
-round-synchronous: all gains for round t are computed from round-t strategies
-before any learner advances, matching full-information simultaneous play.
+A learner is the four things :func:`run_game` reads of it: ``dim``;
+``strategy``, the density played this round; ``observe(gain, profile)``, which
+absorbs the round's gain matrix given the round's states, one per register; and
+``average_regret_bound(t)``, NaN for none.  :class:`MMWU`-family learners play
+as batched teams on the unchecked ``_update(gain)`` fast path; any other
+learner is called through ``observe``.  The runner is round-synchronous: all
+gains for round t are computed from round-t strategies before any learner
+advances, as in full-information simultaneous play.
 
 Feedback is the exact gain matrix of each player (full-information online
 linear optimization), never a sampled payoff.
@@ -69,7 +68,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "doubling"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "fixed" and not (isfinite(self.eta) and self.eta > 0):
+        is_bool = isinstance(self.eta, (bool, np.bool_))   # True would play at eta = 1
+        if self.kind == "fixed" and (is_bool or not (isfinite(self.eta) and self.eta > 0)):
             raise ValueError(f"stepsize must be positive and finite, got {self.eta}")
         _check_int(self.base_epoch, "base epoch length", low=1)
 
@@ -140,8 +140,8 @@ class MMWU:
     ``strategy`` and ``observe`` take (B, d, d) stacks.  ``strategy`` is
     ``kernel(eta * sum)``, recomputed on every read.  A subclass changes the
     regularizer through ``kernel`` (:class:`FrobeniusFTRL`) and play through
-    ``strategy`` and ``_update``, which :func:`run_game` calls on a team whose
-    ``_sum`` stacks like learners' sums on a new leading axis.
+    ``strategy`` and ``_update``, which :func:`run_game` calls, not ``observe``,
+    on a team whose ``_sum`` stacks like learners' sums on a new leading axis.
     """
 
     def __init__(self, dim: int, schedule: Schedule, batch: int | None = None):
@@ -166,7 +166,7 @@ class MMWU:
     def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         self._update(_check_gain(gain, self._sum.shape))
 
-    def _update(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
+    def _update(self, gain: np.ndarray) -> None:
         """``observe`` minus the boundary check: gain is exactly Hermitian and state-shaped."""
         self._sum = self._sum + gain
         if self.schedule.kind != "doubling":
@@ -217,8 +217,6 @@ class Constant:
     def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         pass
 
-    _update = observe
-
     def average_regret_bound(self, t: int) -> float:
         return float("nan")
 
@@ -261,22 +259,19 @@ class ScriptedNoRegret:
         return self.profiles[self._current_component()][self.player]
 
     def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
-        self._update(_check_gain(gain, (self.dim, self.dim)), profile)
-
-    def _update(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
-        if self._fallback is not None:
-            self._fallback._update(gain)
-            return
-        j = self._current_component()
-        deviated = profile is not None and any(
-            maxabs(np.asarray(rho) - r) > DEVIATION_DETECT_TOL
-            for p, (rho, r) in enumerate(zip(profile, self.profiles[j], strict=True)) if p != self.player
-        )
-        self._counts[j] += 1
-        self._t += 1
-        if deviated:
+        gain = _check_gain(gain, (self.dim, self.dim))
+        if self._fallback is None:
+            j = self._current_component()
+            deviated = profile is not None and any(
+                maxabs(np.asarray(rho) - r) > DEVIATION_DETECT_TOL
+                for p, (rho, r) in enumerate(zip(profile, self.profiles[j], strict=True)) if p != self.player
+            )
+            self._counts[j] += 1
+            self._t += 1
+            if not deviated:
+                return
             self._fallback = MMWU(self.dim, doubling_schedule())
-            self._fallback._update(gain)
+        self._fallback._update(gain)
 
     def average_regret_bound(self, t: int) -> float:
         return float("nan")
@@ -537,10 +532,11 @@ def run_game(
     opponent register, so the gain is ``cum_gain_i / t`` and the gap
     ``lambda_max(cum_gain_i) / t - Tr(marginal_sum_i cum_gain_i) / t^2``.
     :func:`~qgames.equilibria.is_qcce` and ``is_qne`` (``verify``) stay the
-    independent certificates.  Checkpoints
-    fall every ``stride`` rounds (default ``max(1, T // 1000)``) plus the
-    final round.  The run is deterministic given the game and learners.  Each
-    learner's ``average_regret_bound(T)`` must be finite, or NaN for no bound.
+    independent certificates.  Checkpoints fall every ``stride`` rounds
+    (default ``max(1, T // 1000)``) plus the final round.  The run is
+    deterministic given the game and learners.  Each learner's
+    ``average_regret_bound(T)`` must be finite, or NaN for no bound.  A run
+    whose numbers overflow stops with numpy's ``FloatingPointError``.
 
     The round works on player groups, the players of one register
     dimension, each held as one ``(m, B, d, d)`` stack of strategies, gains
@@ -565,17 +561,17 @@ def run_game(
     a balanced cut.  The window's cap keeps it within the size of
     ``joint_sum`` (or a small fixed floor), whatever T and ``stride`` are.
 
-    Every learner plays in a team, and each round a team's ``strategy`` is
-    read once into its players' slots and its ``_update(gain, profile)`` is
-    called once, ``profile`` being the round's states, one per register in
-    the members' batch shape.  :class:`MMWU` learners (subclasses such as
-    :class:`FrobeniusFTRL` included) of one class, schedule, epoch position
-    and state shape form one team, a copy of the first whose ``_sum`` stacks
-    theirs, bit-identical per slot to the learner played alone; after the run
-    each member takes back its slot and the epoch counters.  A learner that
-    no other learner joins, any other learner or a lone MMWU one, is a team of
-    itself: it plays as itself, with no copy and no write-back.  A learner
-    object may play only one player.
+    A learner is what the runner reads of it: ``dim``, ``strategy``,
+    ``observe(gain, profile)`` and ``average_regret_bound(t)``, one learner
+    object per player.  Learners play in teams, each read and advanced once a
+    round.  :class:`MMWU`-family learners of one class, schedule, epoch
+    position and state shape form one team, a copy of the first whose ``_sum``
+    stacks theirs, bit-identical per slot to the learner played alone; it
+    advances by the unchecked ``_update(gain)``, and after the run each member
+    takes back its slot and the epoch counters.  Any other learner, or a lone
+    MMWU one, is a team of itself (no copy, no write-back); outside the MMWU
+    family it advances by ``observe(gain, profile)``, ``profile`` being the
+    round's states, one per register in its batch shape.
 
     ``g`` may also be a sequence of B games that share register dims,
     gain-term layout (each player's terms read the same registers, so a
@@ -661,46 +657,52 @@ def run_game(
             team, stack = copy(team), (len(ids),)
             team._sum = np.stack([learners[j]._sum for j in ids])
             copies.append((team, ids))
-        # a team's profile: views of the round's strategies, each in its members' batch shape
-        profile = [player(strategies, j).reshape(lead + (d, d)) for j, d in enumerate(dims)]
+        # a learner outside the MMWU family gets a profile: views of the round's strategies in its batch shape
+        profile = None if isinstance(team, MMWU) else [player(strategies, j).reshape(lead + (d, d))
+                                                       for j, d in enumerate(dims)]
         gain_shape = stack + lead + (dims[i], dims[i])
         teams.append((team, where[i][0], np.array([where[j][1] for j in ids]), gain_shape, profile))
 
     rows = []   # per checkpoint the round, the bound and the raw state that certify_checkpoints reads
     filled = 0
-    for t in range(1, T + 1):
-        for team, g, slots, _, _ in teams:
-            strategies[g][slots] = team.strategy.reshape((-1,) + shapes[g][1:])
-        for buf, s in zip(window, strategies):
-            buf[:, :, filled] = s
-        filled += 1
-        checkpoint = t % stride == 0 or t == T
-        if checkpoint or filled == window[0].shape[2]:
-            fold(filled)
-            filled = 0
-        gains = contract(strategies)
-        utils = [_pairing(s, gain) for s, gain in zip(strategies, gains)]
-        for msum, cum, r, s, gain, u in zip(marginal_sums, cum_gain, realized, strategies, gains, utils):
-            msum += s
-            cum += gain
-            r += u
-        if checkpoint:
-            finite = [b for b in (ln.average_regret_bound(t) for ln in learners) if not np.isnan(b)]
-            pairings = [_pairing(m, c) for m, c in zip(marginal_sums, cum_gain)] if gap_mode == "qne" else []
-            rows.append((t, bound_scale * max(finite) if finite else float("nan"), utils,
-                         [r.copy() for r in realized], [c.copy() for c in cum_gain], [s.copy() for s in strategies],
-                         np.linalg.eigvalsh(joint_sum / t), pairings))
-        for team, g, slots, gain_shape, profile in teams:
-            team._update(gains[g][slots].reshape(gain_shape), profile)
+    with np.errstate(over="raise", invalid="raise"):   # a stepsize that overflows a learner's state stops the run
+        for t in range(1, T + 1):
+            for team, g, slots, _, _ in teams:
+                strategies[g][slots] = team.strategy.reshape((-1,) + shapes[g][1:])
+            for buf, s in zip(window, strategies):
+                buf[:, :, filled] = s
+            filled += 1
+            checkpoint = t % stride == 0 or t == T
+            if checkpoint or filled == window[0].shape[2]:
+                fold(filled)
+                filled = 0
+            gains = contract(strategies)
+            utils = [_pairing(s, gain) for s, gain in zip(strategies, gains)]
+            for msum, cum, r, s, gain, u in zip(marginal_sums, cum_gain, realized, strategies, gains, utils):
+                msum += s
+                cum += gain
+                r += u
+            if checkpoint:
+                finite = [b for b in (ln.average_regret_bound(t) for ln in learners) if not np.isnan(b)]
+                pairings = [_pairing(m, c) for m, c in zip(marginal_sums, cum_gain)] if gap_mode == "qne" else []
+                rows.append((t, bound_scale * max(finite) if finite else float("nan"), utils,
+                             [r.copy() for r in realized], [c.copy() for c in cum_gain],
+                             [s.copy() for s in strategies], np.linalg.eigvalsh(joint_sum / t), pairings))
+            for team, g, slots, gain_shape, profile in teams:
+                gain = gains[g][slots].reshape(gain_shape)
+                if profile is None:
+                    team._update(gain)
+                else:
+                    team.observe(gain, profile)
 
-    for team, ids in copies:   # each member of a team of several takes back its slot and the epoch counters
-        for j, i in enumerate(ids):
-            learners[i]._sum, learners[i]._epoch, learners[i]._in_epoch = team._sum[j], team._epoch, team._in_epoch
+        for team, ids in copies:   # each member of a team of several takes back its slot and the epoch counters
+            for j, i in enumerate(ids):
+                learners[i]._sum, learners[i]._epoch, learners[i]._in_epoch = team._sum[j], team._epoch, team._in_epoch
 
-    ts, bound, *records = zip(*rows)
-    ts, bound = np.array(ts), np.array(bound)
-    # the certified columns are (C, B, ...); game b reads slice [:, b]
-    utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(ts, dims, *records)
+        ts, bound, *records = zip(*rows)
+        ts, bound = np.array(ts), np.array(bound)
+        # the certified columns are (C, B, ...); game b reads slice [:, b]
+        utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(ts, dims, *records)
     realized = _per_player(realized, members)
     trajs = [
         Trajectory(

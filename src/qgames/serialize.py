@@ -130,7 +130,7 @@ def game_to_obj(game: Game, seed: int | None = None) -> dict:
                "edges": [{"i": i, "j": j, "r_ij": a, "r_ji": b} for (i, j), (a, b) in edges.items()]}
     obj.update(dims=list(_file_dims(game.dims)), spectral_norms=[spectral_norm(r) for r in mats])
     if seed is not None:
-        obj["seed"] = _check_int(seed, "seed")   # json writes a Python int, and stops at a numpy int mid-file
+        obj["seed"] = _check_int(seed, "seed", low=0)   # json writes a Python int, and stops at a numpy int mid-file
     return obj
 
 

@@ -399,6 +399,7 @@ def bloch_vectors(rho: np.ndarray) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:
     """Hermitized standard complex Gaussian, optionally scaled to a target spectral norm."""
+    dim = _check_int(dim, "dim", low=1)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = herm(g)
     if norm is not None:
@@ -407,6 +408,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, norm: float | None = No
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    dim = _check_int(dim, "dim", low=1)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dagger(g)
     return herm(rho / np.trace(rho).real)
@@ -414,6 +416,7 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, dim) array of Haar-random unit vectors (normalized complex Gaussians)."""
+    dim, n = _check_int(dim, "dim", low=1), _check_int(n, "number of states", low=1)
     z = rng.standard_normal((n, 2 * dim))
     psi = z[:, :dim] + 1j * z[:, dim:]
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)

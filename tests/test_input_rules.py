@@ -45,6 +45,13 @@ FLOAT_SIZES_AND_INDICES = {
     "random_game seed": lambda _: qg.random_game((2, 2), 1.5),
     "random_polymatrix seed": lambda _: qg.random_polymatrix((2, 2), [(0, 1)], seed=1.5),
     "graph_edges size": lambda _: qg.graph_edges("cycle", 3.0),
+    "brute_force_gap seed": lambda _: qg.brute_force_gap(GAME, 0, RHO, 4, seed=1.5),
+    "random_hermitian dim": lambda _: qg.random_hermitian(2.0, np.random.default_rng(1)),
+    "random_density dim": lambda _: qg.random_density(2.0, np.random.default_rng(1)),
+    "random_pure_states dim": lambda _: qg.random_pure_states(2.0, 3, np.random.default_rng(1)),
+    "random_pure_states n": lambda _: qg.random_pure_states(2, 1.5, np.random.default_rng(1)),
+    "choi_of_map in_dim": lambda _: qg.choi_of_map(lambda x: x, 2.0),
+    "choi_of_identity dim": lambda _: qg.choi_of_identity(2.0),
 }
 
 
@@ -70,6 +77,12 @@ BOOL_SIZES_AND_INDICES = {
     "run_game T": lambda: qg.run_game(GAME, [qg.MMWU(2, qg.fixed_schedule(0.1)) for _ in range(2)], True),
     "Schedule base_epoch": lambda: qg.doubling_schedule(True),
     "random_game seed": lambda: qg.random_game((2, 2), True),
+    "brute_force_gap seed": lambda: qg.brute_force_gap(GAME, 0, RHO, 4, seed=True),
+    "random_hermitian dim": lambda: qg.random_hermitian(True, np.random.default_rng(1)),
+    "random_density dim": lambda: qg.random_density(True, np.random.default_rng(1)),
+    "random_pure_states n": lambda: qg.random_pure_states(2, True, np.random.default_rng(1)),
+    "choi_of_map in_dim": lambda: qg.choi_of_map(lambda x: x, True),
+    "choi_of_identity dim": lambda: qg.choi_of_identity(True),
 }
 
 
@@ -92,6 +105,13 @@ BELOW_THE_FLOOR = {
     "random_game seed": (lambda: qg.random_game((2, 2), -1), 0),
     "random_polymatrix seed": (lambda: qg.random_polymatrix((2, 2), [(0, 1)], seed=-1), 0),
     "graph_edges size": (lambda: qg.graph_edges("path", 1), 2),
+    "brute_force_gap seed": (lambda: qg.brute_force_gap(GAME, 0, RHO, 4, seed=-1), 0),
+    "random_hermitian dim": (lambda: qg.random_hermitian(0, np.random.default_rng(1)), 1),
+    "random_density dim": (lambda: qg.random_density(0, np.random.default_rng(1)), 1),
+    "random_pure_states dim": (lambda: qg.random_pure_states(0, 3, np.random.default_rng(1)), 1),
+    "random_pure_states n": (lambda: qg.random_pure_states(2, 0, np.random.default_rng(1)), 1),
+    "choi_of_map in_dim": (lambda: qg.choi_of_map(lambda x: x, 0), 1),
+    "choi_of_identity dim": (lambda: qg.choi_of_identity(0), 1),
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -266,6 +268,15 @@ def test_schedule_validation():
         qg.fixed_schedule(-0.1)
 
 
+@pytest.mark.parametrize("eta", [True, np.True_])
+def test_a_bool_stepsize_is_rejected(eta):
+    # True once made a fixed schedule at eta = 1
+    with pytest.raises(ValueError, match=r"^stepsize must be positive and finite, got True$"):
+        qg.fixed_schedule(eta)
+    with pytest.raises(ValueError, match=r"^stepsize must be positive and finite, got True$"):
+        qg.FrobeniusFTRL(2, eta)
+
+
 @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
 def test_non_finite_stepsizes_rejected(eta):
     with pytest.raises(ValueError, match="stepsize"):
@@ -322,6 +333,18 @@ def test_run_game_validation():
     shared = qg.MMWU(2, qg.fixed_schedule(0.2))
     with pytest.raises(ValueError, match="learner object of its own"):
         qg.run_game(g, [shared, shared], 20, stride=20)
+
+
+def test_a_library_run_whose_numbers_overflow_raises_floating_point_error():
+    # FTRL states no bound, so eta = 1e308 passes the bound check and overflows the learners' states;
+    # the run raises numpy's error itself, before any warning, as the CLI reports it
+    learners = [qg.FrobeniusFTRL(2, 1e308), qg.FrobeniusFTRL(2, 1e308)]
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
+            qg.run_game(qg.random_game((2, 2), 1), learners, 5)
+    assert np.geterr() == before
 
 
 def test_run_batch_equals_single_runs_row_for_row():

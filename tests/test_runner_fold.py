@@ -8,6 +8,7 @@ same bits as the wrapped play.
 """
 
 import dataclasses
+from copy import copy
 from math import prod
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import qgames as qg
 from qgames.learning import FOLD_FLOOR, _fold_plan
+from qgames.tensor import exp_density_stack
 
 
 class OneAtATime:
@@ -29,9 +31,9 @@ class OneAtATime:
     def strategy(self):
         return self.inner.strategy
 
-    def _update(self, gain, profile=None):
+    def observe(self, gain, profile=None):
         self.played.append(np.array(self.inner.strategy))
-        self.inner._update(gain, profile)
+        self.inner.observe(gain, profile)
 
     def average_regret_bound(self, t):
         return self.inner.average_regret_bound(t)
@@ -390,7 +392,13 @@ def test_stacked_round_matches_per_player_reference(run):
 
     stacked_team, reference_team = team(), team()
     trajs = qg.run_game(games, stacked_team, T, stride=stride)
-    expected, final = reference_run(games, reference_team, T, stride, gap_mode, bound_scale)
+    reference = reference_run(games, reference_team, T, stride, gap_mode, bound_scale)
+    assert_matches_reference(trajs, stacked_team, reference, gap_mode, bound_scale)
+
+
+def assert_matches_reference(trajs, learners, reference, gap_mode, bound_scale):
+    """Every trajectory field and every learner's final strategy within 1e-12 of ``reference_run``'s."""
+    expected, final = reference
     for traj, want in zip(trajs, expected, strict=True):
         assert (traj.gap_mode, traj.bound_scale) == (gap_mode, bound_scale)
         got = {}
@@ -407,5 +415,54 @@ def test_stacked_round_matches_per_player_reference(run):
             y = want[key]
             assert x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-12, equal_nan=True), key
     # the learners end where the reference learners end
-    for ln, s in zip(stacked_team, final):
+    for ln, s in zip(learners, final):
         assert np.allclose(np.reshape(ln.strategy, s.shape), s, rtol=0, atol=1e-12)
+
+
+class ProtocolOnly:
+    """A learner written to the documented protocol and nothing else.
+
+    It plays the even mix of its own entry of the last profile and the normalized
+    exponential of the last gain, so a wrong profile or gain moves its play, and it
+    records what it is handed each round.
+    """
+
+    def __init__(self, dim, batch=None):
+        self.dim = dim
+        lead = () if batch is None else (batch,)
+        self.strategy = np.broadcast_to(np.eye(dim, dtype=complex) / dim, lead + (dim, dim))
+        self.seen = []
+
+    def observe(self, gain, profile):
+        self.seen.append((np.array(gain), [np.array(p) for p in profile]))
+        self.strategy = 0.5 * profile[1] + 0.5 * exp_density_stack(qg.herm(gain))
+
+    def average_regret_bound(self, t):
+        return float("nan")
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_a_protocol_only_learner_plays_next_to_an_mmwu_team(monkeypatch, batch):
+    # players 0 and 2 share an MMWU team; the qutrit player 1 is a class the library does not know
+    lead = () if batch is None else (batch,)
+    games = [qg.random_game((2, 3, 2), 40 + b) for b in range(batch or 1)]
+
+    def team():
+        return [qg.MMWU(2, qg.fixed_schedule(0.3), batch), ProtocolOnly(3, batch),
+                qg.MMWU(2, qg.fixed_schedule(0.3), batch)]
+
+    stacked_team, reference_team = team(), team()
+    copied = []
+    monkeypatch.setattr(qg.learning, "copy", lambda ln: copied.append(ln) or copy(ln))
+    trajs = qg.run_game(games, stacked_team, 12, stride=5)
+    assert copied == [stacked_team[0]]
+    assert_matches_reference(trajs, stacked_team, reference_run(games, reference_team, 12, 5, "qcce", 1.0), "qcce", 1.0)
+    # round by round, the learner was handed the reference's gain and profile, in its own batch shape
+    got, want = stacked_team[1].seen, reference_team[1].seen
+    assert len(got) == len(want) == 12
+    for (gain, profile), (gain_ref, profile_ref) in zip(got, want):
+        assert gain.shape == gain_ref.shape == np.shape(stacked_team[1].strategy)
+        assert np.allclose(gain, gain_ref, rtol=0, atol=1e-12)
+        for p, p_ref, d in zip(profile, profile_ref, (2, 3, 2), strict=True):
+            assert p.shape == p_ref.shape == lead + (d, d)
+            assert np.allclose(p, p_ref, rtol=0, atol=1e-12)

@@ -383,6 +383,15 @@ def test_save_game_writes_only_what_load_game_reads_back(tmp_path_factory, dims,
             assert regs == back_regs and r.tobytes() == back_r.tobytes()
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_save_game_refuses_a_seed_no_generator_takes(tmp_path, seed):
+    # random_game, random_polymatrix and gen all take seeds >= 0, so a file's seed is one too
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+        ser.save_game(path, qg.random_game((2, 2), 1), seed=seed)
+    assert not path.exists()
+
+
 def reference_csv(traj):
     """The trajectory CSV rendered cell by cell with repr(float(x))."""
     qubit_players = [i for i, d in enumerate(traj.dims) if d == 2]
