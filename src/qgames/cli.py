@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
     seeds = [args.seed + rid for rid in range(args.runs)]
     # everything that can reject the flags runs before the first file is written
     if args.game is not None:
-        games = [load_game(args.game)[1]]
+        games = [load_game(args.game)]
     elif args.kind is None:
         raise ValueError("either --game or an inline --kind spec is required")
     else:
@@ -191,7 +191,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if not (isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    _, game = load_game(args.game)
+    game = load_game(args.game)
     dims, rho = load_state(args.state)
     if dims != game.dims:
         raise ValueError(f"state dims {list(dims)} do not match game dims {list(game.dims)}")

@@ -129,6 +129,20 @@ def _check_gain(gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return herm(gain)
 
 
+def _checked_play(play, shape: tuple[int, ...], i: int, t: int) -> np.ndarray:
+    """Learner i's round-t strategy, if it is a stack of ``shape`` whose matrices pass :func:`check_density`."""
+    play = np.asarray(play)
+    if play.shape != shape:
+        raise ValueError(f"learner {i} plays shape {play.shape} in round {t}, expected {shape}")
+    try:
+        with np.errstate(invalid="ignore"):   # a non-finite entry fails the Hermitian check
+            for rho in play.reshape((-1,) + shape[-2:]):
+                check_density(rho)
+    except ValueError as exc:
+        raise ValueError(f"learner {i} plays no density in round {t}: {exc}") from None
+    return play
+
+
 class MMWU:
     """Matrix multiplicative weights: play exp(eta * sum of gains), normalized.
 
@@ -460,54 +474,48 @@ def _term_layout(game: Game) -> list[list[tuple[int, ...]]]:
     return [[t.regs for t in terms] for terms in game.gain_terms]
 
 
-def _gain_contraction(games: Sequence[Game], group_dims: list[int], where: list[tuple[int, int]]):
-    """The stacked gain map of a batch of games over player groups.
+def _gain_contraction(games: Sequence[Game]):
+    """The stacked gain map of a batch of games over their player groups (see :func:`_player_groups`).
 
     Player i sits in slot ``where[i][1]`` of the stack of group ``where[i][0]``,
-    whose players have register dim ``group_dims[g]``.  The games' gain terms
-    are compiled once into term groups, one per shape ``(d_i, dims of regs)``:
-    an ``(M, B, d_i^2, r^2)`` operator stack over the terms and games, and the
-    group and slots of the register at each position.  The returned map takes
-    one ``(m_g, B, d, d)`` strategy stack per group and returns the groups'
-    gain stacks: per term group one gather and kron of the sources and one
-    matmul into rows of its target group's buffer, then per player group one
-    scatter-add that sums each player's terms in ``gain_terms`` order
-    (ascending regs), one after the other, as a per-player loop would.
+    whose players ``members[g]`` have register dim ``group_dims[g]``.  The games'
+    gain terms are compiled once into term groups, one per shape ``(d_i, dims of
+    regs)``: an ``(M, B, d_i^2, r^2)`` operator stack over the terms and games,
+    and the group and slots of the register at each position.  Each player group
+    holds one zero row block ``(m_g, 1 + q_g, B, d^2, 1)``, q_g being the most
+    terms a player of the group has: row ``1 + m`` of slot s holds term m of the
+    player in slot s, and row 0 stays zero.  The returned map takes one
+    ``(m_g, B, d, d)`` strategy stack per group and returns the groups' gain
+    stacks: per term group one gather and kron of the sources and one matmul
+    into its rows, then per player group one sum over the rows.  The sum reads
+    the block as floats, so its innermost axis is (real, imaginary), never the
+    rows: numpy adds them in order, ``((0 + t_1) + t_2) + ...`` in
+    ``gain_terms`` order, as a per-player loop would, not pairwise.
     """
-    B = len(games)
-    dims = games[0].dims
+    B, dims, terms = len(games), games[0].dims, games[0].gain_terms
+    group_dims, members, where = _player_groups(dims)
     by_shape = {}
-    for i, player_terms in enumerate(games[0].gain_terms):
+    for i, player_terms in enumerate(terms):
         for m, (regs, _) in enumerate(player_terms):
             by_shape.setdefault((dims[i], tuple(dims[r] for r in regs)), []).append((i, m, regs))
-    term_groups, rows = [], [[] for _ in group_dims]    # rows[g]: (player, term index) per buffer row
+    term_groups = []
     for (d, reg_dims), entries in by_shape.items():
-        g = group_dims.index(d)
         ops = np.stack([np.stack([game.gain_terms[i][m].op for game in games]) for i, m, _ in entries])
         sources = [
             (group_dims.index(rd), np.array([where[regs[p]][1] for _, _, regs in entries]))
             for p, rd in enumerate(reg_dims)
         ]
-        lo = len(rows[g])
-        rows[g] += [(i, m) for i, m, _ in entries]
-        term_groups.append((ops, sources, g, slice(lo, len(rows[g]))))
-    buffers = [np.empty((len(r), B, d * d, 1), dtype=complex) for r, d in zip(rows, group_dims)]
-    scatter = []    # per group: the target slot of each buffer row, and the rows in (player, term) order
-    for r in rows:
-        order = sorted(range(len(r)), key=r.__getitem__)
-        scatter.append((np.array([where[r[c][0]][1] for c in order], dtype=np.intp), np.array(order, dtype=np.intp)))
-    sizes = [sum(1 for g, _ in where if g == gi) for gi in range(len(group_dims))]
+        rows = (np.array([where[i][1] for i, _, _ in entries]), np.array([1 + m for _, m, _ in entries]))
+        term_groups.append((ops, sources, group_dims.index(d), rows))
+    blocks = [np.zeros((len(ids), 1 + max(len(terms[i]) for i in ids), B, d * d, 1), dtype=complex)
+              for ids, d in zip(members, group_dims)]
 
     def contract(stacks: list[np.ndarray]) -> list[np.ndarray]:
-        for ops, sources, g, span in term_groups:
+        for ops, sources, g, rows in term_groups:
             vec = _kron_or_identity([stacks[s][slots] for s, slots in sources], ops.shape[:2])
-            np.matmul(ops, vec.reshape(ops.shape[:2] + (-1, 1)), out=buffers[g][span])
-        gains = []
-        for m, d, buf, (targets, order) in zip(sizes, group_dims, buffers, scatter):
-            acc = np.zeros((m, B, d * d, 1), dtype=complex)
-            np.add.at(acc, targets, buf[order])
-            gains.append(herm(acc.reshape(m, B, d, d)))
-        return gains
+            blocks[g][rows] = ops @ vec.reshape(ops.shape[:2] + (-1, 1))
+        return [herm(block.view(float).sum(axis=1).view(complex).reshape(len(block), B, d, d))
+                for block, d in zip(blocks, group_dims)]
 
     return contract
 
@@ -544,16 +552,16 @@ def run_game(
     so a game is played term by term and its dense joint tensors are never
     built.  The terms are compiled once per run into term groups, one per
     shape ``(d_i, dims of regs)``; each round a term group gathers its source
-    registers, forms their kron and applies all its operators in one matmul,
-    and one scatter-add per player group sums each player's terms in
-    ``gain_terms`` order.  Utilities, running sums and the window then take
-    one call per player group.  A checkpoint, every ``stride``-th round and
-    round T, only records: it folds the window and appends one row of raw
-    state, the spectrum of the joint average and each group's utilities,
-    realized and gain sums, strategies and, in "qne" mode, the pairing of its
-    marginal and gain sums; the records grow by one row per checkpoint, and
-    after the last round :func:`certify_checkpoints` stacks them and builds
-    every row.  Only the running joint average is joint-sized.
+    registers, forms their kron and applies all its operators in one matmul
+    into the rows of a per-group block, and one sum over the block adds each
+    player's terms in ``gain_terms`` order.  Utilities, running sums and the
+    window then take one call per player group.  A checkpoint, every
+    ``stride``-th round and round T, only records: it folds the window and
+    appends one row of raw state, the spectrum of the joint average and each
+    group's utilities, realized and gain sums, strategies and, in "qne" mode,
+    the pairing of its marginal and gain sums; the records grow by one row per
+    checkpoint, and after the last round :func:`certify_checkpoints` stacks
+    them and builds every row.  Only the running joint average is joint-sized.
     No joint product state is formed per round: each round's strategies are
     copied into a window, and at every checkpoint (and whenever the window
     is full) the window is folded into ``joint_sum`` as ``sum_s L_s (x) R_s``,
@@ -571,7 +579,10 @@ def run_game(
     takes back its slot and the epoch counters.  Any other learner, or a lone
     MMWU one, is a team of itself (no copy, no write-back); outside the MMWU
     family it advances by ``observe(gain, profile)``, ``profile`` being the
-    round's states, one per register in its batch shape.
+    round's states, one per register in its batch shape, and its play is
+    checked as it is read: a ``lead + (d, d)`` stack of matrices that pass
+    :func:`~qgames.tensor.check_density`, else a ``ValueError`` naming the
+    learner and the round.
 
     ``g`` may also be a sequence of B games that share register dims,
     gain-term layout (each player's terms read the same registers, so a
@@ -621,7 +632,7 @@ def run_game(
         g, s = where[i]
         return stacks[g][s]
 
-    contract = _gain_contraction(games, group_dims, where)
+    contract = _gain_contraction(games)
 
     n = prod(dims)
     joint_sum = np.zeros((B, n, n), dtype=complex)
@@ -667,8 +678,11 @@ def run_game(
     filled = 0
     with np.errstate(over="raise", invalid="raise"):   # a stepsize that overflows a learner's state stops the run
         for t in range(1, T + 1):
-            for team, g, slots, _, _ in teams:
-                strategies[g][slots] = team.strategy.reshape((-1,) + shapes[g][1:])
+            for team, g, slots, shape, profile in teams:
+                play = team.strategy
+                if profile is not None:   # outside the MMWU family: a team of one, its play checked
+                    play = _checked_play(play, shape, members[g][slots[0]], t)
+                strategies[g][slots] = play.reshape((-1,) + shapes[g][1:])
             for buf, s in zip(window, strategies):
                 buf[:, :, filled] = s
             filled += 1

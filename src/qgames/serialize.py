@@ -174,10 +174,8 @@ def save_game(path, game, seed: int | None = None) -> str:
     return write_json(path, game_to_obj(game, seed))
 
 
-def load_game(path) -> tuple[str, Game]:
-    obj = read_json(path)
-    game = obj_to_game(obj)
-    return obj["kind"], game
+def load_game(path) -> Game:
+    return obj_to_game(read_json(path))
 
 
 # -- states ---------------------------------------------------------------

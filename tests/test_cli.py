@@ -21,7 +21,7 @@ def test_gen_zero_sum_structure_and_determinism(tmp_path):
     assert main(["gen", "--kind", "zero-sum", "--dims", "2,2", "--seed", "7", "--out", str(p1)]) == 0
     assert main(["gen", "--kind", "zero-sum", "--dims", "2,2", "--seed", "7", "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
-    _, g = ser.load_game(p1)
+    g = ser.load_game(p1)
     assert maxabs(g.tensors[0] + g.tensors[1]) == 0
 
 
@@ -30,7 +30,7 @@ def test_gen_polymatrix_cancellation_verified_on_load(tmp_path):
     rc = main(["gen", "--kind", "polymatrix", "--dims", "2,2,2", "--graph", "cycle3",
                "--pairwise-zero-sum", "--seed", "3", "--out", str(path)])
     assert rc == 0
-    _, pg = ser.load_game(path)
+    pg = ser.load_game(path)
     lifted = qg.polymatrix_to_qg(pg)
     assert maxabs(sum(lifted.tensors)) <= 1e-9
 

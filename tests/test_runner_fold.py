@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgames as qg
-from qgames.learning import FOLD_FLOOR, _fold_plan
+from qgames.learning import FOLD_FLOOR, _fold_plan, _gain_contraction, _player_groups
 from qgames.tensor import exp_density_stack
 
 
@@ -466,3 +466,80 @@ def test_a_protocol_only_learner_plays_next_to_an_mmwu_team(monkeypatch, batch):
         for p, p_ref, d in zip(profile, profile_ref, (2, 3, 2), strict=True):
             assert p.shape == p_ref.shape == lead + (d, d)
             assert np.allclose(p, p_ref, rtol=0, atol=1e-12)
+
+
+def local_chain(dims, seed):
+    """A 3-local chain: support (i, i+1, i+2) pays each of its players one term, its own register first."""
+    rng = np.random.default_rng(seed)
+    terms = [[] for _ in dims]
+    for i in range(len(dims) - 2):
+        for p in range(i, i + 3):
+            regs = (p,) + tuple(x for x in range(i, i + 3) if x != p)
+            terms[p].append((regs, qg.random_hermitian(prod(dims[x] for x in regs), rng)))
+    return qg.Game(dims, terms)
+
+
+def term_sum_batches():
+    rng = np.random.default_rng(5)
+    payoffs = [rng.integers(-2, 3, (4, 4, 4)).astype(float) for _ in range(3)]
+    yield [qg.random_polymatrix((2,) * 10, qg.graph_edges("complete", 10), 1)]   # nine terms a player
+    yield [qg.random_polymatrix((2, 3, 2), qg.graph_edges("path", 3), 2)]
+    yield [local_chain((2, 3, 2, 2, 3), 3)]
+    yield [qg.classical_embed(payoffs)]   # diagonal tensors: exact zeros meet signed zeros
+    yield [qg.random_polymatrix((2, 3, 2, 2), star_edges(4), 10 + b) for b in range(3)]
+    # dim-1 registers in one game: a block with one entry per row, where numpy would sum the rows pairwise
+    yield [qg.random_polymatrix((1,) + (2,) * 9, qg.graph_edges("complete", 10), 4)]
+    yield [local_chain((1, 2, 1, 2, 1, 2), 6)]
+
+
+@pytest.mark.parametrize("games", list(term_sum_batches()), ids=lambda gs: f"{gs[0].dims}x{len(gs)}")
+def test_each_players_gain_is_its_terms_summed_in_order(games):
+    # the contraction's gains equal, byte for byte, a plain loop that adds a player's terms one after
+    # the other onto 0 in gain_terms order, each term the operator times the vec of its sources' kron
+    dims, B = games[0].dims, len(games)
+    rng = np.random.default_rng(7)
+    _, members, where = _player_groups(dims)
+    contract = _gain_contraction(games)
+    for _ in range(4):   # the contraction reuses its blocks round after round
+        play = [np.stack([qg.random_density(d, rng) for _ in range(B)]) for d in dims]
+        gains = contract([np.stack([play[i] for i in ids]) for ids in members])
+        for b, game in enumerate(games):
+            for i, player_terms in enumerate(game.gain_terms):
+                acc = 0
+                for regs, op in player_terms:
+                    acc = acc + op @ qg.kron(*(play[j][b] for j in regs)).reshape(-1, 1)
+                g, s = where[i]
+                assert gains[g][s, b].tobytes() == qg.herm(np.reshape(acc, (dims[i], dims[i]))).tobytes(), (b, i)
+
+
+class FixedPlay:
+    """A protocol learner that plays ``plays[t - 1]`` in round t and then its last play."""
+
+    def __init__(self, dim, plays):
+        self.dim, self.plays = dim, list(plays)
+
+    @property
+    def strategy(self):
+        return self.plays[0]
+
+    def observe(self, gain, profile):
+        self.plays = self.plays[1:] or self.plays
+
+    def average_regret_bound(self, t):
+        return float("nan")
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(2), r"learner 1 plays no density in round 4: density matrix trace 2\.0 is not 1"),
+    (np.eye(3) / 3, r"learner 1 plays shape \((3, )?3, 3\) in round 4, expected \((3, )?2, 2\)"),
+])
+def test_a_protocol_learners_play_is_checked_each_round(batch, bad, message):
+    # a trace-2 play once ran to a trajectory whose joint average had trace 2, and a qutrit play on a
+    # qubit register died in a numpy reshape; both now stop the run in the round they are played
+    lead = () if batch is None else (batch,)
+    games = qg.random_game((2, 2), 1) if batch is None else [qg.random_game((2, 2), 1 + b) for b in range(batch)]
+    good = np.broadcast_to(np.eye(2) / 2, lead + (2, 2))
+    plays = [good] * 3 + [np.broadcast_to(bad, lead + bad.shape)]
+    with pytest.raises(ValueError, match=message):
+        qg.run_game(games, [qg.MMWU(2, qg.fixed_schedule(0.1), batch), FixedPlay(2, plays)], 20)

@@ -34,11 +34,10 @@ def test_game_file_roundtrip(tmp_path):
     g = qg.random_game((2, 3), 7, kind="zero_sum")
     path = tmp_path / "g.json"
     ser.save_game(path, g, seed=7)
-    kind, back = ser.load_game(path)
-    assert kind == "zero_sum" and back.zero_sum
+    back, obj = ser.load_game(path), ser.read_json(path)
+    assert obj["kind"] == "zero_sum" and back.zero_sum
     for r1, r2 in zip(g.tensors, back.tensors):
         assert np.array_equal(r1, r2)
-    obj = ser.read_json(path)
     assert obj["seed"] == 7
     assert all(abs(s - 1.0) < 1e-9 for s in obj["spectral_norms"])
 
@@ -47,8 +46,8 @@ def test_polymatrix_file_roundtrip(tmp_path):
     pg = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), seed=3)
     path = tmp_path / "pg.json"
     ser.save_game(path, pg)
-    kind, back = ser.load_game(path)
-    assert kind == "polymatrix"
+    back = ser.load_game(path)
+    assert ser.read_json(path)["kind"] == "polymatrix"
     assert set(back.edges) == set(pg.edges)
     for key in pg.edges:
         assert np.array_equal(pg.edges[key][0], back.edges[key][0])
@@ -67,9 +66,8 @@ def test_generated_files_round_trip_byte_for_byte(tmp_path, flags, kind):
     # the game, not the caller, says which layout it writes: load then save gives back the file and its kind
     path, again = tmp_path / "g.json", tmp_path / "again.json"
     assert main(["gen", *flags, "--seed", "5", "--out", str(path)]) == 0
-    loaded_kind, game = ser.load_game(path)
-    ser.save_game(again, game, seed=5)
-    assert loaded_kind == kind and again.read_bytes() == path.read_bytes()
+    ser.save_game(again, ser.load_game(path), seed=5)
+    assert ser.read_json(path)["kind"] == kind and again.read_bytes() == path.read_bytes()
 
 
 def test_dense_game_and_its_one_edge_twin_keep_their_file_kinds(tmp_path):
@@ -82,9 +80,8 @@ def test_dense_game_and_its_one_edge_twin_keep_their_file_kinds(tmp_path):
     for game, kind in ((dense, "general"), (twin, "polymatrix")):
         path, again = tmp_path / f"{kind}.json", tmp_path / f"{kind}.again.json"
         ser.save_game(path, game)
-        loaded_kind, back = ser.load_game(path)
-        ser.save_game(again, back)
-        assert loaded_kind == kind and again.read_bytes() == path.read_bytes()
+        ser.save_game(again, ser.load_game(path))
+        assert ser.read_json(path)["kind"] == kind and again.read_bytes() == path.read_bytes()
 
 
 def test_game_fitting_neither_layout_writes_its_dense_lift(tmp_path):
@@ -95,17 +92,17 @@ def test_game_fitting_neither_layout_writes_its_dense_lift(tmp_path):
              for i, others, r in zip(range(3), ((1, 2), (0, 2), (0, 1)), lift)]
     path = tmp_path / "g.json"
     ser.save_game(path, qg.Game(dims, terms))
-    kind, back = ser.load_game(path)
-    assert kind == "general" and back.edges is None
+    back = ser.load_game(path)
+    assert ser.read_json(path)["kind"] == "general" and back.edges is None
     assert all(maxabs(r - s) <= 1e-15 for r, s in zip(back.tensors, lift, strict=True))
     # a pair read from one end only is no edge: the game writes its dense lift, which round-trips
     one_end = qg.Game((2, 3), [[((0, 1), qg.random_hermitian(6, rng))], []])
     assert one_end.edges is None
     path, again = tmp_path / "one_end.json", tmp_path / "one_end.again.json"
     ser.save_game(path, one_end)
-    kind, back = ser.load_game(path)
+    back = ser.load_game(path)
     ser.save_game(again, back)
-    assert kind == "general" and again.read_bytes() == path.read_bytes()
+    assert ser.read_json(path)["kind"] == "general" and again.read_bytes() == path.read_bytes()
     assert all(np.array_equal(r, s) for r, s in zip(back.tensors, one_end.tensors, strict=True))
 
 
@@ -376,7 +373,7 @@ def test_save_game_writes_only_what_load_game_reads_back(tmp_path_factory, dims,
     except ValueError:
         assert 1 in dims and not path.exists()
         return
-    _, back = ser.load_game(path)
+    back = ser.load_game(path)
     assert back.dims == game.dims
     for mine, theirs in zip(game.terms, back.terms, strict=True):
         for (regs, r), (back_regs, back_r) in zip(mine, theirs, strict=True):
