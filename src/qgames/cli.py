@@ -96,7 +96,7 @@ def _generate(kind: str, dims: tuple[int, ...], seed: int, graph: str | None, pa
     if kind == "zero-sum":
         return random_game(dims, seed, "zero_sum")
     if kind == "polymatrix":
-        edges = _parse_graph(graph or "cycle", len(dims))
+        edges = _parse_graph("cycle" if graph is None else graph, len(dims))
         return random_polymatrix(dims, edges, seed, pairwise_zero_sum is not False)
     raise ValueError(f"unknown game kind {kind!r}")
 
@@ -131,7 +131,7 @@ def _run_setup(game, args):
 
 
 def _make_learners(learner_arg: str | None, game: Game, schedule: Schedule, batch: int):
-    names = learner_arg.split(",") if learner_arg else ["mmwu"] * game.n_players
+    names = ["mmwu"] * game.n_players if learner_arg is None else learner_arg.split(",")
     if len(names) != game.n_players:
         raise ValueError(f"need {game.n_players} learner kinds, got {len(names)}")
     learners = []
@@ -162,7 +162,7 @@ def cmd_run(args) -> int:
     elif args.kind is None:
         raise ValueError("either --game or an inline --kind spec is required")
     else:
-        dims = _parse_dims(args.dims or "2,2")
+        dims = _parse_dims("2,2" if args.dims is None else args.dims)
         games = [_generate(args.kind, dims, seed, args.graph, args.pairwise_zero_sum) for seed in seeds]
     # every run shares the flags, the game kind and the register layout, so one setup holds for all
     schedule, horizon = _run_setup(games[0], args)

@@ -426,38 +426,32 @@ def _per_player(rows: list[np.ndarray], members: list[list[int]]) -> np.ndarray:
     return out
 
 
-def certify_checkpoints(
-    ts: np.ndarray,
-    dims: tuple[int, ...],
-    utils: Sequence[list[np.ndarray]],
-    realized: Sequence[list[np.ndarray]],
-    cum_gain: Sequence[list[np.ndarray]],
-    strategies: Sequence[list[np.ndarray]],
-    avg_spectra: Sequence[np.ndarray],
-    pairings: Sequence[list[np.ndarray]],
-):
-    """Every checkpoint row of a run, built from its records in stacked passes.
+def certify_checkpoints(dims: tuple[int, ...], rows: Sequence[tuple]):
+    """Every checkpoint row of a run, built from its raw records in stacked passes.
 
-    :func:`run_game` records raw state at each of the C checkpoint rounds ``ts``,
-    one entry per checkpoint as the run goes: per player group (see
-    :func:`_player_groups`) one (m_g, B, ...) array of the round's utilities,
-    of the running sums of utilities and gains, of the round's strategies and,
-    in "qne" mode, of the pairings ``Re Tr(marginal_sum cum_gain)`` (no
-    pairings in "qcce" mode), from which both gap columns are read (see
+    :func:`run_game` appends one row per checkpoint, C rows in all, each
+    ``(t, bound, utils, realized, cum_gain, strategies, avg_spectrum, pairings)``:
+    the round t and its entry of the bound column; per player group (see
+    :func:`_player_groups`) one (m_g, B, ...) array each of the round's
+    utilities, the running sums of utilities and of gains, and the round's
+    strategies; the (B, n) ascending spectrum of the running joint averages;
+    and, in "qne" mode, per group the pairings ``Re Tr(marginal_sum cum_gain)``
+    (an empty list in "qcce" mode), from which both gap columns are read (see
     :func:`run_game`: each gain term of a "qne" game reads one opponent
-    register); and the (B, n) ascending spectrum of the running joint
-    averages.  The records are stacked to (C, m_g, B, ...) per group, and each
+    register).  The records are stacked to (C, m_g, B, ...) per group, and each
     pass is the per-matrix LAPACK call or the elementwise IEEE operation a
     checkpoint-by-checkpoint computation would make, so the rows have its bits.
 
-    Returns the (C, B, ...) columns ``utils``, ``avg_regret``, ``gaps``,
-    ``joint_eigs`` and ``avg_joint_eigs`` (spectra descending), and the
-    (C, B, 3) Bloch vectors of each qubit player.
+    Returns the (C,) rounds ``ts`` and ``bound``, the (C, B, ...) columns
+    ``utils``, ``avg_regret``, ``gaps``, ``joint_eigs`` and ``avg_joint_eigs``
+    (spectra descending), and the (C, B, 3) Bloch vectors of each qubit player.
     """
     _, members, where = _player_groups(dims)
+    ts, bound, utils, realized, cum_gain, strategies, avg_spectra, pairings = zip(*rows)
     utils, realized, cum_gain, strategies, pairings = (
         [np.stack(group) for group in zip(*record)] for record in (utils, realized, cum_gain, strategies, pairings)
     )
+    ts, bound = np.array(ts), np.array(bound)
     t = ts[:, None, None]
     best_fixed = _per_player([np.linalg.eigvalsh(c)[..., -1] for c in cum_gain], members)
     avg_regret = (best_fixed - _per_player(realized, members)) / t
@@ -466,7 +460,7 @@ def certify_checkpoints(
     spectra = [np.linalg.eigvalsh(s) for s in strategies]
     joint_eigs = np.flip(kron_spectrum([spectra[g][:, s] for g, s in where]), axis=-1)
     bloch = {i: bloch_vectors(strategies[g][:, s]) for i, (g, s) in enumerate(where) if dims[i] == 2}
-    return _per_player(utils, members), avg_regret, gaps, joint_eigs, np.flip(avg_spectra, axis=-1), bloch
+    return ts, bound, _per_player(utils, members), avg_regret, gaps, joint_eigs, np.flip(avg_spectra, axis=-1), bloch
 
 
 def _term_layout(game: Game) -> list[list[tuple[int, ...]]]:
@@ -571,15 +565,19 @@ def run_game(
 
     A learner is what the runner reads of it: ``dim``, ``strategy``,
     ``observe(gain, profile)`` and ``average_regret_bound(t)``, one learner
-    object per player.  Learners play in teams, each read and advanced once a
-    round.  :class:`MMWU`-family learners of one class, schedule, epoch
-    position and state shape form one team, a copy of the first whose ``_sum``
-    stacks theirs, bit-identical per slot to the learner played alone; it
-    advances by the unchecked ``_update(gain)``, and after the run each member
-    takes back its slot and the epoch counters.  Any other learner, or a lone
-    MMWU one, is a team of itself (no copy, no write-back); outside the MMWU
-    family it advances by ``observe(gain, profile)``, ``profile`` being the
-    round's states, one per register in its batch shape, and its play is
+    object per player.  Once T and ``stride`` pass their checks, one pass over
+    the learners checks each in turn (its dim, its bound over T, its batch
+    shape) and files it under its team key, so a refused run stops at its
+    first bad learner before any learner is copied or changed.  Learners play
+    in teams, each read and advanced once a round, and each team carries its
+    members' indices.  :class:`MMWU`-family learners of one class, schedule,
+    epoch position and state shape form one team, a copy of the first whose
+    ``_sum`` stacks theirs, bit-identical per slot to the learner played alone;
+    it advances by the unchecked ``_update(gain)``, and after the run each
+    member takes back its slot and the epoch counters.  Any other learner, or
+    a lone MMWU one, is a team of itself (no copy, no write-back); outside the
+    MMWU family it advances by ``observe(gain, profile)``, ``profile`` being
+    the round's states, one per register in its batch shape, and its play is
     checked as it is read: a ``lead + (d, d)`` stack of matrices that pass
     :func:`~qgames.tensor.check_density`, else a ``ValueError`` naming the
     learner and the round.
@@ -607,22 +605,25 @@ def run_game(
         raise ValueError("one learner per player required")
     if len(set(map(id, learners))) < k:
         raise ValueError("each player needs a learner object of its own")
+    if (T := _check_int(T, "horizon", low=1)) > _MAX_HORIZON:
+        raise ValueError(f"horizon must be <= 2**63 - 1, got {T}")
+    stride = max(1, T // 1000) if stride is None else _check_int(stride, "checkpoint stride", low=1)
+
+    # MMWU-family learners of one class, schedule, epoch position and state shape play as one team;
+    # any other learner is a team of itself
+    by_key = {}
     for i, ln in enumerate(learners):
         if ln.dim != dims[i]:
             raise ValueError(f"learner {i} dim {ln.dim} does not match register dim {dims[i]}")
-    if (T := _check_int(T, "horizon", low=1)) > _MAX_HORIZON:
-        raise ValueError(f"horizon must be <= 2**63 - 1, got {T}")
-    for i, ln in enumerate(learners):   # the bound column; NaN states no bound
-        if isinf(ln.average_regret_bound(T)):
+        if isinf(ln.average_regret_bound(T)):   # the bound column; NaN states no bound
             raise ValueError(f"learner {i}'s regret bound over {T} rounds is not finite")
-    stride = max(1, T // 1000) if stride is None else _check_int(stride, "checkpoint stride", low=1)
-
-    # a learner's own batch shape: () for a single learner, (B,) for a batch; a spectral
-    # (MMWU-family) learner's strategy has the shape of its sum, so only the others are asked to play
-    leads = [np.shape(ln._sum if isinstance(ln, MMWU) else ln.strategy)[:-2] for ln in learners]
-    for i, lead in enumerate(leads):
+        # a learner's own batch shape: () for a single learner, (B,) for a batch; a spectral
+        # (MMWU-family) learner's strategy has the shape of its sum, so only the others are asked to play
+        lead = np.shape(ln._sum if isinstance(ln, MMWU) else ln.strategy)[:-2]
         if lead != (B,) and not (lead == () and B == 1):
             raise ValueError(f"learner {i} plays a batch of shape {lead}, expected ({B},)")
+        key = (type(ln), ln.schedule, ln._epoch, ln._in_epoch, ln._sum.shape) if isinstance(ln, MMWU) else i
+        by_key.setdefault(key, (lead, []))[1].append(i)
 
     # player groups, held as the slots of (m_g, B, d, d) stacks
     group_dims, members, where = _player_groups(dims)
@@ -653,35 +654,29 @@ def run_game(
     cum_gain = [np.zeros(shape, dtype=complex) for shape in shapes]
     realized = [np.zeros((m, B)) for m, *_ in shapes]
 
-    # MMWU-family learners of one class, schedule, epoch position and state shape play as one team, a copy
-    # of the first holding their sums stacked; any other learner, and a lone MMWU one, is a team of itself
-    by_key = {}
-    for i, ln in enumerate(learners):
-        key = (type(ln), ln.schedule, ln._epoch, ln._in_epoch, ln._sum.shape) if isinstance(ln, MMWU) else i
-        by_key.setdefault(key, []).append(i)
+    # a team of several is a copy of its first learner holding their sums stacked; a lone learner plays itself
     strategies = [np.empty(shape, dtype=complex) for shape in shapes]
-    teams, copies = [], []
-    for ids in by_key.values():
-        i, lead = ids[0], leads[ids[0]]
+    teams = []
+    for lead, ids in by_key.values():
+        i = ids[0]
         team, stack = learners[i], ()
         if len(ids) > 1:
             team, stack = copy(team), (len(ids),)
             team._sum = np.stack([learners[j]._sum for j in ids])
-            copies.append((team, ids))
         # a learner outside the MMWU family gets a profile: views of the round's strategies in its batch shape
         profile = None if isinstance(team, MMWU) else [player(strategies, j).reshape(lead + (d, d))
                                                        for j, d in enumerate(dims)]
         gain_shape = stack + lead + (dims[i], dims[i])
-        teams.append((team, where[i][0], np.array([where[j][1] for j in ids]), gain_shape, profile))
+        teams.append((team, ids, where[i][0], np.array([where[j][1] for j in ids]), gain_shape, profile))
 
-    rows = []   # per checkpoint the round, the bound and the raw state that certify_checkpoints reads
+    rows = []   # one row per checkpoint, laid out as certify_checkpoints reads it
     filled = 0
     with np.errstate(over="raise", invalid="raise"):   # a stepsize that overflows a learner's state stops the run
         for t in range(1, T + 1):
-            for team, g, slots, shape, profile in teams:
+            for team, ids, g, slots, shape, profile in teams:
                 play = team.strategy
                 if profile is not None:   # outside the MMWU family: a team of one, its play checked
-                    play = _checked_play(play, shape, members[g][slots[0]], t)
+                    play = _checked_play(play, shape, ids[0], t)
                 strategies[g][slots] = play.reshape((-1,) + shapes[g][1:])
             for buf, s in zip(window, strategies):
                 buf[:, :, filled] = s
@@ -702,21 +697,21 @@ def run_game(
                 rows.append((t, bound_scale * max(finite) if finite else float("nan"), utils,
                              [r.copy() for r in realized], [c.copy() for c in cum_gain],
                              [s.copy() for s in strategies], np.linalg.eigvalsh(joint_sum / t), pairings))
-            for team, g, slots, gain_shape, profile in teams:
+            for team, _, g, slots, gain_shape, profile in teams:
                 gain = gains[g][slots].reshape(gain_shape)
                 if profile is None:
                     team._update(gain)
                 else:
                     team.observe(gain, profile)
 
-        for team, ids in copies:   # each member of a team of several takes back its slot and the epoch counters
-            for j, i in enumerate(ids):
-                learners[i]._sum, learners[i]._epoch, learners[i]._in_epoch = team._sum[j], team._epoch, team._in_epoch
+        for team, ids, *_ in teams:
+            if len(ids) > 1:   # each member of a team of several takes back its slot and the epoch counters
+                for j, i in enumerate(ids):
+                    ln = learners[i]
+                    ln._sum, ln._epoch, ln._in_epoch = team._sum[j], team._epoch, team._in_epoch
 
-        ts, bound, *records = zip(*rows)
-        ts, bound = np.array(ts), np.array(bound)
         # the certified columns are (C, B, ...); game b reads slice [:, b]
-        utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(ts, dims, *records)
+        ts, bound, utils, avg_regret, gaps, joint_eigs, avg_joint_eigs, bloch = certify_checkpoints(dims, rows)
     realized = _per_player(realized, members)
     trajs = [
         Trajectory(

@@ -178,12 +178,10 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-        if nz.size:
-            a = col[nz[0]]
-            vecs[:, j] = col * (np.conj(a) / abs(a))
+    if vecs.size:   # a 0x0 matrix has no phase to fix; a unit eigenvector has an entry >= 1/sqrt(n) > _PHASE_EPS
+        a = vecs[np.argmax(np.abs(vecs) > _PHASE_EPS, axis=0), np.arange(len(vals))]
+        # |a| by hypot, the formula of a scalar's abs: numpy's abs of a complex array rounds differently
+        vecs = vecs * (np.conj(a) / np.hypot(a.real, a.imag))
     return vals, vecs
 
 

@@ -63,6 +63,25 @@ def test_dims_that_are_not_integers_name_the_flag(tmp_path, capsys, command, dim
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["run", "--kind", "general", "--dims", ""], "--dims must be comma-separated integers; got ''"),
+        (["run", "--kind", "general", "--dims", "2,2", "--learners", ""], "need 2 learner kinds, got 1"),
+        (["run", "--kind", "general", "--dims", "2", "--learners", ""], "unknown learner kind ''"),
+        (["run", "--kind", "polymatrix", "--dims", "2,2,2", "--graph", ""], "cannot parse graph spec ''"),
+        (["gen", "--kind", "polymatrix", "--dims", "2,2,2", "--graph", ""], "cannot parse graph spec ''"),
+    ],
+    ids=["run-dims", "run-learners", "run-learners-one-player", "run-graph", "gen-graph"],
+)
+def test_an_empty_flag_value_is_refused_not_read_as_the_default(tmp_path, capsys, flags, message):
+    # the defaults (--dims 2,2, mmwu for every player, a cycle) stand in for an absent flag only
+    run_flags = ["--T", "5", "--eta", "0.1"] if flags[0] == "run" else []
+    rc = main([*flags, *run_flags, "--out", str(tmp_path / "o")])
+    assert rc == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_unwritable_path_exits_2(tmp_path):
     assert main(["gen", "--kind", "general", "--dims", "2,2",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")]) == 2

@@ -543,3 +543,30 @@ def test_a_protocol_learners_play_is_checked_each_round(batch, bad, message):
     plays = [good] * 3 + [np.broadcast_to(bad, lead + bad.shape)]
     with pytest.raises(ValueError, match=message):
         qg.run_game(games, [qg.MMWU(2, qg.fixed_schedule(0.1), batch), FixedPlay(2, plays)], 20)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("fault, message", [
+    ("dim", r"learner 2 dim 3 does not match register dim 2"),
+    ("bound", r"learner 2's regret bound over 20 rounds is not finite"),
+    ("batch", r"learner 2 plays a batch of shape \(2,\), expected \((1|3),\)"),
+], ids=["dim", "bound", "batch"])
+def test_a_refused_run_leaves_its_learners_untouched(monkeypatch, batch, fault, message):
+    # every learner is checked before any team forms, so a refusal copies none and changes no learner's state
+    lead = () if batch is None else (batch,)
+    games = [qg.random_game((2, 3, 2, 2), 50 + b) for b in range(batch or 1)]
+    rng = np.random.default_rng(8)
+    teammates = [qg.MMWU(2, qg.doubling_schedule(), batch) for _ in range(2)]   # one team key
+    for ln in teammates:
+        for _ in range(3):
+            ln.observe(np.broadcast_to(qg.random_hermitian(2, rng), lead + (2, 2)))
+    bad = {"dim": qg.MMWU(3, qg.fixed_schedule(0.1), batch), "bound": qg.MMWU(2, qg.fixed_schedule(1e308), batch),
+           "batch": qg.MMWU(2, qg.fixed_schedule(0.1), 2)}[fault]
+    learners = [teammates[0], ProtocolOnly(3, batch), bad, teammates[1]]
+    spectral = [ln for ln in learners if isinstance(ln, qg.MMWU)]
+    before = [(ln._sum, ln._sum.tobytes(), ln._epoch, ln._in_epoch) for ln in spectral]
+    monkeypatch.setattr(qg.learning, "copy", lambda ln: pytest.fail("a refused run copied a learner"))
+    with pytest.raises(ValueError, match=message):
+        qg.run_game(games[0] if batch is None else games, learners, 20)
+    for ln, (state, state_bytes, epoch, in_epoch) in zip(spectral, before):
+        assert ln._sum is state and state.tobytes() == state_bytes and (ln._epoch, ln._in_epoch) == (epoch, in_epoch)

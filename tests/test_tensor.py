@@ -194,6 +194,50 @@ def test_herm_eig_phase_convention():
         assert abs(first.imag) < 1e-12 and first.real > 0
 
 
+def phase_fixed_column_by_column(h):
+    """Reference for herm_eig: the same eigh and order, then each column's phase fixed in a loop."""
+    vals, vecs = np.linalg.eigh(qg.herm(h))
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        a = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        vecs[:, j] = col * (np.conj(a) / abs(a))
+    return vals, vecs
+
+
+def gauge_cases():
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 3, 4, 7, 16, 33, 64):
+        yield f"random-{n}", qg.random_hermitian(n, rng)
+        yield f"degenerate-diagonal-{n}", np.diag(rng.integers(-1, 2, n)).astype(complex)   # unit eigenvectors
+        h = qg.random_hermitian(n, rng)
+        yield f"sparse-{n}", qg.herm(h * (rng.random((n, n)) < 0.15))   # leading zeros in the eigenvectors
+        # weak couplings: entries of ~1e-14 precede the first one above the 1e-12 threshold
+        yield f"near-threshold-{n}", np.diag(np.arange(n, dtype=complex)) + 1e-14 * qg.random_hermitian(n, rng)
+
+
+GAUGE_CASES = list(gauge_cases())
+
+
+@pytest.mark.parametrize("h", [h for _, h in GAUGE_CASES], ids=[name for name, _ in GAUGE_CASES])
+def test_herm_eig_gauge_is_the_column_by_column_loop_bit_for_bit(h):
+    # herm_eig fixes every column's phase in one step; its bytes are those of a loop that fixes one
+    # column at a time with a scalar's abs (the sparse and near-threshold cases tell the two apart from
+    # numpy's abs of a complex array, which rounds differently)
+    vals, vecs = qg.herm_eig(h)
+    ref_vals, ref_vecs = phase_fixed_column_by_column(h)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+    first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(vals))]
+    assert np.all(np.abs(first.imag) < 1e-12) and np.all(first.real > 0)
+
+
+def test_herm_eig_of_an_empty_matrix_is_empty():
+    vals, vecs = qg.herm_eig(np.zeros((0, 0), dtype=complex))
+    assert vals.shape == (0,) and vecs.shape == (0, 0)
+
+
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qg.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
