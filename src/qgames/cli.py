@@ -91,14 +91,10 @@ def _check_game_flags(args) -> None:
 def _generate(kind: str, dims: tuple[int, ...], seed: int, graph: str | None, pairwise_zero_sum: bool | None):
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
-    if kind == "general":
-        return random_game(dims, seed, "general")
-    if kind == "zero-sum":
-        return random_game(dims, seed, "zero_sum")
     if kind == "polymatrix":
         edges = _parse_graph("cycle" if graph is None else graph, len(dims))
         return random_polymatrix(dims, edges, seed, pairwise_zero_sum is not False)
-    raise ValueError(f"unknown game kind {kind!r}")
+    return random_game(dims, seed, {"zero-sum": "zero_sum"}.get(kind, kind))   # which refuses an unknown kind
 
 
 def cmd_gen(args) -> int:
@@ -281,6 +277,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":   # Path("") is the working directory
+            raise ValueError("--out must name a path; got ''")
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

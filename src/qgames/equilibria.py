@@ -119,12 +119,10 @@ def is_qcce(g: Game, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumRe
 
 
 def is_qne(g: Game, rho: np.ndarray, tol: float = LEARNED_TOL) -> EquilibriumReport:
-    """Nash certificate: product state, within ``_EXACT_STATE_TOL``, with no profitable unilateral deviation."""
-    rho = check_density(rho)
-    gaps = tuple(_deviation_gap(g, i, rho) for i in range(g.n_players))
-    mx = max(gaps)
+    """Nash certificate: :func:`is_qcce`'s gaps at a product state, within ``_EXACT_STATE_TOL``."""
+    rep = is_qcce(g, rho, tol)
     defect = maxabs(rho - marginalize(rho, g.dims))
-    return EquilibriumReport("qne", gaps, mx, tol, mx <= tol and defect <= _EXACT_STATE_TOL, defect)
+    return EquilibriumReport("qne", rep.gaps, rep.max_gap, tol, rep.verdict and defect <= _EXACT_STATE_TOL, defect)
 
 
 def phi_gap(g: Game, rho: np.ndarray, deviations: Sequence[Sequence[ChoiMatrix]]) -> EquilibriumReport:
@@ -194,8 +192,7 @@ def ppt_witness(rho: np.ndarray, dims: tuple[int, int]) -> str:
     entanglement; otherwise the test is inconclusive (it is conclusive for
     separability only on 2x2 and 2x3 systems).
     """
-    pt = herm(partial_transpose(rho, dims, 1))
-    return "entangled" if lambda_min(pt) < -1e-9 else "inconclusive"
+    return "entangled" if lambda_min(partial_transpose(rho, dims, 1)) < -1e-9 else "inconclusive"
 
 
 def brute_force_gap(
@@ -219,16 +216,14 @@ def brute_force_gap(
     n_samples = _check_int(n_samples, "n_samples", low=1)
     k = g.n_players
     d = g.dims[i]
-    n = g.joint_dim
     others = _others(k, i)
     opp = partial_trace(rho, g.dims, keep=others)
     base = float(np.vdot(g.tensors[i], np.asarray(rho, dtype=complex)).real)
     rng = np.random.default_rng(_check_int(seed, "seed", low=0))
     psi = random_pure_states(d, n_samples, rng)
     projectors = psi[:, :, None] * psi[:, None, :].conj()
-    # Batched kron(rho'_n, opp) in player-i-first layout, moved back to register order
-    joints = (projectors[:, :, None, :, None] * opp[None, None, :, None, :]).reshape(n_samples, n, n)
+    # kron(rho'_n, opp) for every sample is in player-i-first layout; moved back to register order
     front = (i,) + others
-    joints = _reduced(joints, [g.dims[p] for p in front], [front.index(s) for s in range(k)])
+    joints = _reduced(kron(projectors, opp), [g.dims[p] for p in front], [front.index(s) for s in range(k)])
     vals = np.einsum("pq,nqp->n", g.tensors[i], joints).real
     return float(vals.max() - base)

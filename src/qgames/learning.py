@@ -33,12 +33,11 @@ from .equilibria import exploitability  # noqa: F401  (bench/tracer.py times the
 from .games import Game
 from .games import front_tensor  # noqa: F401  (bench/tracer.py times the name learning.front_tensor)
 from .tensor import (
-    DEFAULT_HERM_TOL,
     _check_distribution,
     _check_int,
+    _checked_herm,
     bloch_vectors,
     check_density,
-    dagger,
     exp_density_stack,
     herm,
     kron,
@@ -124,20 +123,20 @@ def _check_gain(gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     gain = np.asarray(gain, dtype=complex)
     if gain.shape != shape:
         raise ValueError(f"gain shape {gain.shape} does not match learner state {shape}")
-    if maxabs(gain - dagger(gain)) > DEFAULT_HERM_TOL:
-        raise ValueError("gain matrix must be Hermitian")
-    return herm(gain)
+    return _checked_herm(gain, "gain matrix must be Hermitian")
 
 
 def _checked_play(play, shape: tuple[int, ...], i: int, t: int) -> np.ndarray:
-    """Learner i's round-t strategy, if it is a stack of ``shape`` whose matrices pass :func:`check_density`."""
+    """Learner i's round-t strategy, if it has ``shape`` and passes one :func:`check_density` call, matrix or stack.
+
+    A non-finite entry fails the Hermitian test, with no floating-point
+    warning or error under the runner's ``errstate``.
+    """
     play = np.asarray(play)
     if play.shape != shape:
         raise ValueError(f"learner {i} plays shape {play.shape} in round {t}, expected {shape}")
     try:
-        with np.errstate(invalid="ignore"):   # a non-finite entry fails the Hermitian check
-            for rho in play.reshape((-1,) + shape[-2:]):
-                check_density(rho)
+        check_density(play)
     except ValueError as exc:
         raise ValueError(f"learner {i} plays no density in round {t}: {exc}") from None
     return play
@@ -217,11 +216,14 @@ class FrobeniusFTRL(MMWU):
 
 
 class Constant:
-    """Plays one fixed density forever (useful as an adversarial deviator)."""
+    """Plays one fixed density forever (useful as an adversarial deviator).
+
+    Built from a (B, d, d) stack, it plays one density per game of a batch of B.
+    """
 
     def __init__(self, rho: np.ndarray):
-        rho = check_density(np.asarray(rho, dtype=complex))
-        self.dim = rho.shape[0]
+        rho = check_density(rho)
+        self.dim = rho.shape[-1]
         self._rho = rho
 
     @property
@@ -578,9 +580,9 @@ def run_game(
     a lone MMWU one, is a team of itself (no copy, no write-back); outside the
     MMWU family it advances by ``observe(gain, profile)``, ``profile`` being
     the round's states, one per register in its batch shape, and its play is
-    checked as it is read: a ``lead + (d, d)`` stack of matrices that pass
-    :func:`~qgames.tensor.check_density`, else a ``ValueError`` naming the
-    learner and the round.
+    checked as it is read: a ``lead + (d, d)`` stack that passes one
+    :func:`~qgames.tensor.check_density` call (a non-finite entry fails its
+    Hermitian test), else a ``ValueError`` naming the learner and the round.
 
     ``g`` may also be a sequence of B games that share register dims,
     gain-term layout (each player's terms read the same registers, so a

@@ -52,8 +52,10 @@ def herm(m: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
+    """Whether ``m`` is a square matrix, or a (..., d, d) stack of them, Hermitian within ``DEFAULT_HERM_TOL``."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and maxabs(m - dagger(m)) <= DEFAULT_HERM_TOL
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf is NaN, an overflow inf: either fails the test
+        return m.ndim >= 2 and m.shape[-1] == m.shape[-2] and maxabs(m - dagger(m)) <= DEFAULT_HERM_TOL
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -159,7 +161,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], factor: int) -> np.nda
 
 
 def _checked_herm(h: np.ndarray, message: str = "matrix is not Hermitian within tolerance") -> np.ndarray:
-    """The one Hermitian gate: ``herm(h)`` if ``h`` is a Hermitian matrix within ``DEFAULT_HERM_TOL``, else ``message``."""
+    """The one Hermitian gate: ``herm(h)`` if :func:`is_hermitian` passes ``h``, a matrix or a stack, else ``message``."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError(message)
@@ -172,9 +174,13 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(vals, vecs)`` with eigenvalues sorted descending (stable sort,
     so solver order breaks exact ties) and each eigenvector's phase fixed by
     making its first component of magnitude > 1e-12 real and positive.
-    Satisfies ``h = vecs @ diag(vals) @ vecs^dag`` to 1e-9.
+    Satisfies ``h = vecs @ diag(vals) @ vecs^dag`` to 1e-9.  Takes one
+    matrix, not a stack.
     """
-    vals, vecs = np.linalg.eigh(_checked_herm(h))
+    h = _checked_herm(h)
+    if h.ndim != 2:   # the gate passes a stack; the gauge below fixes one matrix's columns
+        raise ValueError(f"herm_eig takes one matrix, got shape {h.shape}")
+    vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -232,7 +238,8 @@ def exp_density(h: np.ndarray) -> np.ndarray:
     Qubits take a closed form in ``tanh``, which is bounded; other dimensions
     renormalize ``exp(h - lambda_max(h) I)``, which keeps all intermediate
     entries in [0, 1].  Either way nothing overflows however large ``||h||``
-    grows (see :func:`exp_density_stack`).
+    grows (see :func:`exp_density_stack`).  A (..., d, d) stack maps matrix
+    by matrix.
     """
     return exp_density_stack(_checked_herm(h))
 
@@ -328,7 +335,8 @@ def project_to_density(h: np.ndarray) -> np.ndarray:
     """Nearest density matrix in Hilbert-Schmidt norm.
 
     Diagonalize, project the eigenvalue vector onto the probability simplex,
-    and reassemble.  Idempotent, and a fixed point on valid densities.
+    and reassemble.  Idempotent, and a fixed point on valid densities.  A
+    (..., d, d) stack maps matrix by matrix.
     """
     return project_to_density_stack(_checked_herm(h))
 
@@ -351,16 +359,21 @@ def project_to_density_stack(h: np.ndarray) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate trace-1 and positive semidefiniteness within ``_DENSITY_TOL``, returning the input."""
+    """Validate trace-1 and positive semidefiniteness within ``_DENSITY_TOL``, returning the input.
+
+    Takes one matrix or a (..., d, d) stack.  The whole stack is tested for
+    Hermiticity, then every trace, then every least eigenvalue; a refusal
+    prints the first failing matrix's value.
+    """
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho):
         raise ValueError("density matrix must be Hermitian")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > _DENSITY_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1 within {_DENSITY_TOL}")
-    lo = lambda_min(rho)
-    if lo < -_DENSITY_TOL:
-        raise ValueError(f"density matrix has eigenvalue {lo} below -{_DENSITY_TOL}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if (bad := np.abs(tr - 1.0) > _DENSITY_TOL).any():
+        raise ValueError(f"density matrix trace {float(tr[bad][0])} is not 1 within {_DENSITY_TOL}")
+    lo = np.linalg.eigvalsh(herm(rho))[..., :1]
+    if (bad := lo < -_DENSITY_TOL).any():
+        raise ValueError(f"density matrix has eigenvalue {float(lo[bad][0])} below -{_DENSITY_TOL}")
     return rho
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,15 +75,20 @@ def test_dims_that_are_not_integers_name_the_flag(tmp_path, capsys, command, dim
         (["run", "--kind", "general", "--dims", "2", "--learners", ""], "unknown learner kind ''"),
         (["run", "--kind", "polymatrix", "--dims", "2,2,2", "--graph", ""], "cannot parse graph spec ''"),
         (["gen", "--kind", "polymatrix", "--dims", "2,2,2", "--graph", ""], "cannot parse graph spec ''"),
+        (["run", "--kind", "general", "--dims", "2,2", "--out", ""], "--out must name a path; got ''"),
+        (["gen", "--kind", "general", "--dims", "2,2", "--out", ""], "--out must name a path; got ''"),
     ],
-    ids=["run-dims", "run-learners", "run-learners-one-player", "run-graph", "gen-graph"],
+    ids=["run-dims", "run-learners", "run-learners-one-player", "run-graph", "gen-graph", "run-out", "gen-out"],
 )
-def test_an_empty_flag_value_is_refused_not_read_as_the_default(tmp_path, capsys, flags, message):
-    # the defaults (--dims 2,2, mmwu for every player, a cycle) stand in for an absent flag only
+def test_an_empty_flag_value_is_refused_not_read_as_the_default(tmp_path, capsys, monkeypatch, flags, message):
+    # the defaults (--dims 2,2, mmwu for every player, a cycle) stand in for an absent flag only,
+    # and an empty --out is not the working directory, which Path("") is
+    monkeypatch.chdir(tmp_path)
     run_flags = ["--T", "5", "--eta", "0.1"] if flags[0] == "run" else []
-    rc = main([*flags, *run_flags, "--out", str(tmp_path / "o")])
+    out_flags = [] if "--out" in flags else ["--out", "o"]
+    rc = main([*flags, *run_flags, *out_flags])
     assert rc == 1 and capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "o").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_gen_unwritable_path_exits_2(tmp_path):
@@ -598,6 +607,23 @@ def test_maxent_demo(capsys):
     assert out["spectrahedral"]["verdict"] is True
     assert out["witness"] == "entangled"
     assert out["agreement"] is True
+
+
+def run_module(*args, cwd):
+    """``python -m qgames`` in a fresh interpreter, importing the package these tests import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qg.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "qgames", *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_python_dash_m_qgames_is_the_same_command_line(tmp_path, capsys):
+    done = run_module("maxent", "--a", "1,0;0,0", cwd=tmp_path)
+    assert main(["maxent", "--a", "1,0;0,0"]) == 0
+    assert done.returncode == 0 and done.stdout == capsys.readouterr().out and done.stderr == ""
+    # a refused call exits 1 with one error line and no traceback, and writes nothing
+    done = run_module("run", "--kind", "general", "--dims", "2,2", "--T", "5", "--eta", "0", "--out", "o", cwd=tmp_path)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: stepsize must be positive and finite, got 0.0\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_maxent_constant_payoff_boundary(capsys):

@@ -8,12 +8,15 @@ A player index lies in [0, k).
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import qgames as qg
 from qgames import serialize as ser
+from qgames.cli import _generate
+from qgames.tensor import kron_spectrum
 
 RHO = np.eye(4, dtype=complex) / 4
 HALF = np.eye(2, dtype=complex) / 2
@@ -196,3 +199,37 @@ def test_each_hermitian_gate_keeps_its_message():
         qg.ChoiMatrix(skew, 2, 2)
     with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
         qg.herm_eig(skew)
+    with pytest.raises(ValueError, match="^gain matrix must be Hermitian$"):
+        qg.MMWU(4, qg.fixed_schedule(0.1)).observe(skew)
+
+
+# refusals that no other test reaches, each with its whole message
+SHAPE_AND_COUNT_REFUSALS = {
+    "ChoiMatrix shape": (lambda: qg.ChoiMatrix(np.eye(3), 2, 2), "Choi matrix shape (3, 3) does not match out 2 x in 2"),
+    "apply_adjoint shape": (lambda: qg.apply_adjoint(qg.choi_of_identity(2), RHO),
+                            "input shape (4, 4) does not match channel output dim 2"),
+    "phi_gap list count": (lambda: qg.phi_gap(GAME, RHO, [[]]), "one deviation list per player required"),
+    "maxent_qcce_condition shapes": (lambda: qg.maxent_qcce_condition(np.eye(3), np.eye(2), HALF.real),
+                                     "payoffs and weights must be 2x2"),
+    "classical_embed no payoffs": (lambda: qg.classical_embed([]), "need at least one payoff array"),
+    "classical_embed shapes": (lambda: qg.classical_embed([np.zeros((2, 2)), np.zeros((2, 3))]),
+                               "payoff arrays must share one action-profile shape"),
+    "utility state shape": (lambda: qg.utility(GAME, HALF, 0), "state shape (2, 2) does not match joint dim 4"),
+    "gain_matrix opponent shape": (lambda: qg.gain_matrix(GAME, 0, RHO), "opponent state shape (4, 4) does not match dim 2"),
+    "random_game zero-sum players": (lambda: qg.random_game((2, 2, 2), 1, "zero_sum"),
+                                     "zero-sum generation needs exactly two players"),
+    # the CLI's spelling is its own: it hands random_game "zero_sum", and any other kind as given
+    "random_game kind": (lambda: qg.random_game((2, 2), 1, "zero-sum"), "unknown game kind 'zero-sum'"),
+    "cli game kind": (lambda: _generate("bogus", (2, 2), 0, None, None), "unknown game kind 'bogus'"),
+    "kron of nothing": (lambda: qg.kron(), "kron needs at least one matrix"),
+    "kron_spectrum of nothing": (lambda: kron_spectrum([]), "kron_spectrum needs at least one spectrum"),
+    "bloch_coords non-qubit": (lambda: qg.bloch_coords(np.eye(3) / 3), "Bloch coordinates are only defined for 2x2 densities"),
+    "herm_eig stack": (lambda: qg.herm_eig(np.stack([HALF, HALF])), "herm_eig takes one matrix, got shape (2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_AND_COUNT_REFUSALS))
+def test_a_shape_or_count_refusal_keeps_its_message(name):
+    call, message = SHAPE_AND_COUNT_REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -48,6 +48,18 @@ def test_mmwu_rejects_non_hermitian_gain():
         m.observe(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_a_non_finite_gain_is_refused_and_leaves_the_learner_alone(entry, batch):
+    # nan - nan is NaN and NaN > tol is False, so the test must read a NaN as asymmetry, not its absence
+    m = qg.MMWU(2, qg.fixed_schedule(0.5), batch)
+    gain = np.zeros(m._sum.shape)
+    gain[..., 0, 0] = entry
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="^gain matrix must be Hermitian$"):
+        m.observe(gain)
+    assert not m._sum.any()
+
+
 # -- Frobenius FTRL --------------------------------------------------------------
 
 
@@ -229,6 +241,12 @@ def test_doubling_schedule_bound_walk():
     assert abs(sched.cumulative_bound(12, d) - expected) < 1e-12
 
 
+def test_no_rounds_carry_no_regret_bound():
+    for sched in (qg.fixed_schedule(0.1), qg.doubling_schedule()):
+        assert sched.cumulative_bound(0, 2) == 0.0
+        assert sched.average_bound(0, 2) == float("inf")
+
+
 def test_doubling_bound_on_a_dim_one_register():
     # ln 1 = 0, so the ln d / eta term is 0 where eta_e = sqrt(ln 1 / T_e) is 0 too; a run with such a register plays
     assert qg.doubling_schedule().cumulative_bound(100, 1) == 0.0
@@ -295,6 +313,18 @@ def test_run_game_with_fixed_strategies():
     learners = [qg.Constant(p) for p in parts]
     traj = qg.run_game(g, learners, 50, stride=10)
     assert maxabs(traj.joint_average() - qg.kron(*parts)) < 1e-12
+
+
+def test_a_constant_stack_plays_one_density_per_game_of_a_batch():
+    rng = np.random.default_rng(8)
+    parts = [qg.random_density(2, rng) for _ in range(3)]
+    games = [qg.random_game((2, 2), 20 + b) for b in range(3)]
+    mmwu = [qg.MMWU(2, qg.fixed_schedule(0.2), batch=3)]
+    trajs = qg.run_game(games, [qg.Constant(np.stack(parts))] + mmwu, 30, stride=7)
+    for b, (game, traj) in enumerate(zip(games, trajs)):
+        alone = qg.run_game(game, [qg.Constant(parts[b]), qg.MMWU(2, qg.fixed_schedule(0.2))], 30, stride=7)
+        assert np.array_equal(traj.joint_sum, alone.joint_sum) and np.array_equal(traj.gaps, alone.gaps)
+        assert np.array_equal(traj.final_strategies[1], alone.final_strategies[1])
 
 
 def test_trajectory_running_average_invariants():

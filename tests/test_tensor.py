@@ -14,6 +14,7 @@ from qgames.tensor import (
     bloch_vectors,
     dagger,
     exp_density_stack,
+    is_hermitian,
     kron_spectrum,
     maxabs,
     project_to_density_stack,
@@ -359,6 +360,35 @@ def test_project_to_density_invariants_and_idempotence():
         assert maxabs(qg.project_to_density(rho) - rho) < 1e-10
 
 
+# one bad matrix, by itself and as the middle of a stack of densities: each is refused with its own message
+BAD_DENSITIES = {
+    "trace": (np.eye(2) * 0.6, r"density matrix trace 1\.2 is not 1 within 1e-09"),
+    "eigenvalue": (np.diag([1.5, -0.5]), r"density matrix has eigenvalue -0\.5 below -1e-09"),
+    "non-Hermitian": (np.triu(np.ones((2, 2))) / 2, "density matrix must be Hermitian"),
+    "NaN": (np.diag([np.nan, 0.5]), "density matrix must be Hermitian"),
+    "inf": (np.array([[0.5, np.inf], [np.inf, 0.5]]), "density matrix must be Hermitian"),
+}
+
+
+def test_density_check_and_hermitian_test_take_a_stack():
+    stack = np.stack([PAULI_Z * 0.25 + np.eye(2) / 2, np.eye(2) / 2, qg.random_density(2, np.random.default_rng(1))])
+    assert is_hermitian(stack) and is_hermitian(stack[None])
+    assert np.array_equal(qg.check_density(stack), stack) and qg.check_density(stack[None]).shape == (1, 3, 2, 2)
+    assert qg.check_density(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    assert not is_hermitian(np.ones(2)) and not is_hermitian(np.ones((2, 3))) and not is_hermitian(np.ones((3, 2, 3)))
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_DENSITIES))
+def test_a_stack_with_one_bad_matrix_is_refused_with_its_message(fault):
+    bad, message = BAD_DENSITIES[fault]
+    good = np.eye(2) / 2
+    # a non-finite entry fails the Hermitian test with no floating-point error, as under run_game
+    with np.errstate(all="raise"):
+        for m in (bad, np.stack([good, bad, good]), np.stack([[good, good], [good, bad]])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                qg.check_density(m)
+
+
 def test_bloch_coords_unit_ball():
     for seed in range(10):
         x, y, z = qg.bloch_coords(qg.random_density(2, np.random.default_rng(seed)))
@@ -421,6 +451,7 @@ def test_stacked_density_kernels_match_per_matrix_calls(h):
     ):
         out = stacked(h)
         assert out.shape == h.shape
+        assert np.array_equal(single(h), out)   # the checked map takes the stack too
         for b in range(h.shape[0]):
             assert np.array_equal(out[b], single(h[b]))
             # Both maps ignore a shift by c*I.  An eigh kernel diagonalizes h minus its mean diagonal,
@@ -504,6 +535,7 @@ def test_stacked_density_kernels_match_per_matrix_calls_on_4d_stacks(h):
     for stacked, single in ((exp_density_stack, qg.exp_density), (project_to_density_stack, qg.project_to_density)):
         out = stacked(h)
         assert out.shape == h.shape
+        assert np.array_equal(single(h), out)
         for j in range(h.shape[0]):
             assert np.array_equal(out[j], stacked(h[j]))
             for b in range(h.shape[1]):
