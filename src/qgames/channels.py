@@ -23,6 +23,7 @@ from .tensor import (
     _check_ints,
     _check_layout,
     _checked_herm,
+    _one_matrix,
     check_density,
     dagger,
     kron,
@@ -57,30 +58,20 @@ class ChoiMatrix:
 
 
 def choi_of_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int) -> np.ndarray:
-    """Assemble sum_ij fn(E_ij) (x) E_ij column by column."""
+    """Assemble sum_ij fn(E_ij) (x) E_ij in one pass, one call of ``fn`` per matrix unit, (i, j) row-major."""
     in_dim = _check_int(in_dim, "input dim", low=1)
-    probe = np.zeros((in_dim, in_dim), dtype=complex)
-    probe[0, 0] = 1.0
-    out_dim = np.asarray(fn(probe)).shape[0]
-    c = np.zeros((out_dim * in_dim, out_dim * in_dim), dtype=complex)
-    for i in range(in_dim):
-        for j in range(in_dim):
-            e = np.zeros((in_dim, in_dim), dtype=complex)
-            e[i, j] = 1.0
-            c += kron(np.asarray(fn(e), dtype=complex), e)
-    return c
+    units = np.eye(in_dim * in_dim, dtype=complex).reshape(-1, in_dim, in_dim)   # row i * d + j is E_ij
+    return sum(kron(np.asarray(fn(e), dtype=complex), e) for e in units)
 
 
 def choi_of_identity(dim: int) -> ChoiMatrix:
     """Identity channel: rank one, trace ``dim``, positive semidefinite."""
-    dim = _check_int(dim, "dim", low=1)
-    u = np.eye(dim, dtype=complex).reshape(-1)
-    return ChoiMatrix(np.outer(u, u.conj()), dim, dim)
+    return unitary_channel(np.eye(_check_int(dim, "dim", low=1)))
 
 
 def replacement_channel(target: np.ndarray) -> ChoiMatrix:
     """The constant map X -> Tr(X) * target; Choi matrix target (x) I."""
-    target = check_density(np.asarray(target, dtype=complex))
+    target = _one_matrix(check_density(target), "replacement_channel")
     d = target.shape[0]
     return ChoiMatrix(kron(target, np.eye(d, dtype=complex)), d, d)
 

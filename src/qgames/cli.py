@@ -4,7 +4,9 @@ Subcommands: ``gen`` writes a game file, ``run`` produces a trajectory CSV
 plus a reproducibility manifest, ``verify`` certifies a saved state against a
 saved game, and ``maxent`` runs the Bell-basis entangled-equilibrium demo.
 Exit codes: 0 on success (and verdict true for ``verify``), 1 for domain
-errors or a false verdict, 2 for I/O problems.  All outputs are deterministic
+errors or a false verdict, 2 for I/O problems and for a flag that argparse
+itself rejects (missing, or not of its type or choices), which also prints
+the usage text.  All outputs are deterministic
 functions of the flags and seeds.  ``run --runs N`` plays its N seeded games
 as one lockstep batch in a single thread; each run's files are byte-identical
 to a ``--runs 1`` call with that run's seed.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from math import ceil, isfinite, isinf, log, prod, sqrt
+from math import ceil, inf, isfinite, isinf, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .tensor import (
     _check_distribution,
     _check_int,
     _checked_herm,
+    _one_matrix,
     bloch_vectors,
     check_density,
     exp_density_stack,
@@ -57,7 +58,9 @@ class Schedule:
     The doubling variant runs epochs of length ``base_epoch * 2^e`` with
     ``eta_e = sqrt(ln(d) / T_e)``, restarting the learner at each boundary;
     this turns the fixed-horizon regret guarantee into an anytime one at a
-    small constant-factor cost.
+    small constant-factor cost.  A fixed stepsize is one epoch that never
+    ends, of length ``inf`` at stepsize ``eta``, so one bound formula covers
+    both kinds.
     """
 
     kind: str = "fixed"
@@ -72,23 +75,19 @@ class Schedule:
             raise ValueError(f"stepsize must be positive and finite, got {self.eta}")
         _check_int(self.base_epoch, "base epoch length", low=1)
 
-    def epoch_length(self, epoch: int) -> int:
-        return self.base_epoch * (2 ** epoch)
+    def epoch_length(self, epoch: int) -> float:
+        return inf if self.kind == "fixed" else self.base_epoch * (2 ** epoch)
 
     def epoch_eta(self, epoch: int, dim: int) -> float:
-        return sqrt(log(dim) / self.epoch_length(epoch))
+        return self.eta if self.kind == "fixed" else sqrt(log(dim) / self.epoch_length(epoch))
 
     def cumulative_bound(self, t: int, dim: int) -> float:
-        """Upper bound on cumulative external regret after t rounds.
+        """Upper bound on cumulative external regret after t rounds, 0 for t <= 0.
 
         Each (partial) epoch of length tau at stepsize eta contributes at
         most ``eta * tau + ln(d) / eta`` for gains with eigenvalues in
-        [-1, 1].
+        [-1, 1]; a fixed stepsize's one epoch gives ``eta * t + ln(d) / eta``.
         """
-        if t < 1:
-            return 0.0
-        if self.kind == "fixed":
-            return self.eta * t + log(dim) / self.eta
         total = 0.0
         remaining = t
         epoch = 0
@@ -164,17 +163,11 @@ class MMWU:
         self._epoch = 0
         self._in_epoch = 0
 
-    @property
-    def _eta(self) -> float:
-        if self.schedule.kind == "fixed":
-            return self.schedule.eta
-        return self.schedule.epoch_eta(self._epoch, self.dim)
-
     kernel = staticmethod(exp_density_stack)
 
     @property
     def strategy(self) -> np.ndarray:
-        return self.kernel(self._eta * self._sum)
+        return self.kernel(self.schedule.epoch_eta(self._epoch, self.dim) * self._sum)
 
     def observe(self, gain: np.ndarray, profile: Sequence[np.ndarray] | None = None) -> None:
         self._update(_check_gain(gain, self._sum.shape))
@@ -259,7 +252,9 @@ class ScriptedNoRegret:
             raise ValueError("one strategy profile per mixture component required")
         self.player = _check_int(player, "player", len(profiles[0]))
         self.weights = weights
-        self.profiles = [[check_density(np.asarray(r, dtype=complex)) for r in prof] for prof in profiles]
+        self.profiles = [
+            [_one_matrix(check_density(r), "ScriptedNoRegret profile factor") for r in prof] for prof in profiles
+        ]
         self.dim = self.profiles[0][self.player].shape[0]
         self._counts = np.zeros(len(weights))
         self._t = 0

@@ -168,6 +168,21 @@ def _checked_herm(h: np.ndarray, message: str = "matrix is not Hermitian within 
     return herm(h)
 
 
+def _one_matrix(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` if it is one matrix, not a stack, which the Hermitian and density checks pass too."""
+    if m.ndim != 2:
+        raise ValueError(f"{what} takes one matrix, got shape {m.shape}")
+    return m
+
+
+def _checked_spectral(h: np.ndarray, what: str) -> np.ndarray:
+    """The gate of the checked spectral maps: :func:`_checked_herm`, and a dim of at least 1."""
+    h = _checked_herm(h)
+    if h.shape[-1] == 0:   # checked before _shifted_eigh's max, which has no identity on an empty array
+        raise ValueError(f"{what} takes matrices of dim >= 1, got shape {h.shape}")
+    return h
+
+
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
 
@@ -177,9 +192,7 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Satisfies ``h = vecs @ diag(vals) @ vecs^dag`` to 1e-9.  Takes one
     matrix, not a stack.
     """
-    h = _checked_herm(h)
-    if h.ndim != 2:   # the gate passes a stack; the gauge below fixes one matrix's columns
-        raise ValueError(f"herm_eig takes one matrix, got shape {h.shape}")
+    h = _one_matrix(_checked_herm(h), "herm_eig")   # the gauge below fixes one matrix's columns
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -241,7 +254,7 @@ def exp_density(h: np.ndarray) -> np.ndarray:
     grows (see :func:`exp_density_stack`).  A (..., d, d) stack maps matrix
     by matrix.
     """
-    return exp_density_stack(_checked_herm(h))
+    return exp_density_stack(_checked_spectral(h, "exp_density"))
 
 
 def exp_density_stack(h: np.ndarray) -> np.ndarray:
@@ -338,7 +351,7 @@ def project_to_density(h: np.ndarray) -> np.ndarray:
     and reassemble.  Idempotent, and a fixed point on valid densities.  A
     (..., d, d) stack maps matrix by matrix.
     """
-    return project_to_density_stack(_checked_herm(h))
+    return project_to_density_stack(_checked_spectral(h, "project_to_density"))
 
 
 def project_to_density_stack(h: np.ndarray) -> np.ndarray:

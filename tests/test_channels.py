@@ -20,14 +20,28 @@ TRANSPOSE_CHOI = qg.ChoiMatrix(qg.choi_of_map(lambda x: x.T, 2), 2, 2)
 
 
 def test_identity_choi_structure():
-    c = qg.choi_of_identity(2)
-    expected = np.zeros((4, 4))
-    for r, s in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        expected[r, s] = 1.0
-    assert maxabs(c.matrix - expected) == 0
-    assert abs(np.trace(c.matrix) - 2.0) < 1e-12
-    assert np.linalg.matrix_rank(c.matrix) == 1
-    assert qg.lambda_min(c.matrix) >= -1e-12
+    for d in range(1, 5):
+        c = qg.choi_of_identity(d)
+        vec_i = np.eye(d).reshape(-1)
+        assert maxabs(c.matrix - np.outer(vec_i, vec_i)) == 0
+        assert abs(np.trace(c.matrix) - d) < 1e-12
+        assert np.linalg.matrix_rank(c.matrix) == 1
+        assert qg.lambda_min(c.matrix) >= -1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_choi_of_map_calls_its_map_once_per_matrix_unit(d):
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return 2 * x
+
+    c = qg.choi_of_map(record, d)
+    units = [np.outer(np.eye(d)[i], np.eye(d)[j]) for i in range(d) for j in range(d)]   # E_ij, (i, j) row-major
+    assert len(seen) == d * d
+    assert all(np.array_equal(x, e) for x, e in zip(seen, units))
+    assert np.array_equal(c, 2 * sum(np.kron(e, e) for e in units))
 
 
 def test_identity_choi_acts_as_identity():

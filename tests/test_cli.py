@@ -91,6 +91,26 @@ def test_an_empty_flag_value_is_refused_not_read_as_the_default(tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--kind", "general", "--dims", "2,2", "--T", "abc", "--eta", "0.1", "--out", "o"],
+         "argument --T: invalid int value: 'abc'"),
+        (["gen", "--dims", "2,2", "--out", "g.json"], "the following arguments are required: --kind"),
+    ],
+    ids=["bad-int", "missing-flag"],
+)
+def test_a_flag_argparse_rejects_exits_2_with_usage(tmp_path, capsys, monkeypatch, argv, message):
+    # argparse's own refusals exit 2, the code an I/O error gets too, and print the usage text
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qgames ") and err.endswith(f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_gen_unwritable_path_exits_2(tmp_path):
     assert main(["gen", "--kind", "general", "--dims", "2,2",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")]) == 2

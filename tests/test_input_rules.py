@@ -225,6 +225,14 @@ SHAPE_AND_COUNT_REFUSALS = {
     "kron_spectrum of nothing": (lambda: kron_spectrum([]), "kron_spectrum needs at least one spectrum"),
     "bloch_coords non-qubit": (lambda: qg.bloch_coords(np.eye(3) / 3), "Bloch coordinates are only defined for 2x2 densities"),
     "herm_eig stack": (lambda: qg.herm_eig(np.stack([HALF, HALF])), "herm_eig takes one matrix, got shape (2, 2, 2)"),
+    "ScriptedNoRegret stack factor": (lambda: qg.scripted_team([1.0], [[np.stack([HALF] * 3), HALF]]),
+                                      "ScriptedNoRegret profile factor takes one matrix, got shape (3, 2, 2)"),
+    "replacement_channel stack": (lambda: qg.replacement_channel(np.stack([HALF] * 3)),
+                                  "replacement_channel takes one matrix, got shape (3, 2, 2)"),
+    "exp_density 0x0": (lambda: qg.exp_density(np.zeros((0, 0))),
+                        "exp_density takes matrices of dim >= 1, got shape (0, 0)"),
+    "project_to_density 0x0 stack": (lambda: qg.project_to_density(np.zeros((3, 0, 0))),
+                                     "project_to_density takes matrices of dim >= 1, got shape (3, 0, 0)"),
 }
 
 

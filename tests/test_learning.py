@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -268,6 +269,19 @@ def test_doubling_bound_keeps_its_bits_for_d_at_least_2(d):
             total += eta_e * used + float(ln_d) / eta_e
             remaining, epoch = remaining - used, epoch + 1
         assert sched.cumulative_bound(t, d) == total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
+@pytest.mark.parametrize("eta", [1e-3, 0.05, 1.0, 1e200, 1e308])
+def test_fixed_bound_is_one_endless_epoch(d, eta):
+    # one epoch of length inf at stepsize eta: eta * t + ln(d) / eta, bit for bit, and nothing for t <= 0
+    sched = qg.fixed_schedule(eta)
+    for t in (-3, -1, 0):
+        assert sched.cumulative_bound(t, d) == 0.0
+    for t in (1, 2, 7, 555, 10**9, 2**53 + 1, 2**63 - 1):
+        assert sched.cumulative_bound(t, d) == eta * t + math.log(d) / eta
+    if eta == 1e308:
+        assert sched.cumulative_bound(2, d) == math.inf
 
 
 def test_doubling_mmwu_meets_anytime_bound():
