@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibria import is_qcce, is_qne, maxent_qcce_condition, ppt_witness, zs_certificate
+from .equilibria import LEARNED_TOL, is_qcce, is_qne, maxent_qcce_condition, ppt_witness, zs_certificate
 from .games import (
     Game,
     bell_projector,
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--game", required=True)
     ver.add_argument("--state", required=True)
     ver.add_argument("--kind", required=True, choices=["qne", "qcce", "zs-value"])
-    ver.add_argument("--tol", type=float, default=1e-6)
+    ver.add_argument("--tol", type=float, default=LEARNED_TOL)
     ver.set_defaults(func=cmd_verify)
 
     mx = sub.add_parser("maxent", help="Bell-basis entangled equilibrium demo")

@@ -159,22 +159,6 @@ class Game:
             out.append(_freeze(herm(total)))
         return tuple(out)
 
-    @property
-    def edges(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None:
-        """``{(i, j): (r_ij, r_ji)}`` over i < j when every term is one end of an edge, else None.
-
-        An end reads two registers, its player's first, and every pair is read once from each end.
-        """
-        ends = {}
-        for i, payoff in enumerate(self.terms):
-            for regs, r in payoff:
-                if len(regs) != 2 or regs[0] != i or regs in ends:
-                    return None
-                ends[regs] = r
-        if any((j, i) not in ends for i, j in ends):
-            return None
-        return {(i, j): (r, ends[j, i]) for (i, j), r in sorted(ends.items()) if i < j}
-
 
 def QuantumGame(dims: Sequence[int], tensors: Sequence[np.ndarray]) -> Game:
     """The dense game: one Hermitian tensor per player, a term on every register."""

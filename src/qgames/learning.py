@@ -87,9 +87,10 @@ class Schedule:
         Each (partial) epoch of length tau at stepsize eta contributes at
         most ``eta * tau + ln(d) / eta`` for gains with eigenvalues in
         [-1, 1]; a fixed stepsize's one epoch gives ``eta * t + ln(d) / eta``.
+        The round count t must be an integer, as for :func:`run_game`'s horizon.
         """
         total = 0.0
-        remaining = t
+        remaining = _check_int(t, "round count")
         epoch = 0
         while remaining > 0:
             t_e = self.epoch_length(epoch)
@@ -101,7 +102,9 @@ class Schedule:
         return total
 
     def average_bound(self, t: int, dim: int) -> float:
-        return self.cumulative_bound(t, dim) / t if t >= 1 else float("inf")
+        """``cumulative_bound(t, dim) / t``, inf for t <= 0; refuses the t that ``cumulative_bound`` refuses."""
+        total = self.cumulative_bound(t, dim)
+        return total / t if t >= 1 else float("inf")
 
 
 def fixed_schedule(eta: float) -> Schedule:
@@ -315,7 +318,7 @@ def horizon_for_epsilon(game: Game, epsilon: float) -> tuple[float, int]:
     dim = max(game.dims)
     if dim < 2:
         raise ValueError("register dimension must be >= 2")
-    if not 0 < epsilon <= 2 * scale:
+    if isinstance(epsilon, (bool, np.bool_)) or not 0 < epsilon <= 2 * scale:   # True would play as 1.0
         raise ValueError(f"epsilon must be in (0, {2 * scale:g}] for this game")
     horizon = 4.0 * scale**2 * log(dim) / epsilon**2 if epsilon**2 else float("inf")   # eps**2 is 0 below ~1e-162
     if horizon > _MAX_HORIZON:

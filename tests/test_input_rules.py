@@ -158,7 +158,9 @@ def test_numpy_integers_pass_as_ints(tmp_path):
     learner = qg.MMWU(two, qg.fixed_schedule(0.1), batch=np.int32(3))
     assert learner.dim == 2 and type(learner.dim) is int and learner._sum.shape == (3, 2, 2)
     assert qg.ScriptedNoRegret(np.int64(1), [1.0], [[HALF, HALF]]).player == 1
-    assert qg.random_polymatrix(dims, [(np.int64(0), np.int64(1))], seed=1).edges.keys() == {(0, 1)}
+    edge = qg.random_polymatrix(dims, [(np.int64(0), np.int64(1))], seed=1)
+    assert [[regs for regs, _ in payoff] for payoff in edge.terms] == [[(0, 1)], [(1, 0)]]
+    assert {type(x) for payoff in edge.terms for regs, _ in payoff for x in regs} == {int}
     assert qg.random_game(dims, 1).dims == (2, 2)
     ser.save_state(tmp_path / "s.json", rho, dims)
     assert json.loads((tmp_path / "s.json").read_text())["dims"] == [2, 2]
@@ -233,6 +235,10 @@ SHAPE_AND_COUNT_REFUSALS = {
                         "exp_density takes matrices of dim >= 1, got shape (0, 0)"),
     "project_to_density 0x0 stack": (lambda: qg.project_to_density(np.zeros((3, 0, 0))),
                                      "project_to_density takes matrices of dim >= 1, got shape (3, 0, 0)"),
+    # a bool epsilon once played as 1.0; it is refused as a zero epsilon is, as Schedule refuses a bool stepsize
+    "horizon_for_epsilon bool": (lambda: qg.horizon_for_epsilon(GAME, True), "epsilon must be in (0, 2] for this game"),
+    "horizon_for_epsilon numpy bool": (lambda: qg.horizon_for_epsilon(GAME, np.True_),
+                                       "epsilon must be in (0, 2] for this game"),
 }
 
 

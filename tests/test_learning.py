@@ -284,6 +284,27 @@ def test_fixed_bound_is_one_endless_epoch(d, eta):
         assert sched.cumulative_bound(2, d) == math.inf
 
 
+@pytest.mark.parametrize("sched", [qg.fixed_schedule(0.1), qg.doubling_schedule(8)], ids=["fixed", "doubling"])
+def test_a_bound_takes_an_integer_round_count(sched):
+    # both bounds refuse one set of t: a fractional round once got a partial epoch, True played as 1, and a
+    # doubling walk to inf ran until an OverflowError
+    for t in (0.5, 2.5, 2.0, True, np.True_, math.inf, math.nan, "3", None):
+        for bound in (sched.cumulative_bound, sched.average_bound):
+            with pytest.raises(ValueError, match=r"^round count must be an integer, got "):
+                bound(t, 2)
+    # an integer t, Python or numpy, keeps its bits: the epoch walk written out, / t for the average
+    for t in (-3, 0, 1, 555, 2**63 - 1):
+        total, remaining, epoch = 0.0, t, 0
+        while remaining > 0:
+            t_e = math.inf if sched.kind == "fixed" else 8 * 2**epoch
+            eta_e = 0.1 if sched.kind == "fixed" else math.sqrt(math.log(2) / t_e)
+            used = min(remaining, t_e)
+            total += eta_e * used + math.log(2) / eta_e
+            remaining, epoch = remaining - used, epoch + 1
+        assert sched.cumulative_bound(t, 2) == total == sched.cumulative_bound(np.int64(t), 2)
+        assert sched.average_bound(t, 2) == (total / t if t >= 1 else math.inf) == sched.average_bound(np.int64(t), 2)
+
+
 def test_doubling_mmwu_meets_anytime_bound():
     g = qg.random_game((2, 2), 3)
     sched = qg.doubling_schedule()

@@ -48,10 +48,10 @@ def test_polymatrix_file_roundtrip(tmp_path):
     ser.save_game(path, pg)
     back = ser.load_game(path)
     assert ser.read_json(path)["kind"] == "polymatrix"
-    assert set(back.edges) == set(pg.edges)
-    for key in pg.edges:
-        assert np.array_equal(pg.edges[key][0], back.edges[key][0])
-        assert np.array_equal(pg.edges[key][1], back.edges[key][1])
+    # per player the same edge ends with bit-identical tensors; the file lists edges in sorted order
+    for mine, theirs in zip(pg.terms, back.terms, strict=True):
+        assert sorted(regs for regs, _ in mine) == sorted(regs for regs, _ in theirs)
+        assert all(np.array_equal(r, dict(theirs)[regs]) for regs, r in mine)
     # lifted cancellation still verifies after a file trip
     assert qg.polymatrix_to_qg(back).zero_sum
 
@@ -93,17 +93,66 @@ def test_game_fitting_neither_layout_writes_its_dense_lift(tmp_path):
     path = tmp_path / "g.json"
     ser.save_game(path, qg.Game(dims, terms))
     back = ser.load_game(path)
-    assert ser.read_json(path)["kind"] == "general" and back.edges is None
+    assert ser.read_json(path)["kind"] == "general"
+    assert [[regs for regs, _ in payoff] for payoff in back.terms] == [[(0, 1, 2)]] * 3
     assert all(maxabs(r - s) <= 1e-15 for r, s in zip(back.tensors, lift, strict=True))
     # a pair read from one end only is no edge: the game writes its dense lift, which round-trips
     one_end = qg.Game((2, 3), [[((0, 1), qg.random_hermitian(6, rng))], []])
-    assert one_end.edges is None
     path, again = tmp_path / "one_end.json", tmp_path / "one_end.again.json"
     ser.save_game(path, one_end)
     back = ser.load_game(path)
     ser.save_game(again, back)
     assert ser.read_json(path)["kind"] == "general" and again.read_bytes() == path.read_bytes()
     assert all(np.array_equal(r, s) for r, s in zip(back.tensors, one_end.tensors, strict=True))
+
+
+def _layout_shapes():
+    """(name, game, whether its terms are edge ends) over every shape the layout rule tells apart."""
+    rng = np.random.default_rng(12)
+    h2, h4, h6, h8 = (qg.random_hermitian(n, rng) for n in (2, 4, 6, 8))
+    a, b = qg.random_hermitian(6, rng), qg.random_hermitian(6, rng)
+    chain = [[((i, *others), qg.random_hermitian(8, rng))] for i, others in enumerate(((1, 2), (0, 2), (0, 1)))]
+    shapes = [
+        ("dense", qg.random_game((2, 3, 2), 1), False),
+        ("zero-sum (2,2)", qg.random_game((2, 2), 2, kind="zero_sum"), False),
+        ("zero-sum (2,3)", qg.random_game((2, 3), 3, kind="zero_sum"), False),
+        ("non-zero-sum path", qg.random_polymatrix((2, 3, 2), qg.graph_edges("path", 3), 4, False), True),
+        ("reversed one-edge twin", qg.PolymatrixGame((2, 3), {(1, 0): (qg.permute_registers(b, (2, 3), (1, 0)), a)}),
+         True),
+        ("3-local chain", qg.Game((2, 2, 2), chain), False),
+        ("two terms of one player on one edge", qg.Game((2, 3), [[((0, 1), a), ((0, 1), b)], [((1, 0), b)]]), False),
+        ("one-register term", qg.Game((2, 2), [[((0, 1), h4), ((0,), h2)], [((1, 0), h4)]]), False),
+        ("an end not led by its player", qg.Game((2, 3), [[((1, 0), a)], [((1, 0), b)]]), False),
+        ("a pair read from one end", qg.Game((2, 3), [[((0, 1), a)], []]), False),
+        ("mixed edge and 3-local", qg.Game((2, 2, 2), [[((0, 1), h4), ((0, 1, 2), h8)], [((1, 0), h4)], []]), False),
+        ("no terms", qg.Game((2, 3), [[], []]), True),
+        ("one-register game", qg.Game((2, 3), [[((0,), h2)], [((1,), qg.random_hermitian(3, rng))]]), False),
+        ("dense (2,3)", qg.QuantumGame((2, 3), (h6, a)), False),
+    ]
+    for graph in ("cycle", "path", "complete"):
+        for k in (2, 3, 5):
+            shapes.append((f"{graph} k={k}", qg.random_polymatrix((2,) * k, qg.graph_edges(graph, k), k), True))
+    return shapes
+
+
+def test_the_polymatrix_layout_is_chosen_by_the_edge_end_rule(tmp_path):
+    # polymatrix exactly when every term reads two registers, its player's first, and each pair once from each end
+    for name, game, edge_ends in _layout_shapes():
+        obj = ser.game_to_obj(game, 1)
+        assert (obj["kind"] == "polymatrix") == edge_ends, name
+        if not edge_ends:
+            continue
+        # edges in sorted (i, j) order with i < j, and r_ij then r_ji in spectral_norms
+        pairs = [(e["i"], e["j"]) for e in obj["edges"]]
+        assert pairs == sorted(pairs) and all(i < j for i, j in pairs), name
+        norms = [qg.spectral_norm(e[key]) for e in obj["edges"] for key in ("r_ij", "r_ji")]
+        assert obj["spectral_norms"] == norms, name
+        # the saved file loads back with each player's terms bit for bit
+        ser.save_game(tmp_path / "g.json", game, seed=1)
+        back = ser.load_game(tmp_path / "g.json")
+        for mine, theirs in zip(game.terms, back.terms, strict=True):
+            assert sorted(regs for regs, _ in mine) == sorted(regs for regs, _ in theirs), name
+            assert all(np.array_equal(r, dict(theirs)[regs]) for regs, r in mine), name
 
 
 def test_corrupted_zero_sum_file_rejected_on_load(tmp_path):
