@@ -25,6 +25,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from math import ceil, inf, isfinite, isinf, log, prod, sqrt
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,11 @@ DEVIATION_DETECT_TOL = 1e-9
 _MAX_HORIZON = 2**63 - 1   # the checkpoint rounds are an int64 array
 
 
+def _is_real(x) -> bool:
+    """A Python or numpy real scalar, not a bool: True would play as 1."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Stepsize policy: a fixed eta, or restarts on epochs of doubling length.
@@ -70,8 +76,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "doubling"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        is_bool = isinstance(self.eta, (bool, np.bool_))   # True would play at eta = 1
-        if self.kind == "fixed" and (is_bool or not (isfinite(self.eta) and self.eta > 0)):
+        if self.kind == "fixed" and not (_is_real(self.eta) and isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"stepsize must be positive and finite, got {self.eta}")
         _check_int(self.base_epoch, "base epoch length", low=1)
 
@@ -87,10 +92,12 @@ class Schedule:
         Each (partial) epoch of length tau at stepsize eta contributes at
         most ``eta * tau + ln(d) / eta`` for gains with eigenvalues in
         [-1, 1]; a fixed stepsize's one epoch gives ``eta * t + ln(d) / eta``.
-        The round count t must be an integer, as for :func:`run_game`'s horizon.
+        The round count t must be an integer, as for :func:`run_game`'s horizon, and dim an integer
+        >= 1, as for a learner's.
         """
         total = 0.0
         remaining = _check_int(t, "round count")
+        dim = _check_int(dim, "dim", low=1)
         epoch = 0
         while remaining > 0:
             t_e = self.epoch_length(epoch)
@@ -102,7 +109,7 @@ class Schedule:
         return total
 
     def average_bound(self, t: int, dim: int) -> float:
-        """``cumulative_bound(t, dim) / t``, inf for t <= 0; refuses the t that ``cumulative_bound`` refuses."""
+        """``cumulative_bound(t, dim) / t``, inf for t <= 0; refuses the t and dim that ``cumulative_bound`` refuses."""
         total = self.cumulative_bound(t, dim)
         return total / t if t >= 1 else float("inf")
 
@@ -318,7 +325,7 @@ def horizon_for_epsilon(game: Game, epsilon: float) -> tuple[float, int]:
     dim = max(game.dims)
     if dim < 2:
         raise ValueError("register dimension must be >= 2")
-    if isinstance(epsilon, (bool, np.bool_)) or not 0 < epsilon <= 2 * scale:   # True would play as 1.0
+    if not (_is_real(epsilon) and 0 < epsilon <= 2 * scale):
         raise ValueError(f"epsilon must be in (0, {2 * scale:g}] for this game")
     horizon = 4.0 * scale**2 * log(dim) / epsilon**2 if epsilon**2 else float("inf")   # eps**2 is 0 below ~1e-162
     if horizon > _MAX_HORIZON:

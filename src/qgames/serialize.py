@@ -24,7 +24,7 @@ import numpy as np
 from .equilibria import EquilibriumReport, ValueCertificate
 from .games import Game, PolymatrixGame, QuantumGame, tensors_cancel
 from .learning import Trajectory
-from .tensor import _check_int, _check_ints, _check_layout, spectral_norm
+from .tensor import _check_int, _check_ints, _check_layout
 
 
 def decode_matrix(entries: list[list[float]]) -> np.ndarray:
@@ -122,18 +122,17 @@ def game_to_obj(game: Game, seed: int | None = None) -> dict:
     """A game's file object: the ``polymatrix`` layout when its terms are edge ends, else its dense lift.
 
     The terms are edge ends when each reads two registers, its player's first, and every pair is read
-    once from each end; the edges are then written in sorted ``(i, j)`` order with ``i < j``, and
-    ``spectral_norms`` lists r_ij then r_ji per edge.  Any other game writes its dense lift, labelled
-    ``zero_sum`` when its lifted tensors cancel (:func:`tensors_cancel`) and ``general`` otherwise.
+    once from each end; the edges are then written in sorted ``(i, j)`` order with ``i < j``.  Any
+    other game writes its dense lift, labelled ``zero_sum`` when its lifted tensors cancel
+    (:func:`tensors_cancel`) and ``general`` otherwise.
     """
     ends = {regs: r for i, payoff in enumerate(game.terms) for regs, r in payoff if len(regs) == 2 and regs[0] == i}
     if len(ends) == sum(map(len, game.terms)) and all((j, i) in ends for i, j in ends):   # a duplicate end collapses
         edges = [{"i": i, "j": j, "r_ij": r, "r_ji": ends[j, i]} for (i, j), r in sorted(ends.items()) if i < j]
-        obj, mats = {"kind": "polymatrix", "edges": edges}, [e[key] for e in edges for key in ("r_ij", "r_ji")]
+        obj = {"kind": "polymatrix", "edges": edges}
     else:
-        mats = game.tensors
-        obj = {"kind": "zero_sum" if tensors_cancel(mats) else "general", "tensors": list(mats)}
-    obj.update(dims=list(_file_dims(game.dims)), spectral_norms=[spectral_norm(r) for r in mats])
+        obj = {"kind": "zero_sum" if tensors_cancel(game.tensors) else "general", "tensors": list(game.tensors)}
+    obj["dims"] = list(_file_dims(game.dims))
     if seed is not None:
         obj["seed"] = _check_int(seed, "seed", low=0)   # json writes a Python int, and stops at a numpy int mid-file
     return obj

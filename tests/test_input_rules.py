@@ -239,6 +239,19 @@ SHAPE_AND_COUNT_REFUSALS = {
     "horizon_for_epsilon bool": (lambda: qg.horizon_for_epsilon(GAME, True), "epsilon must be in (0, 2] for this game"),
     "horizon_for_epsilon numpy bool": (lambda: qg.horizon_for_epsilon(GAME, np.True_),
                                        "epsilon must be in (0, 2] for this game"),
+    # an epsilon or a stepsize that is no real number once escaped as a TypeError or as numpy's own error
+    **{f"horizon_for_epsilon {e!r}": (lambda e=e: qg.horizon_for_epsilon(GAME, e),
+                                      "epsilon must be in (0, 2] for this game")
+       for e in ("0.1", None, 1 + 0j, np.array([0.1, 0.2]))},
+    **{f"Schedule stepsize {eta!r}": (lambda eta=eta: qg.Schedule("fixed", eta=eta),
+                                      f"stepsize must be positive and finite, got {eta}")
+       for eta in ("0.1", None, 1 + 0j, np.array([0.1]))},
+    # a bound's register dim is an integer >= 1: 2.5 once gave a bound for a fractional register, and 0, -1 and
+    # True the bound for a dim-1 one
+    **{f"{kind} {bound} dim {d!r}": (lambda kind=kind, bound=bound, d=d: getattr(qg.Schedule(kind), bound)(3, d),
+                                     f"dim must be an integer >= 1, got {d!r}")
+       for kind in ("fixed", "doubling") for bound in ("cumulative_bound", "average_bound")
+       for d in (2.5, 0, -1, True, np.True_, None, "3")},
 }
 
 

@@ -176,6 +176,9 @@ def test_horizon_examples():
     assert qg.horizon_for_epsilon(qg.random_game((2, 2), 1, "zero_sum"), 0.2) == (0.05, 278)
     eta, T = qg.horizon_for_epsilon(qg.random_polymatrix((2, 2, 2), CYCLE3, 1), 0.3)
     assert abs(eta - 0.05) < 1e-15 and T == 278
+    # a numpy real epsilon or stepsize keeps the bits of the Python float
+    assert qg.horizon_for_epsilon(qg.random_game((2, 2), 1), np.float64(0.2)) == (0.1, 70)
+    assert qg.fixed_schedule(np.float64(0.1)).cumulative_bound(3, 2) == qg.fixed_schedule(0.1).cumulative_bound(3, 2)
 
 
 def test_horizon_range_validation():
@@ -292,17 +295,20 @@ def test_a_bound_takes_an_integer_round_count(sched):
         for bound in (sched.cumulative_bound, sched.average_bound):
             with pytest.raises(ValueError, match=r"^round count must be an integer, got "):
                 bound(t, 2)
-    # an integer t, Python or numpy, keeps its bits: the epoch walk written out, / t for the average
-    for t in (-3, 0, 1, 555, 2**63 - 1):
-        total, remaining, epoch = 0.0, t, 0
-        while remaining > 0:
-            t_e = math.inf if sched.kind == "fixed" else 8 * 2**epoch
-            eta_e = 0.1 if sched.kind == "fixed" else math.sqrt(math.log(2) / t_e)
-            used = min(remaining, t_e)
-            total += eta_e * used + math.log(2) / eta_e
-            remaining, epoch = remaining - used, epoch + 1
-        assert sched.cumulative_bound(t, 2) == total == sched.cumulative_bound(np.int64(t), 2)
-        assert sched.average_bound(t, 2) == (total / t if t >= 1 else math.inf) == sched.average_bound(np.int64(t), 2)
+    # an integer t and dim, Python or numpy, keep their bits: the epoch walk written out, / t for the average
+    for d in (1, 2, 3, 4, 64):
+        for t in (-3, 0, 1, 555, 2**63 - 1):
+            total, remaining, epoch = 0.0, t, 0
+            while remaining > 0:
+                t_e = math.inf if sched.kind == "fixed" else 8 * 2**epoch
+                eta_e = 0.1 if sched.kind == "fixed" else math.sqrt(math.log(d) / t_e)
+                used = min(remaining, t_e)
+                total += eta_e * used + (math.log(d) / eta_e if d > 1 else 0.0)
+                remaining, epoch = remaining - used, epoch + 1
+            for n in (t, np.int64(t)):
+                for m in (d, np.int64(d)):
+                    assert sched.cumulative_bound(n, m) == total, (d, t)
+                    assert sched.average_bound(n, m) == (total / t if t >= 1 else math.inf), (d, t)
 
 
 def test_doubling_mmwu_meets_anytime_bound():

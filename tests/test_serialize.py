@@ -38,8 +38,27 @@ def test_game_file_roundtrip(tmp_path):
     assert obj["kind"] == "zero_sum" and back.zero_sum
     for r1, r2 in zip(g.tensors, back.tensors):
         assert np.array_equal(r1, r2)
-    assert obj["seed"] == 7
-    assert all(abs(s - 1.0) < 1e-9 for s in obj["spectral_norms"])
+    assert obj["seed"] == 7 and obj.keys() == {"kind", "dims", "tensors", "seed"}
+    # random_game normalizes each tensor to spectral norm 1
+    assert all(abs(qg.spectral_norm(r) - 1.0) < 1e-9 for r in g.tensors)
+
+
+def test_a_file_with_spectral_norms_loads_to_the_same_terms(tmp_path):
+    # files once carried a spectral_norms list, which no reader reads: such a file loads to bit-identical terms
+    dense = qg.random_game((2, 3), 7, kind="zero_sum")
+    poly = qg.random_polymatrix((2, 2, 2), qg.graph_edges("cycle", 3), seed=3)
+    for game in (dense, poly):
+        obj = ser.game_to_obj(game, seed=1)
+        # the old writer's order: the tensors, or r_ij then r_ji per edge
+        mats = obj["tensors"] if "tensors" in obj else [e[key] for e in obj["edges"] for key in ("r_ij", "r_ji")]
+        ser.write_json(tmp_path / "old.json", {**obj, "spectral_norms": [qg.spectral_norm(r) for r in mats]})
+        ser.write_json(tmp_path / "new.json", obj)
+        old, new = ser.load_game(tmp_path / "old.json"), ser.load_game(tmp_path / "new.json")
+        for mine, theirs, ours in zip(game.terms, old.terms, new.terms, strict=True):
+            assert [regs for regs, _ in theirs] == [regs for regs, _ in ours]
+            assert all(np.array_equal(r, s) for (_, r), (_, s) in zip(theirs, ours, strict=True))
+            assert sorted(regs for regs, _ in mine) == sorted(regs for regs, _ in theirs)
+            assert all(np.array_equal(r, dict(theirs)[regs]) for regs, r in mine)
 
 
 def test_polymatrix_file_roundtrip(tmp_path):
@@ -142,11 +161,10 @@ def test_the_polymatrix_layout_is_chosen_by_the_edge_end_rule(tmp_path):
         assert (obj["kind"] == "polymatrix") == edge_ends, name
         if not edge_ends:
             continue
-        # edges in sorted (i, j) order with i < j, and r_ij then r_ji in spectral_norms
+        # edges in sorted (i, j) order with i < j
         pairs = [(e["i"], e["j"]) for e in obj["edges"]]
         assert pairs == sorted(pairs) and all(i < j for i, j in pairs), name
-        norms = [qg.spectral_norm(e[key]) for e in obj["edges"] for key in ("r_ij", "r_ji")]
-        assert obj["spectral_norms"] == norms, name
+        assert obj.keys() == {"kind", "dims", "edges", "seed"}, name
         # the saved file loads back with each player's terms bit for bit
         ser.save_game(tmp_path / "g.json", game, seed=1)
         back = ser.load_game(tmp_path / "g.json")
